@@ -1,12 +1,11 @@
-// Sustained ingestion throughput: the staged parallel pipeline and the
-// allocation-free serial readers vs a faithful copy of the pre-pipeline
-// read path, on synthetic trace-CSV and NetFlow v5 corpora. Emits
-// events/sec per reader variant and per pipeline stage plus the headline
-// gauges `ingest/<fmt>_serial_opt_speedup` and
-// `ingest/<fmt>_pipeline4_speedup` into BENCH_ingest.json — the numbers
-// tools/bench_guard.py holds the ingestion layer accountable for (speedup
-// floors via the default check, absolute events/sec floors via
-// --floor-pair).
+// Sustained ingestion throughput: the staged pipeline at 1/2/4/8 parse
+// workers vs a faithful copy of the pre-pipeline read path, on synthetic
+// trace-CSV and NetFlow v5 corpora. Emits events/sec per reader variant and
+// for the framing stage alone, plus the headline gauges
+// `ingest/<fmt>_pipeline1_speedup` and `ingest/<fmt>_pipeline4_speedup`
+// into BENCH_ingest.json — the numbers tools/bench_guard.py holds the
+// ingestion layer accountable for (speedup floors via the default check,
+// absolute events/sec floors via --floor-pair).
 //
 // The reference readers below (`ref` namespace) reproduce the pre-pipeline
 // serial path byte for byte: getline + per-line std::string field splits,
@@ -14,9 +13,9 @@
 // unordered_map<string, NodeId> interner that copies every label on every
 // lookup. They are kept here — not imported — precisely so the baseline
 // cannot silently inherit later optimizations. An equivalence gate compares
-// events, id assignment, and label order against both the optimized serial
-// readers and the pipeline before anything is timed: a speedup over a
-// wrong baseline is worthless.
+// events, id assignment, and label order of every pipeline variant against
+// them on the untimed warmup round, before anything is timed: a speedup
+// over a wrong baseline is worthless.
 //
 // All variants re-read the input file each repetition with a fresh
 // interner (interning is part of the measured cost); one untimed warmup
@@ -40,7 +39,6 @@
 #include "bench/bench_common.h"
 #include "common/interner.h"
 #include "data/netflow.h"
-#include "data/trace_io.h"
 #include "ingest/chunker.h"
 #include "ingest/pipeline.h"
 #include "ingest/record_batch.h"
@@ -400,7 +398,6 @@ struct FormatReport {
   std::string name;
   size_t events = 0;
   double ref_evps = 0.0;
-  double serial_evps = 0.0;
   std::vector<std::pair<int, double>> pipeline_evps;  // (workers, evps)
   double frame_evps = 0.0;
   uint64_t frame_chunks = 0;
@@ -418,25 +415,6 @@ FormatReport BenchFormat(const std::string& name, const std::string& path,
     const bool ok = netflow ? ref::ReadNetflow(path, interner, events)
                             : ref::ReadTraceCsv(path, interner, events);
     if (!ok) return false;
-    labels = CopyLabels(interner);
-    return true;
-  };
-  auto serial_body = [&](std::vector<TraceEvent>& events,
-                         std::vector<std::string>& labels) {
-    Interner interner;
-    if (netflow) {
-      Result<std::vector<NetflowV5Record>> records =
-          ReadNetflowV5File(path, IngestOptions{});
-      if (!records.ok()) return false;
-      NetflowReadOptions opts;
-      opts.weighting = NetflowWeighting::kOctets;
-      events = NetflowToEvents(*records, interner, opts);
-    } else {
-      Result<std::vector<TraceEvent>> read =
-          ReadTraceCsv(path, interner, IngestOptions{});
-      if (!read.ok()) return false;
-      events = std::move(*read);
-    }
     labels = CopyLabels(interner);
     return true;
   };
@@ -466,33 +444,32 @@ FormatReport BenchFormat(const std::string& name, const std::string& path,
   // Interleaved rounds — every variant runs once per round, so a load
   // spike on the host degrades all of them rather than whichever variant
   // happened to be running; best-of-round ratios stay meaningful. Round 0
-  // is an untimed warmup (page cache, allocator arenas).
+  // is an untimed warmup (page cache, allocator arenas) and the
+  // equivalence gate: no round is timed until every variant matches the
+  // reference.
   RunResult reference;
-  RunResult serial;
   RunResult pipeline[4];
   for (int round = 0; round <= kReps; ++round) {
     const bool timed = round > 0;
     TimeOnePass(reference_body, timed, reference);
-    TimeOnePass(serial_body, timed, serial);
     for (int i = 0; i < 4; ++i) {
       TimeOnePass([&](std::vector<TraceEvent>& events,
                       std::vector<std::string>& labels) {
         return pipeline_body(i, events, labels);
       }, timed, pipeline[i]);
+      if (round == 0) {
+        std::string what;
+        what += "pipeline@";
+        what += std::to_string(kWorkerSweep[i]);
+        RequireEquivalent(reference, pipeline[i], what.c_str());
+      }
     }
   }
   report.events = reference.events.size();
-  RequireEquivalent(reference, serial, "optimized serial reader");
 
   const double n = static_cast<double>(report.events);
   report.ref_evps = n / reference.best_sec;
-  report.serial_evps = n / serial.best_sec;
-
   for (int i = 0; i < 4; ++i) {
-    std::string what;
-    what += "pipeline@";
-    what += std::to_string(kWorkerSweep[i]);
-    RequireEquivalent(reference, pipeline[i], what.c_str());
     report.pipeline_evps.emplace_back(kWorkerSweep[i],
                                       n / pipeline[i].best_sec);
   }
@@ -516,7 +493,6 @@ void Report(const FormatReport& r) {
               Fmt(evps / r.ref_evps, "%.2f") + "x"});
   };
   row("reference (pre-pipeline)", r.ref_evps);
-  row("serial optimized", r.serial_evps);
   for (const auto& [workers, evps] : r.pipeline_evps) {
     std::string label;
     label += "pipeline @";
@@ -537,8 +513,8 @@ void Report(const FormatReport& r) {
 
   const std::string prefix = "ingest/" + r.name;
   reg.GetGauge(prefix + "_reference_events_per_sec").Set(r.ref_evps);
-  reg.GetGauge(prefix + "_serial_events_per_sec").Set(r.serial_evps);
   reg.GetGauge(prefix + "_frame_stage_events_per_sec").Set(r.frame_evps);
+  double pipeline1 = 0.0;
   double pipeline4 = 0.0;
   for (const auto& [workers, evps] : r.pipeline_evps) {
     std::string gauge;
@@ -547,10 +523,10 @@ void Report(const FormatReport& r) {
     gauge += std::to_string(workers);
     gauge += "_events_per_sec";
     reg.GetGauge(gauge).Set(evps);
+    if (workers == 1) pipeline1 = evps;
     if (workers == 4) pipeline4 = evps;
   }
-  reg.GetGauge(prefix + "_serial_opt_speedup")
-      .Set(r.serial_evps / r.ref_evps);
+  reg.GetGauge(prefix + "_pipeline1_speedup").Set(pipeline1 / r.ref_evps);
   reg.GetGauge(prefix + "_pipeline4_speedup").Set(pipeline4 / r.ref_evps);
 }
 

@@ -14,6 +14,7 @@
 #include "core/scheme.h"
 #include "core/signature_io.h"
 #include "data/flow_generator.h"
+#include "ingest/pipeline.h"
 
 using namespace commsig;
 
@@ -51,7 +52,7 @@ int main() {
 
   // --- The attack: reload profiles, match against the release. ---------
   Interner attacker_view = flows.interner;  // labels are public metadata
-  auto loaded = ReadSignatureSetCsv(store, attacker_view);
+  auto loaded = ingest::ReadSignatureSetPipelined(store, attacker_view, {});
   if (!loaded.ok()) {
     std::fprintf(stderr, "cannot reload profiles: %s\n",
                  loaded.status().ToString().c_str());

@@ -1,7 +1,10 @@
 // libFuzzer harness for the CSV ingestion paths: the trace reader (with and
-// without monotonic-time enforcement) and the signature-set reader, under
-// every ErrorPolicy. Inputs are staged through a per-process temp file
-// because the readers are file-based.
+// without monotonic-time enforcement), the signature-set reader and the
+// edge-list reader, under every ErrorPolicy. Each read runs the production
+// pipeline at 2 parse workers with 64-byte chunks (the framer's floor), so
+// even small inputs span several chunks and exercise the in-order merge.
+// Inputs are staged through a per-process temp file because the readers are
+// file-based.
 
 #include <unistd.h>
 
@@ -11,8 +14,7 @@
 #include <string>
 
 #include "common/interner.h"
-#include "core/signature_io.h"
-#include "data/trace_io.h"
+#include "ingest/pipeline.h"
 #include "robust/record_errors.h"
 
 namespace {
@@ -36,23 +38,29 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (commsig::ErrorPolicy policy :
        {commsig::ErrorPolicy::kFail, commsig::ErrorPolicy::kSkip,
         commsig::ErrorPolicy::kQuarantine}) {
+    commsig::RecordErrorLog log;
+    commsig::ingest::PipelineOptions options;
+    options.parse_workers = 2;
+    options.chunk_bytes = 64;
+    options.ingest.policy = policy;
+    options.ingest.error_log = &log;
     {
-      commsig::RecordErrorLog log;
-      commsig::IngestOptions options;
-      options.policy = policy;
-      options.error_log = &log;
       commsig::Interner interner;
-      (void)commsig::ReadTraceCsv(path, interner, options);
-      options.require_monotonic_time = true;
-      (void)commsig::ReadTraceCsv(path, interner, options);
+      (void)commsig::ingest::ReadTraceEventsPipelined(
+          path, commsig::ingest::PipelineFormat::kTraceCsv, interner, options);
+      options.ingest.require_monotonic_time = true;
+      (void)commsig::ingest::ReadTraceEventsPipelined(
+          path, commsig::ingest::PipelineFormat::kTraceCsv, interner, options);
+      options.ingest.require_monotonic_time = false;
     }
     {
-      commsig::RecordErrorLog log;
-      commsig::IngestOptions options;
-      options.policy = policy;
-      options.error_log = &log;
       commsig::Interner interner;
-      (void)commsig::ReadSignatureSetCsv(path, interner, options);
+      (void)commsig::ingest::ReadSignatureSetPipelined(path, interner, options);
+    }
+    {
+      commsig::Interner interner;
+      (void)commsig::ingest::ReadEdgeListPipelined(
+          path, interner, /*bipartite_left_size=*/0, options);
     }
   }
   return 0;

@@ -1,7 +1,9 @@
-// libFuzzer harness for the NetFlow v5 lenient reader. The reader is
-// file-based, so each input is staged through a per-process temp file; the
-// property under test is "no crash / no sanitizer report under any
-// ErrorPolicy", not any particular parse result.
+// libFuzzer harness for the NetFlow v5 reader: the production pipeline at 2
+// parse workers with 64-byte chunks (the framer's floor), so even small
+// inputs span several chunks. The reader is file-based, so each input is
+// staged through a per-process temp file; the property under test is "no
+// crash / no sanitizer report under any ErrorPolicy, with or without
+// monotonic-time enforcement", not any particular parse result.
 
 #include <unistd.h>
 
@@ -10,7 +12,8 @@
 #include <cstdio>
 #include <string>
 
-#include "data/netflow.h"
+#include "common/interner.h"
+#include "ingest/pipeline.h"
 #include "robust/record_errors.h"
 
 namespace {
@@ -34,11 +37,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (commsig::ErrorPolicy policy :
        {commsig::ErrorPolicy::kFail, commsig::ErrorPolicy::kSkip,
         commsig::ErrorPolicy::kQuarantine}) {
-    commsig::RecordErrorLog log;
-    commsig::IngestOptions options;
-    options.policy = policy;
-    options.error_log = &log;
-    (void)commsig::ReadNetflowV5File(path, options);
+    for (bool monotonic : {false, true}) {
+      commsig::RecordErrorLog log;
+      commsig::ingest::PipelineOptions options;
+      options.parse_workers = 2;
+      options.chunk_bytes = 64;
+      options.ingest.policy = policy;
+      options.ingest.error_log = &log;
+      options.ingest.require_monotonic_time = monotonic;
+      commsig::Interner interner;
+      (void)commsig::ingest::ReadTraceEventsPipelined(
+          path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options);
+    }
   }
   return 0;
 }

@@ -3,43 +3,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 
 namespace commsig {
-
-std::vector<std::string> SplitCsvLine(std::string_view line, char delim) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    size_t pos = line.find(delim, start);
-    if (pos == std::string_view::npos) {
-      fields.emplace_back(line.substr(start));
-      break;
-    }
-    fields.emplace_back(line.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return fields;
-}
-
-CsvReader::CsvReader(const std::string& path, char delim)
-    : in_(path), delim_(delim) {
-  if (!in_.is_open()) {
-    status_ = Status::IOError("cannot open " + path);
-  }
-}
-
-bool CsvReader::Next(std::vector<std::string>& fields) {
-  std::string line;
-  while (std::getline(in_, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    ++line_number_;
-    fields = SplitCsvLine(line, delim_);
-    return true;
-  }
-  return false;
-}
 
 CsvWriter::CsvWriter(const std::string& path, char delim)
     : out_(path), delim_(delim) {
@@ -71,9 +36,9 @@ constexpr double kExactPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
                                   1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
                                   1e12, 1e13, 1e14, 1e15};
 
-// Exact strtod slow path, byte-compatible with the historical ParseDouble:
-// errno-or-trailing-garbage rejects, everything else accepted. Short inputs
-// use a stack buffer so the hot readers never heap-allocate on this path.
+// Exact strtod slow path: errno-or-trailing-garbage rejects, everything
+// else accepted. Short inputs use a stack buffer so the hot readers never
+// heap-allocate on this path.
 bool SlowParseDouble(std::string_view text, double& out) {
   char stack_buf[64];
   std::string heap_buf;
@@ -161,77 +126,6 @@ bool TryParseUint(std::string_view text, uint64_t& out) {
     }
   }
   return SlowParseUint(text, out);
-}
-
-size_t SplitFields(std::string_view line, char delim, std::string_view* out,
-                   size_t max_out) {
-  // One SWAR pass instead of a memchr call per field: rows on the ingestion
-  // hot path are short (tens of bytes, 3-4 fields), so per-call setup
-  // dominated the split cost. The word trick marks the high bit of every
-  // byte equal to `delim`; hits pop out in position order via ctz.
-  const char* base = line.data();
-  const size_t n = line.size();
-  constexpr uint64_t kLow = 0x0101010101010101ull;
-  constexpr uint64_t kSeven = 0x7f7f7f7f7f7f7f7full;
-  const uint64_t pattern = kLow * static_cast<unsigned char>(delim);
-  size_t count = 0;
-  size_t start = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t word;
-    std::memcpy(&word, base + i, 8);
-    const uint64_t diff = word ^ pattern;
-    // Exact zero-byte detector: the high bit of ((b&0x7f)+0x7f) | b is set
-    // iff byte b != 0, and the add cannot carry across bytes. The shorter
-    // (diff - kLow) & ~diff form is NOT exact — it also flags a byte equal
-    // to 1 (i.e. the character delim^1) when the byte below it matched,
-    // which for ',' would invent a delimiter out of ",-".
-    uint64_t hits = ~(((diff & kSeven) + kSeven) | diff | kSeven);
-    while (hits != 0) {
-      const size_t pos =
-          i + (static_cast<size_t>(__builtin_ctzll(hits)) >> 3);
-      if (count < max_out) out[count] = line.substr(start, pos - start);
-      ++count;
-      start = pos + 1;
-      hits &= hits - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (base[i] == delim) {
-      if (count < max_out) out[count] = line.substr(start, i - start);
-      ++count;
-      start = i + 1;
-    }
-  }
-  if (count < max_out) out[count] = line.substr(start);
-  return count + 1;
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::IOError("cannot open " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read error on " + path);
-  return data;
-}
-
-Result<double> ParseDouble(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("empty number");
-  double value = 0.0;
-  if (!TryParseDouble(text, value)) {
-    return Status::InvalidArgument("bad double: " + std::string(text));
-  }
-  return value;
-}
-
-Result<uint64_t> ParseUint(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("empty number");
-  uint64_t value = 0;
-  if (!TryParseUint(text, value)) {
-    return Status::InvalidArgument("bad integer: " + std::string(text));
-  }
-  return value;
 }
 
 }  // namespace commsig

@@ -2,12 +2,8 @@
 
 #include <limits>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <utility>
 
 #include "common/csv.h"
-#include "ingest/record_decode.h"
 
 namespace commsig {
 
@@ -38,60 +34,6 @@ Status WriteSignatureSetCsv(const SignatureSet& set, const Interner& interner,
     }
   }
   return writer.Close();
-}
-
-Result<SignatureSet> ReadSignatureSetCsv(const std::string& path,
-                                         Interner& interner) {
-  return ReadSignatureSetCsv(path, interner, IngestOptions{});
-}
-
-Result<SignatureSet> ReadSignatureSetCsv(const std::string& path,
-                                         Interner& interner,
-                                         const IngestOptions& options) {
-  Result<std::string> data = ReadFileBytes(path);
-  if (!data.ok()) return data.status();
-
-  // Collect entries per owner, preserving first-seen owner order.
-  std::vector<NodeId> order;
-  std::unordered_map<NodeId, std::vector<Signature::Entry>> entries;
-  LineScanner scanner(*data);
-  std::string_view line;
-  std::string_view fields[3];
-  uint64_t errors = 0;
-  while (scanner.Next(line)) {
-    // Validate the full row before interning anything, so a quarantined row
-    // neither grows the node universe nor registers its owner. Row decoding
-    // is shared with the parallel pipeline (ingest/record_decode.h).
-    const size_t count = SplitFields(line, ',', fields, 3);
-    ingest::SignatureRow row;
-    ingest::RowReject reject;
-    const ingest::SignatureRowKind kind =
-        ingest::DecodeSignatureRow(fields, count, row, reject);
-    if (kind == ingest::SignatureRowKind::kReject) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, reject.reason, scanner.line_number(),
-          std::move(reject.detail),
-          /*invalid_argument_on_fail=*/true);
-      if (!s.ok()) return s;
-      continue;
-    }
-    NodeId owner = interner.Intern(row.owner);
-    if (!entries.contains(owner)) {
-      order.push_back(owner);
-      entries.emplace(owner, std::vector<Signature::Entry>{});
-    }
-    if (kind == ingest::SignatureRowKind::kMarker) continue;
-    entries[owner].push_back({interner.Intern(row.member), row.weight});
-  }
-
-  SignatureSet set;
-  for (NodeId owner : order) {
-    set.owners.push_back(owner);
-    auto& e = entries[owner];
-    const size_t k = e.size();
-    set.signatures.push_back(Signature::FromTopK(std::move(e), k));
-  }
-  return set;
 }
 
 }  // namespace commsig

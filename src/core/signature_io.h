@@ -7,9 +7,8 @@
 #include <vector>
 
 #include "common/interner.h"
-#include "common/result.h"
+#include "common/status.h"
 #include "core/signature.h"
-#include "robust/record_errors.h"
 
 namespace commsig {
 
@@ -28,23 +27,10 @@ struct SignatureSet {
 
 /// Writes a signature set as CSV rows `owner_label,member_label,weight`
 /// (one row per signature entry; owners with empty signatures are written
-/// as a single `owner_label,,0` marker row so they round-trip).
+/// as a single `owner_label,,0` marker row so they round-trip). Read it back
+/// with ingest::ReadSignatureSetPipelined.
 Status WriteSignatureSetCsv(const SignatureSet& set, const Interner& interner,
                             const std::string& path);
-
-/// Reads a signature set written by WriteSignatureSetCsv, interning labels
-/// into `interner`. Rows are grouped by owner in file order; entries of
-/// one owner may appear in any order. Fails with InvalidArgument on
-/// malformed rows or non-positive entry weights.
-Result<SignatureSet> ReadSignatureSetCsv(const std::string& path,
-                                         Interner& interner);
-
-/// Lenient variant: malformed rows (wrong field count, empty owner labels,
-/// unparseable / NaN / Inf / non-positive entry weights) are handled per
-/// `options.policy`; labels of rejected rows are never interned.
-Result<SignatureSet> ReadSignatureSetCsv(const std::string& path,
-                                         Interner& interner,
-                                         const IngestOptions& options);
 
 }  // namespace commsig
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iterator>
 
 #include "ingest/record_decode.h"
 
@@ -14,11 +13,8 @@ constexpr size_t kHeaderBytes = 24;
 constexpr size_t kRecordBytes = 48;
 constexpr size_t kMaxRecordsPerPacket = 30;
 
-// Big-endian (network order) readers/writers; the read side is shared with
-// the pipeline framer via ingest/record_decode.h.
-using ingest::ReadU16Be;
-using ingest::ReadU32Be;
-
+// Big-endian (network order) writers; the read side lives in
+// ingest/record_decode.h.
 void WriteU16(unsigned char* p, uint16_t v) {
   p[0] = static_cast<unsigned char>(v >> 8);
   p[1] = static_cast<unsigned char>(v);
@@ -35,119 +31,6 @@ void WriteU32(unsigned char* p, uint32_t v) {
 std::string Ipv4ToString(uint32_t addr) {
   char buf[16];
   return std::string(buf, ingest::FormatIpv4(addr, buf));
-}
-
-Result<std::vector<NetflowV5Record>> ReadNetflowV5File(
-    const std::string& path) {
-  return ReadNetflowV5File(path, IngestOptions{});
-}
-
-Result<std::vector<NetflowV5Record>> ReadNetflowV5File(
-    const std::string& path, const IngestOptions& options) {
-  // Whole-file buffering keeps byte offsets exact for quarantine reports and
-  // makes header resynchronization a plain scan; one export file covers one
-  // observation window, so the buffer is bounded by window size.
-  Result<std::string> data = ReadFileBytes(path);
-  if (!data.ok()) return data.status();
-
-  const unsigned char* bytes =
-      reinterpret_cast<const unsigned char*>(data->data());
-  const size_t size = data->size();
-
-  // First offset >= `from` holding a plausible v5 header, or `size`.
-  auto resync = [&](size_t from) {
-    for (size_t o = from; o + kHeaderBytes <= size; ++o) {
-      if (ReadU16Be(bytes + o) != 5) continue;
-      const uint16_t count = ReadU16Be(bytes + o + 2);
-      if (count >= 1 && count <= kMaxRecordsPerPacket) return o;
-    }
-    return size;
-  };
-
-  std::vector<NetflowV5Record> records;
-  uint64_t errors = 0;
-  uint32_t last_secs = 0;
-  bool have_last_secs = false;
-  size_t offset = 0;
-  while (offset < size) {
-    if (size - offset < kHeaderBytes) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, RecordErrorReason::kTruncated, offset,
-          "trailing partial header");
-      if (!s.ok()) return s;
-      break;
-    }
-    const uint16_t version = ReadU16Be(bytes + offset);
-    const uint16_t count = ReadU16Be(bytes + offset + 2);
-    const uint32_t unix_secs = ReadU32Be(bytes + offset + 8);
-    if (version != 5) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, RecordErrorReason::kBadMagic, offset,
-          "not a NetFlow v5 header (version " + std::to_string(version) +
-              ")");
-      if (!s.ok()) return s;
-      offset = resync(offset + 1);
-      continue;
-    }
-    if (count == 0 || count > kMaxRecordsPerPacket) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, RecordErrorReason::kBadRecordCount, offset,
-          "invalid record count " + std::to_string(count));
-      if (!s.ok()) return s;
-      offset = resync(offset + 1);
-      continue;
-    }
-    const size_t body = offset + kHeaderBytes;
-    if (options.require_monotonic_time && have_last_secs &&
-        unix_secs < last_secs) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, RecordErrorReason::kTimestampRegression, offset,
-          "export time " + std::to_string(unix_secs) + " precedes " +
-              std::to_string(last_secs));
-      if (!s.ok()) return s;
-      offset = std::min(size, body + count * kRecordBytes);
-      continue;
-    }
-    // Whole records present in the buffer; a short final packet salvages
-    // these and reports the cut as truncation.
-    const size_t whole =
-        std::min<size_t>(count, (size - body) / kRecordBytes);
-    for (size_t i = 0; i < whole; ++i) {
-      records.push_back(ingest::DecodeNetflowRecord(
-          bytes + body + i * kRecordBytes, unix_secs));
-    }
-    if (whole < count) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, RecordErrorReason::kTruncated,
-          body + whole * kRecordBytes, "truncated NetFlow packet");
-      if (!s.ok()) return s;
-      break;
-    }
-    have_last_secs = true;
-    last_secs = unix_secs;
-    offset = body + count * kRecordBytes;
-  }
-  return records;
-}
-
-std::vector<TraceEvent> NetflowToEvents(
-    const std::vector<NetflowV5Record>& records, Interner& interner,
-    const NetflowReadOptions& options) {
-  std::vector<TraceEvent> events;
-  events.reserve(records.size());
-  // The label cache formats/hashes/interns each distinct address once; flow
-  // traces revisit a small address set, so the per-record cost drops to two
-  // memo lookups. Addresses still hit the interner in stream order, so id
-  // assignment is identical to the historical per-record Intern calls.
-  ingest::Ipv4LabelCache labels;
-  for (const NetflowV5Record& r : records) {
-    double weight = 0.0;
-    if (!ingest::NetflowEventWeight(r, options, weight)) continue;
-    events.push_back({labels.Intern(r.src_addr, interner),
-                      labels.Intern(r.dst_addr, interner), r.unix_secs,
-                      weight});
-  }
-  return events;
 }
 
 Status WriteNetflowV5File(const std::vector<NetflowV5Record>& records,

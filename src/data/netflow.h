@@ -5,10 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/interner.h"
-#include "common/result.h"
-#include "graph/windower.h"
-#include "robust/record_errors.h"
+#include "common/status.h"
 
 namespace commsig {
 
@@ -25,12 +22,10 @@ struct NetflowV5Record {
   uint16_t src_port = 0;
   uint16_t dst_port = 0;
   uint8_t protocol = 0;  // 6 = TCP, 17 = UDP
-
-  friend bool operator==(const NetflowV5Record&,
-                         const NetflowV5Record&) = default;
 };
 
-/// How a flow record maps onto an edge weight.
+/// How a flow record maps onto an edge weight when NetFlow v5 exports are
+/// read as events (ingest::PipelineFormat::kNetflowV5).
 enum class NetflowWeighting {
   kFlows,    // each record contributes 1 (the paper's "TCP sessions")
   kPackets,  // dPkts
@@ -45,29 +40,6 @@ struct NetflowReadOptions {
 
 /// Renders an IPv4 address (host byte order) as dotted decimal.
 std::string Ipv4ToString(uint32_t addr);
-
-/// Parses a file of concatenated NetFlow v5 export packets (24-byte header
-/// + N x 48-byte records, all fields big-endian) into flow records.
-/// Fails with Corruption on truncated packets or non-v5 headers.
-Result<std::vector<NetflowV5Record>> ReadNetflowV5File(
-    const std::string& path);
-
-/// Lenient variant: under ErrorPolicy::kSkip/kQuarantine, corrupt headers
-/// are rejected (kBadMagic / kBadRecordCount) and the reader resynchronizes
-/// by scanning forward for the next plausible v5 packet header; a truncated
-/// final packet salvages its whole records (kTruncated). With
-/// `require_monotonic_time`, a packet whose export timestamp precedes the
-/// previous accepted packet's is rejected (kTimestampRegression). Rejections
-/// beyond `options.max_errors` fail the read with Corruption.
-Result<std::vector<NetflowV5Record>> ReadNetflowV5File(
-    const std::string& path, const IngestOptions& options);
-
-/// Converts flow records to TraceEvents, interning dotted-decimal labels.
-/// Records filtered out by `options` are skipped; zero-weight records are
-/// dropped.
-std::vector<TraceEvent> NetflowToEvents(
-    const std::vector<NetflowV5Record>& records, Interner& interner,
-    const NetflowReadOptions& options = {});
 
 /// Writes records as NetFlow v5 export packets (up to 30 records per
 /// packet, per the standard). Used by tests and by simulators exporting

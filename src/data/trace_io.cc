@@ -1,11 +1,8 @@
 #include "data/trace_io.h"
 
 #include <string>
-#include <string_view>
-#include <utility>
 
 #include "common/csv.h"
-#include "ingest/record_decode.h"
 
 namespace commsig {
 
@@ -19,58 +16,6 @@ Status WriteTraceCsv(const std::vector<TraceEvent>& events,
                      std::to_string(e.time), std::to_string(e.weight)});
   }
   return writer.Close();
-}
-
-Result<std::vector<TraceEvent>> ReadTraceCsv(const std::string& path,
-                                             Interner& interner) {
-  return ReadTraceCsv(path, interner, IngestOptions{});
-}
-
-Result<std::vector<TraceEvent>> ReadTraceCsv(const std::string& path,
-                                             Interner& interner,
-                                             const IngestOptions& options) {
-  Result<std::string> data = ReadFileBytes(path);
-  if (!data.ok()) return data.status();
-
-  std::vector<TraceEvent> events;
-  LineScanner scanner(*data);
-  std::string_view line;
-  std::string_view fields[4];
-  uint64_t errors = 0;
-  uint64_t last_time = 0;
-  bool have_last_time = false;
-  while (scanner.Next(line)) {
-    // Validation happens fully before interning: a quarantined row must not
-    // grow the node universe. Field decoding is shared with the parallel
-    // pipeline (ingest/record_decode.h); only the monotonic-time check lives
-    // here because it needs cross-row state.
-    const size_t count = SplitFields(line, ',', fields, 4);
-    ingest::TraceRow row;
-    ingest::RowReject reject;
-    bool bad = !ingest::DecodeTraceRow(fields, count, row, reject);
-    if (!bad && options.require_monotonic_time && have_last_time &&
-        row.time < last_time) {
-      bad = true;
-      reject.reason = RecordErrorReason::kTimestampRegression;
-      reject.detail = "time ";
-      reject.detail += row.time_text;
-      reject.detail += " precedes ";
-      reject.detail += std::to_string(last_time);
-    }
-    if (bad) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, reject.reason, scanner.line_number(),
-          std::move(reject.detail),
-          /*invalid_argument_on_fail=*/true);
-      if (!s.ok()) return s;
-      continue;
-    }
-    last_time = row.time;
-    have_last_time = true;
-    events.push_back({interner.Intern(row.src), interner.Intern(row.dst),
-                      row.time, row.weight});
-  }
-  return events;
 }
 
 }  // namespace commsig

@@ -5,31 +5,17 @@
 #include <vector>
 
 #include "common/interner.h"
-#include "common/result.h"
+#include "common/status.h"
 #include "graph/windower.h"
-#include "robust/record_errors.h"
 
 namespace commsig {
 
 /// Writes a trace as CSV rows `src_label,dst_label,time,weight` — the
 /// interchange format for loading real NetFlow-style or query-log data into
-/// commsig.
+/// commsig. Read it back with ingest::ReadTraceEventsPipelined
+/// (PipelineFormat::kTraceCsv).
 Status WriteTraceCsv(const std::vector<TraceEvent>& events,
                      const Interner& interner, const std::string& path);
-
-/// Reads a trace written by WriteTraceCsv (or hand-prepared in the same
-/// format), interning labels into `interner` in row order. Fails with
-/// InvalidArgument on malformed rows.
-Result<std::vector<TraceEvent>> ReadTraceCsv(const std::string& path,
-                                             Interner& interner);
-
-/// Lenient variant: malformed rows (wrong field count, empty labels,
-/// unparseable numbers, NaN/Inf or non-positive weights, and — with
-/// `require_monotonic_time` — timestamp regressions) are handled per
-/// `options.policy`. Labels of rejected rows are never interned.
-Result<std::vector<TraceEvent>> ReadTraceCsv(const std::string& path,
-                                             Interner& interner,
-                                             const IngestOptions& options);
 
 }  // namespace commsig
 

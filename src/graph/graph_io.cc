@@ -1,13 +1,8 @@
 #include "graph/graph_io.h"
 
 #include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 #include "common/csv.h"
-#include "graph/graph_builder.h"
-#include "ingest/record_decode.h"
 
 namespace commsig {
 
@@ -25,49 +20,6 @@ Status WriteEdgeListCsv(const CommGraph& g, const Interner& interner,
     }
   }
   return writer.Close();
-}
-
-Result<CommGraph> ReadEdgeListCsv(const std::string& path, Interner& interner,
-                                  NodeId bipartite_left_size) {
-  return ReadEdgeListCsv(path, interner, bipartite_left_size, IngestOptions{});
-}
-
-Result<CommGraph> ReadEdgeListCsv(const std::string& path, Interner& interner,
-                                  NodeId bipartite_left_size,
-                                  const IngestOptions& options) {
-  Result<std::string> data = ReadFileBytes(path);
-  if (!data.ok()) return data.status();
-
-  struct Row {
-    NodeId src;
-    NodeId dst;
-    double weight;
-  };
-  std::vector<Row> rows;
-  LineScanner scanner(*data);
-  std::string_view line;
-  std::string_view fields[3];
-  uint64_t errors = 0;
-  while (scanner.Next(line)) {
-    const size_t count = SplitFields(line, ',', fields, 3);
-    ingest::EdgeRow row;
-    ingest::RowReject reject;
-    if (!ingest::DecodeEdgeRow(fields, count, row, reject)) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, reject.reason, scanner.line_number(),
-          std::move(reject.detail),
-          /*invalid_argument_on_fail=*/true);
-      if (!s.ok()) return s;
-      continue;
-    }
-    rows.push_back(
-        {interner.Intern(row.src), interner.Intern(row.dst), row.weight});
-  }
-
-  GraphBuilder builder(interner.size());
-  builder.SetBipartiteLeftSize(bipartite_left_size);
-  for (const Row& r : rows) builder.AddEdge(r.src, r.dst, r.weight);
-  return std::move(builder).Build();
 }
 
 }  // namespace commsig

@@ -4,32 +4,17 @@
 #include <string>
 
 #include "common/interner.h"
-#include "common/result.h"
+#include "common/status.h"
 #include "graph/comm_graph.h"
-#include "robust/record_errors.h"
 
 namespace commsig {
 
 /// Writes `g` as an edge-list CSV: one `src_label,dst_label,weight` row per
 /// edge, where labels come from `interner`. A `# commsig-graph` header
-/// comment records node count and bipartite split.
+/// comment records node count and bipartite split. Read it back with
+/// ingest::ReadEdgeListPipelined.
 Status WriteEdgeListCsv(const CommGraph& g, const Interner& interner,
                         const std::string& path);
-
-/// Reads an edge-list CSV produced by WriteEdgeListCsv (or hand-written in
-/// the same `src,dst,weight` format), interning labels into `interner`.
-/// Repeated (src,dst) rows aggregate. `bipartite_left_size` (optional) flags
-/// the first ids as V1; pass 0 for a general graph. Fails with
-/// InvalidArgument on malformed rows.
-Result<CommGraph> ReadEdgeListCsv(const std::string& path, Interner& interner,
-                                  NodeId bipartite_left_size = 0);
-
-/// Lenient variant: malformed rows (wrong field count, empty labels,
-/// unparseable / NaN / Inf / non-positive weights) are handled per
-/// `options.policy`; labels of rejected rows are never interned.
-Result<CommGraph> ReadEdgeListCsv(const std::string& path, Interner& interner,
-                                  NodeId bipartite_left_size,
-                                  const IngestOptions& options);
 
 }  // namespace commsig
 

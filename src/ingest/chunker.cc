@@ -14,8 +14,7 @@ constexpr size_t kHeaderBytes = 24;
 constexpr size_t kRecordBytes = 48;
 constexpr size_t kMaxRecordsPerPacket = 30;
 
-// A header candidate during resync needs version 5 and a plausible count —
-// the same predicate the serial reader's resync lambda uses.
+// A header candidate during resync needs version 5 and a plausible count.
 bool PlausibleHeader(const unsigned char* p) {
   if (ReadU16Be(p) != 5) return false;
   const uint16_t count = ReadU16Be(p + 2);
@@ -104,8 +103,7 @@ Result<bool> Chunker::NextCsv(RawChunk& chunk) {
 
 Result<bool> Chunker::NextNetflow(RawChunk& chunk) {
   while (true) {
-    // A rejected packet's body is skipped without inspection (the serial
-    // reader jumps straight over it).
+    // A rejected packet's body is skipped without inspection.
     if (skip_bytes_ > 0) {
       const size_t take = std::min<uint64_t>(skip_bytes_, Avail());
       pos_ += take;
@@ -135,8 +133,8 @@ Result<bool> Chunker::NextNetflow(RawChunk& chunk) {
       }
       if (!found) {
         if (eof_) {
-          // No further header anywhere: the serial resync returns `size`
-          // and the loop exits with no extra rejection.
+          // No further header anywhere: the rest of the input is consumed
+          // with no extra rejection.
           pos_ = buf_.size();
           break;
         }
@@ -210,8 +208,7 @@ Result<bool> Chunker::NextNetflow(RawChunk& chunk) {
         continue;
       }
       // Truncated final packet: salvage the whole records, then report the
-      // cut — records first, rejection after, exactly like the serial
-      // reader's push-then-HandleBadRecord order.
+      // cut — records first, rejection after, in stream order.
       const size_t whole = (Avail() - kHeaderBytes) / kRecordBytes;
       const uint64_t body_abs = AbsPos() + kHeaderBytes;
       if (whole > 0) {

@@ -21,9 +21,9 @@ enum class ChunkFormat {
 /// see a record split across chunks.
 ///
 /// CSV framing cuts at the last newline inside ~chunk_bytes (extending past
-/// the target when a single line is longer). NetFlow framing replays the
-/// serial reader's exact packet walk — header validation, forward resync
-/// after a corrupt header, truncated-final-packet salvage, and (under
+/// the target when a single line is longer). NetFlow framing performs the
+/// whole packet walk — header validation, forward resync after a corrupt
+/// header, truncated-final-packet salvage, and (under
 /// require_monotonic_time) header-timestamp regression checks — because
 /// those decisions need the inter-packet stream state that only a serial
 /// stage has. Rejections are not *applied* here (policy and budgets are
@@ -39,8 +39,7 @@ class Chunker {
   Chunker(const std::string& path, ChunkFormat format, size_t chunk_bytes,
           bool monotonic_time);
 
-  /// OK if the file opened ("cannot open <path>" IOError otherwise —
-  /// byte-identical to the serial readers).
+  /// OK if the file opened (IOError "cannot open <path>" otherwise).
   const Status& status() const { return status_; }
 
   /// Frames the next chunk into `chunk` (Clear()ed first; `seq` assigned
@@ -76,7 +75,7 @@ class Chunker {
   bool eof_ = false;
   uint64_t next_seq_ = 0;
 
-  // NetFlow stream state (mirrors the serial reader's locals).
+  // NetFlow packet-walk state carried across refills.
   uint64_t skip_bytes_ = 0;  // remainder of a rejected packet body
   bool resyncing_ = false;   // scanning forward for a plausible header
   uint32_t last_secs_ = 0;

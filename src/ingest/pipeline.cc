@@ -35,8 +35,8 @@ enum class RowFormat { kTrace, kEdge, kSignature, kNetflow };
 /// Open-addressed map from label bytes to an index in the batch's label
 /// arena. Lives in the worker and is reset per chunk; the arena itself is
 /// in the batch so it travels to the merge stage. Labels enter the arena in
-/// first-reference order — the order the serial reader would first intern
-/// them — which is what lets the merge's bulk path intern arena-order.
+/// first-reference order — the order an in-order read first interns them —
+/// which is what lets the merge's bulk path intern arena-order.
 class ChunkLabelTable {
  public:
   void Reset() {
@@ -308,7 +308,7 @@ NodeId LazyIntern(MergeContext& ctx, const IngestBatch& batch, uint32_t idx) {
 /// slow path replays HandleBadRecord interleaved with records and interns
 /// lazily at record-accept time, so an abort (kFail, exhausted budget)
 /// never interns labels past the abort point and a merge-rejected row's
-/// labels are never interned — exactly the serial readers' behaviour.
+/// labels are never interned.
 template <typename Sink>
 Status MergeBatch(MergeContext& ctx, IngestBatch& batch, Sink& sink) {
   if (batch.rejects.empty() && !ctx.monotonic) {
@@ -404,8 +404,7 @@ struct WorkerLane {
 /// k-way minimum over lane heads — no reorder buffer. The merge thread is
 /// the only one touching the interner, the error policy, budgets and the
 /// sink; workers only decode into private batches. That split is what
-/// makes the result bit-identical to the serial readers at any worker
-/// count (under kBlock).
+/// makes the result identical at every worker count (under kBlock).
 template <typename Sink>
 Status RunPipeline(const std::string& path, RowFormat format,
                    Interner& interner, const PipelineOptions& options,
@@ -467,7 +466,7 @@ Status RunPipeline(const std::string& path, RowFormat format,
       }
       // Shed policy: never block the IO stage. A full lane drops the whole
       // chunk (counted, reported as overload) — the stream stays live at
-      // the cost of losing the serial-equivalence guarantee.
+      // the cost of a scheduling-dependent result.
       RawChunk* slot = nullptr;
       bool delivered = false;
       if (lane.free_chunk_q->TryPop(slot)) {
@@ -663,9 +662,9 @@ struct EventBlock {
 /// The merge-side sink that routes accepted events into per-shard windower
 /// stages through bounded SPSC queues. Sharding is by `src % shards`: every
 /// observation of a (src, dst) pair lands in one shard in stream order, so
-/// per-shard aggregation sums each edge's weights in exactly the serial
-/// order and the final per-window graphs are bit-identical to
-/// TraceWindower::Split on the serially read events.
+/// per-shard aggregation sums each edge's weights in stream order and the
+/// final per-window graphs are bit-identical to TraceWindower::Split on the
+/// merged events.
 ///
 /// While ingestion runs, shard threads pre-bucket window counts and store
 /// their events. Validation and aggregation need the final node-universe

@@ -22,8 +22,8 @@ enum class BackpressurePolicy {
   kBlock,
   /// Drop the framed chunk, count it under ingest/chunks_shed and report
   /// overload to the degradation controller. Sheds whole chunks, so the
-  /// output is NOT equivalent to the serial reader — reserved for live
-  /// sources where falling behind is worse than sampling.
+  /// output depends on scheduling — reserved for live sources where
+  /// falling behind is worse than sampling.
   kShed,
 };
 
@@ -43,7 +43,7 @@ struct PipelineOptions {
   size_t queue_capacity = 8;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Error policy / budgets / quarantine sink, applied by the merge stage
-  /// in exact stream order (byte-identical to the serial readers).
+  /// in exact stream order.
   IngestOptions ingest;
   /// Record filtering/weighting for kNetflowV5.
   NetflowReadOptions netflow;
@@ -62,24 +62,50 @@ struct PipelineStats {
   uint64_t consumer_stalls = 0;
 };
 
-/// Parallel counterpart of ReadTraceCsv / (ReadNetflowV5File +
-/// NetflowToEvents): framer -> parse workers -> in-order merge. Under
-/// kBlock back-pressure the result — events, interner contents and id
-/// assignment, error-log entries, budgets, and failure status — is
-/// bit-identical to the serial path at every worker count.
+// The readers below are the only readers of commsig's input formats. Each
+// runs framer -> parse workers -> in-order merge and, under kBlock
+// back-pressure, returns exactly what a single-threaded pass over the file
+// in stream order would: the same events/graph/signatures, interner
+// contents and id assignment (labels interned in first-reference order,
+// never for a rejected row), error-log entries and positions (CSV data-line
+// numbers, NetFlow byte offsets), budget charges and failure status, at
+// every worker count and chunk size. The test-only reference readers in
+// tests/ref/ are that single-threaded pass; tests/ingest/pipeline_test.cc
+// holds the golden-hash equivalence tests against them.
+//
+// CSV rows: split on '\n' with one trailing '\r' stripped; blank lines
+// and '#' comments are skipped and not counted; a final line without a
+// newline is still read. Malformed rows and records are handled per
+// `options.ingest` (fail / skip / quarantine, per-file and run-wide
+// budgets); the first rejection under kFail fails the read with
+// InvalidArgument (CSV) or Corruption (NetFlow). A missing file is an
+// IOError "cannot open <path>".
+
+/// Reads trace events: `src,dst,time,weight` CSV rows (kTraceCsv) or
+/// concatenated NetFlow v5 export packets (kNetflowV5, with header resync
+/// after corrupt headers, truncated-final-packet salvage, and
+/// `options.netflow` filtering/weighting; filtered and zero-weight records
+/// are dropped silently). With `require_monotonic_time`, a trace row or
+/// NetFlow packet whose time precedes the previous accepted one is rejected
+/// (kTimestampRegression).
 Result<std::vector<TraceEvent>> ReadTraceEventsPipelined(
     const std::string& path, PipelineFormat format, Interner& interner,
     const PipelineOptions& options, PipelineStats* stats = nullptr);
 
-/// Parallel counterpart of ReadEdgeListCsv (same equivalence guarantee).
+/// Reads a `src,dst,weight` edge-list CSV (as written by WriteEdgeListCsv)
+/// into a graph over `interner`; repeated (src,dst) rows aggregate in
+/// stream order. `bipartite_left_size` flags the first ids as V1 (0 for a
+/// general graph).
 Result<CommGraph> ReadEdgeListPipelined(const std::string& path,
                                         Interner& interner,
                                         NodeId bipartite_left_size,
                                         const PipelineOptions& options,
                                         PipelineStats* stats = nullptr);
 
-/// Parallel counterpart of ReadSignatureSetCsv (same equivalence
-/// guarantee).
+/// Reads an `owner,member,weight` signature-set CSV (as written by
+/// WriteSignatureSetCsv). Owners appear in first-seen order; entries of one
+/// owner may be scattered through the file, and an `owner,,<any>` row
+/// marks an owner with an empty signature.
 Result<SignatureSet> ReadSignatureSetPipelined(const std::string& path,
                                                Interner& interner,
                                                const PipelineOptions& options,
@@ -104,8 +130,9 @@ struct WindowedReadOptions {
 /// through bounded SPSC queues, shards pre-bucket and aggregate while
 /// ingestion is still running, and final per-window graphs are assembled
 /// from the shard aggregates. Window graphs are bit-identical to
-/// `TraceWindower(interner.size(), ...).Split(events)` on the serial
-/// reader's events, at every worker/shard count (kBlock only).
+/// `TraceWindower(interner.size(), ...).Split(events)` on the events
+/// ReadTraceEventsPipelined returns, at every worker/shard count (kBlock
+/// only).
 Result<std::vector<CommGraph>> ReadWindowsPipelined(
     const std::string& path, PipelineFormat format, Interner& interner,
     const WindowedReadOptions& window_options, const PipelineOptions& options,

@@ -3,20 +3,19 @@
 
 // Fused structural scanner for the parse workers' CSV decode loop.
 //
-// LineScanner + SplitFields walk every row twice: a memchr for the newline,
+// A line-then-fields split walks every row twice: a search for the newline,
 // then a second pass over the same bytes for the delimiters. FusedRowScanner
 // makes one structural pass per 64-byte block — a pair of byte-equality
 // masks from common/simd.h — and then touches only the separator positions,
 // so a typical 4-field row costs a handful of bit operations instead of two
 // byte scans.
 //
-// Semantics contract (checked by tests/ingest/row_scanner_test.cc): for any
-// buffer, the sequence of (line, fields[0..min(count,max)), total count,
-// line_number) produced here is identical to LineScanner::Next followed by
-// SplitFields(line, delim, fields, max): lines split on '\n', one trailing
-// '\r' stripped, blank lines and '#' comments skipped without counting,
-// a final line without a newline still returned, and the TOTAL field count
-// reported even when it exceeds `max_fields`.
+// Semantics contract (checked by tests/ingest/row_scanner_test.cc against
+// the plain getline-and-split CsvReader in tests/ref/): lines split on
+// '\n', one trailing '\r' stripped, blank lines and '#' comments skipped
+// without counting, a final line without a newline still returned; fields
+// split on every delimiter with no unescaping and empty fields preserved;
+// and the TOTAL field count reported even when it exceeds `max_fields`.
 
 #include <cstddef>
 #include <cstdint>
@@ -76,7 +75,8 @@ class FusedRowScanner {
     }
   }
 
-  /// Number of data lines consumed so far — LineScanner::line_number().
+  /// Number of data lines consumed so far (blank and comment lines are not
+  /// counted).
   uint64_t line_number() const { return line_number_; }
 
  private:
@@ -118,7 +118,7 @@ class FusedRowScanner {
     // Delimiters were all at positions < end (a stripped '\r' cannot be a
     // delimiter), so the final field runs from the last one to `end`; when
     // the '\r' immediately follows a delimiter the field is empty, exactly
-    // as SplitFields sees after the strip.
+    // as a split of the stripped line sees it.
     if (nf < max_fields) {
       fields[nf] = data_.substr(field_start, end - field_start);
     }

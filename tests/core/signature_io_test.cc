@@ -1,3 +1,6 @@
+// Signature-set CSV round trips and rejections, read through the ingestion
+// pipeline at every worker count in ref::kReaderWorkers with 64-byte chunks.
+
 #include "core/signature_io.h"
 
 #include <unistd.h>
@@ -7,8 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include "ingest/pipeline.h"
+#include "ref/readers.h"
+
 namespace commsig {
 namespace {
+
+Result<SignatureSet> ReadSignatureSet(const std::string& path,
+                                      Interner& interner, int workers) {
+  return ingest::ReadSignatureSetPipelined(path, interner,
+                                           ref::SmallChunks(workers));
+}
 
 Signature Sig(std::vector<Signature::Entry> entries) {
   return Signature::FromTopK(std::move(entries), 100);
@@ -37,17 +49,20 @@ TEST_F(SignatureIoTest, RoundTrip) {
   set.signatures = {Sig({{mom, 0.75}, {pizza, 0.25}}), Sig({{mom, 1.0}})};
   ASSERT_TRUE(WriteSignatureSetCsv(set, interner, path_.string()).ok());
 
-  Interner interner2;
-  auto loaded = ReadSignatureSetCsv(path_.string(), interner2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ(interner2.LabelOf(loaded->owners[0]), "alice");
-  EXPECT_EQ(interner2.LabelOf(loaded->owners[1]), "bob");
-  EXPECT_DOUBLE_EQ(
-      loaded->signatures[0].WeightOf(interner2.Find("mom")), 0.75);
-  EXPECT_DOUBLE_EQ(
-      loaded->signatures[0].WeightOf(interner2.Find("pizza")), 0.25);
-  EXPECT_EQ(loaded->signatures[1].size(), 1u);
+  for (int workers : ref::kReaderWorkers) {
+    SCOPED_TRACE(workers);
+    Interner interner2;
+    auto loaded = ReadSignatureSet(path_.string(), interner2, workers);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(loaded->size(), 2u);
+    EXPECT_EQ(interner2.LabelOf(loaded->owners[0]), "alice");
+    EXPECT_EQ(interner2.LabelOf(loaded->owners[1]), "bob");
+    EXPECT_DOUBLE_EQ(
+        loaded->signatures[0].WeightOf(interner2.Find("mom")), 0.75);
+    EXPECT_DOUBLE_EQ(
+        loaded->signatures[0].WeightOf(interner2.Find("pizza")), 0.25);
+    EXPECT_EQ(loaded->signatures[1].size(), 1u);
+  }
 }
 
 TEST_F(SignatureIoTest, EmptySignatureRoundTrips) {
@@ -58,21 +73,25 @@ TEST_F(SignatureIoTest, EmptySignatureRoundTrips) {
   set.signatures = {Signature()};
   ASSERT_TRUE(WriteSignatureSetCsv(set, interner, path_.string()).ok());
 
-  Interner interner2;
-  auto loaded = ReadSignatureSetCsv(path_.string(), interner2);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 1u);
-  EXPECT_TRUE(loaded->signatures[0].empty());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner2;
+    auto loaded = ReadSignatureSet(path_.string(), interner2, workers);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded->size(), 1u);
+    EXPECT_TRUE(loaded->signatures[0].empty());
+  }
 }
 
 TEST_F(SignatureIoTest, EmptySetRoundTrips) {
   Interner interner;
   ASSERT_TRUE(
       WriteSignatureSetCsv(SignatureSet{}, interner, path_.string()).ok());
-  Interner interner2;
-  auto loaded = ReadSignatureSetCsv(path_.string(), interner2);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 0u);
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner2;
+    auto loaded = ReadSignatureSet(path_.string(), interner2, workers);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded->size(), 0u);
+  }
 }
 
 TEST_F(SignatureIoTest, RejectsMismatchedSet) {
@@ -88,8 +107,10 @@ TEST_F(SignatureIoTest, RejectsBadRows) {
     std::ofstream out(path_);
     out << "owner,member\n";
   }
-  Interner interner;
-  EXPECT_FALSE(ReadSignatureSetCsv(path_.string(), interner).ok());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    EXPECT_FALSE(ReadSignatureSet(path_.string(), interner, workers).ok());
+  }
 }
 
 TEST_F(SignatureIoTest, RejectsNonPositiveWeights) {
@@ -97,8 +118,10 @@ TEST_F(SignatureIoTest, RejectsNonPositiveWeights) {
     std::ofstream out(path_);
     out << "owner,member,-1\n";
   }
-  Interner interner;
-  EXPECT_FALSE(ReadSignatureSetCsv(path_.string(), interner).ok());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    EXPECT_FALSE(ReadSignatureSet(path_.string(), interner, workers).ok());
+  }
 }
 
 TEST_F(SignatureIoTest, ScatteredOwnerRowsAggregate) {
@@ -106,13 +129,15 @@ TEST_F(SignatureIoTest, ScatteredOwnerRowsAggregate) {
     std::ofstream out(path_);
     out << "a,x,1\nb,y,2\na,z,3\n";
   }
-  Interner interner;
-  auto loaded = ReadSignatureSetCsv(path_.string(), interner);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 2u);
-  size_t a = loaded->Find(interner.Find("a"));
-  ASSERT_NE(a, SIZE_MAX);
-  EXPECT_EQ(loaded->signatures[a].size(), 2u);
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    auto loaded = ReadSignatureSet(path_.string(), interner, workers);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_EQ(loaded->size(), 2u);
+    size_t a = loaded->Find(interner.Find("a"));
+    ASSERT_NE(a, SIZE_MAX);
+    EXPECT_EQ(loaded->signatures[a].size(), 2u);
+  }
 }
 
 TEST(SignatureSetTest, FindMissingReturnsSentinel) {

@@ -1,3 +1,6 @@
+// Edge-list CSV round trips and rejections, read through the ingestion
+// pipeline at every worker count in ref::kReaderWorkers with 64-byte chunks.
+
 #include "graph/graph_io.h"
 
 #include <unistd.h>
@@ -8,9 +11,17 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_builder.h"
+#include "ingest/pipeline.h"
+#include "ref/readers.h"
 
 namespace commsig {
 namespace {
+
+Result<CommGraph> ReadEdgeList(const std::string& path, Interner& interner,
+                               int workers, NodeId left = 0) {
+  return ingest::ReadEdgeListPipelined(path, interner, left,
+                                       ref::SmallChunks(workers));
+}
 
 class GraphIoTest : public ::testing::Test {
  protected:
@@ -36,17 +47,20 @@ TEST_F(GraphIoTest, RoundTrip) {
 
   ASSERT_TRUE(WriteEdgeListCsv(g, interner, path_.string()).ok());
 
-  Interner interner2;
-  auto loaded = ReadEdgeListCsv(path_.string(), interner2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumEdges(), 3u);
-  NodeId a2 = interner2.Find("alpha");
-  NodeId b2 = interner2.Find("beta");
-  NodeId c2 = interner2.Find("gamma");
-  ASSERT_NE(a2, kInvalidNode);
-  EXPECT_DOUBLE_EQ(loaded->EdgeWeight(a2, b2), 2.5);
-  EXPECT_DOUBLE_EQ(loaded->EdgeWeight(a2, c2), 4.0);
-  EXPECT_DOUBLE_EQ(loaded->TotalWeight(), g.TotalWeight());
+  for (int workers : ref::kReaderWorkers) {
+    SCOPED_TRACE(workers);
+    Interner interner2;
+    auto loaded = ReadEdgeList(path_.string(), interner2, workers);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->NumEdges(), 3u);
+    NodeId a2 = interner2.Find("alpha");
+    NodeId b2 = interner2.Find("beta");
+    NodeId c2 = interner2.Find("gamma");
+    ASSERT_NE(a2, kInvalidNode);
+    EXPECT_DOUBLE_EQ(loaded->EdgeWeight(a2, b2), 2.5);
+    EXPECT_DOUBLE_EQ(loaded->EdgeWeight(a2, c2), 4.0);
+    EXPECT_DOUBLE_EQ(loaded->TotalWeight(), g.TotalWeight());
+  }
 }
 
 TEST_F(GraphIoTest, ReadAggregatesDuplicateRows) {
@@ -54,12 +68,14 @@ TEST_F(GraphIoTest, ReadAggregatesDuplicateRows) {
     std::ofstream out(path_);
     out << "x,y,1.5\nx,y,2.5\n";
   }
-  Interner interner;
-  auto g = ReadEdgeListCsv(path_.string(), interner);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->NumEdges(), 1u);
-  EXPECT_DOUBLE_EQ(g->EdgeWeight(interner.Find("x"), interner.Find("y")),
-                   4.0);
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    auto g = ReadEdgeList(path_.string(), interner, workers);
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(g->NumEdges(), 1u);
+    EXPECT_DOUBLE_EQ(g->EdgeWeight(interner.Find("x"), interner.Find("y")),
+                     4.0);
+  }
 }
 
 TEST_F(GraphIoTest, ReadRejectsBadFieldCount) {
@@ -67,10 +83,12 @@ TEST_F(GraphIoTest, ReadRejectsBadFieldCount) {
     std::ofstream out(path_);
     out << "x,y\n";
   }
-  Interner interner;
-  auto g = ReadEdgeListCsv(path_.string(), interner);
-  EXPECT_FALSE(g.ok());
-  EXPECT_TRUE(g.status().IsInvalidArgument());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    auto g = ReadEdgeList(path_.string(), interner, workers);
+    EXPECT_FALSE(g.ok());
+    EXPECT_TRUE(g.status().IsInvalidArgument());
+  }
 }
 
 TEST_F(GraphIoTest, ReadRejectsNonPositiveWeight) {
@@ -78,9 +96,10 @@ TEST_F(GraphIoTest, ReadRejectsNonPositiveWeight) {
     std::ofstream out(path_);
     out << "x,y,0\n";
   }
-  Interner interner;
-  auto g = ReadEdgeListCsv(path_.string(), interner);
-  EXPECT_FALSE(g.ok());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    EXPECT_FALSE(ReadEdgeList(path_.string(), interner, workers).ok());
+  }
 }
 
 TEST_F(GraphIoTest, ReadRejectsUnparsableWeight) {
@@ -88,9 +107,10 @@ TEST_F(GraphIoTest, ReadRejectsUnparsableWeight) {
     std::ofstream out(path_);
     out << "x,y,heavy\n";
   }
-  Interner interner;
-  auto g = ReadEdgeListCsv(path_.string(), interner);
-  EXPECT_FALSE(g.ok());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    EXPECT_FALSE(ReadEdgeList(path_.string(), interner, workers).ok());
+  }
 }
 
 TEST_F(GraphIoTest, BipartiteLeftSizeApplied) {
@@ -98,19 +118,23 @@ TEST_F(GraphIoTest, BipartiteLeftSizeApplied) {
     std::ofstream out(path_);
     out << "u,t,1\n";
   }
-  Interner interner;
-  auto g = ReadEdgeListCsv(path_.string(), interner, /*left=*/1);
-  ASSERT_TRUE(g.ok());
-  EXPECT_TRUE(g->bipartite().IsBipartite());
-  EXPECT_TRUE(g->InLeftPartition(interner.Find("u")));
-  EXPECT_FALSE(g->InLeftPartition(interner.Find("t")));
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    auto g = ReadEdgeList(path_.string(), interner, workers, /*left=*/1);
+    ASSERT_TRUE(g.ok());
+    EXPECT_TRUE(g->bipartite().IsBipartite());
+    EXPECT_TRUE(g->InLeftPartition(interner.Find("u")));
+    EXPECT_FALSE(g->InLeftPartition(interner.Find("t")));
+  }
 }
 
 TEST(GraphIoErrorTest, MissingFile) {
-  Interner interner;
-  auto g = ReadEdgeListCsv("/no/such/file.csv", interner);
-  EXPECT_FALSE(g.ok());
-  EXPECT_TRUE(g.status().IsIOError());
+  for (int workers : ref::kReaderWorkers) {
+    Interner interner;
+    auto g = ReadEdgeList("/no/such/file.csv", interner, workers);
+    EXPECT_FALSE(g.ok());
+    EXPECT_TRUE(g.status().IsIOError());
+  }
 }
 
 }  // namespace

@@ -11,9 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "data/netflow.h"
-#include "data/trace_io.h"
-#include "graph/graph_io.h"
 #include "graph/windower.h"
+#include "ref/readers.h"
 
 namespace commsig::ingest {
 namespace {
@@ -21,7 +20,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Golden-hash fingerprints: FNV-1a over every observable output of a read —
 // events/graphs/signatures, the interner's id assignment, and the error log.
-// Serial and pipelined reads must produce the same hash bit for bit.
+// The single-threaded reference readers (tests/ref/) and pipelined reads
+// must produce the same hash bit for bit.
 // ---------------------------------------------------------------------------
 
 class Fnv {
@@ -203,7 +203,7 @@ TEST_F(PipelineTest, TraceCleanMatchesSerialAtEveryWorkerCount) {
   WriteFile(CleanTraceCorpus(5000));
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const uint64_t golden = FingerprintEvents(*serial, serial_interner);
 
@@ -236,7 +236,7 @@ TEST_F(PipelineTest, TraceQuarantineLogMatchesSerial) {
   ingest.error_log = &serial_log;
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner, ingest);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner, ingest);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
   const uint64_t golden_events = FingerprintEvents(*serial, serial_interner);
@@ -262,7 +262,7 @@ TEST_F(PipelineTest, TraceFailPolicyReproducesSerialStatus) {
   WriteFile("a,b,10,1\nbroken row\nc,d,11,1\n");
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner);
   ASSERT_FALSE(serial.ok());
 
   for (int workers : kWorkerCounts) {
@@ -273,7 +273,7 @@ TEST_F(PipelineTest, TraceFailPolicyReproducesSerialStatus) {
                                         interner, options);
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().ToString(), serial.status().ToString());
-    // Interning stops at the failure point, exactly like the serial reader.
+    // Interning stops at the failure point, exactly like the reference.
     EXPECT_EQ(FingerprintInterner(interner),
               FingerprintInterner(serial_interner));
   }
@@ -286,7 +286,7 @@ TEST_F(PipelineTest, TraceErrorBudgetExhaustionMatchesSerial) {
   ingest.policy = ErrorPolicy::kSkip;
   ingest.max_errors = 10;
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner, ingest);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner, ingest);
   ASSERT_FALSE(serial.ok());
 
   for (int workers : kWorkerCounts) {
@@ -326,7 +326,7 @@ TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner, ingest);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner, ingest);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
 
@@ -350,7 +350,7 @@ TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
 
 TEST_F(PipelineTest, MissingFileReproducesSerialStatus) {
   Interner serial_interner;
-  auto serial = ReadTraceCsv("/nonexistent/trace.csv", serial_interner);
+  auto serial = ref::ReadTrace("/nonexistent/trace.csv", serial_interner);
   ASSERT_FALSE(serial.ok());
 
   Interner interner;
@@ -367,7 +367,7 @@ TEST_F(PipelineTest, MissingFileReproducesSerialStatus) {
 TEST_F(PipelineTest, EdgeListGraphMatchesSerialAtEveryWorkerCount) {
   std::string corpus;
   for (int i = 0; i < 2000; ++i) {
-    // Repeated pairs: aggregation order must match the serial reader's.
+    // Repeated pairs: aggregation order must match the reference reader's.
     corpus += "u";
     corpus += std::to_string(i % 19);
     corpus += ",v";
@@ -379,7 +379,7 @@ TEST_F(PipelineTest, EdgeListGraphMatchesSerialAtEveryWorkerCount) {
   WriteFile(corpus);
 
   Interner serial_interner;
-  auto serial = ReadEdgeListCsv(PathStr(), serial_interner, /*left=*/19);
+  auto serial = ref::ReadEdgeList(PathStr(), serial_interner, /*left=*/19);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const uint64_t golden = FingerprintGraph(*serial);
 
@@ -415,7 +415,7 @@ TEST_F(PipelineTest, SignatureSetMatchesSerialIncludingEmptyMarkers) {
   WriteFile(corpus);
 
   Interner serial_interner;
-  auto serial = ReadSignatureSetCsv(PathStr(), serial_interner);
+  auto serial = ref::ReadSignatureSet(PathStr(), serial_interner);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const uint64_t golden = FingerprintSignatures(*serial, serial_interner);
 
@@ -459,11 +459,9 @@ TEST_F(PipelineTest, NetflowCleanMatchesSerialAtEveryWorkerCount) {
   netflow.weighting = NetflowWeighting::kOctets;
 
   Interner serial_interner;
-  auto raw = ReadNetflowV5File(PathStr());
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  std::vector<TraceEvent> serial =
-      NetflowToEvents(*raw, serial_interner, netflow);
-  const uint64_t golden = FingerprintEvents(serial, serial_interner);
+  auto serial = ref::ReadNetflow(PathStr(), serial_interner, {}, netflow);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const uint64_t golden = FingerprintEvents(*serial, serial_interner);
 
   for (int workers : kWorkerCounts) {
     for (size_t chunk_bytes : {size_t{64}, size_t{8192}}) {
@@ -501,11 +499,10 @@ TEST_F(PipelineTest, NetflowCorruptStreamMatchesSerialQuarantine) {
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
-  auto raw = ReadNetflowV5File(PathStr(), ingest);
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  auto serial = ref::ReadNetflow(PathStr(), serial_interner, ingest);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
-  std::vector<TraceEvent> serial = NetflowToEvents(*raw, serial_interner);
-  const uint64_t golden_events = FingerprintEvents(serial, serial_interner);
+  const uint64_t golden_events = FingerprintEvents(*serial, serial_interner);
   const uint64_t golden_log = FingerprintErrorLog(serial_log);
 
   for (int workers : kWorkerCounts) {
@@ -542,10 +539,9 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
-  auto raw = ReadNetflowV5File(PathStr(), ingest);
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  auto serial = ref::ReadNetflow(PathStr(), serial_interner, ingest);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_GT(serial_log.total(), 0u);
-  std::vector<TraceEvent> serial = NetflowToEvents(*raw, serial_interner);
 
   for (int workers : kWorkerCounts) {
     Interner interner;
@@ -560,7 +556,7 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
         PathStr(), PipelineFormat::kNetflowV5, interner, options);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(FingerprintEvents(*got, interner),
-              FingerprintEvents(serial, serial_interner));
+              FingerprintEvents(*serial, serial_interner));
     EXPECT_EQ(FingerprintErrorLog(log), FingerprintErrorLog(serial_log));
   }
 }
@@ -573,7 +569,7 @@ TEST_F(PipelineTest, WindowedReadMatchesSerialSplitAtEveryShardCount) {
   WriteFile(CleanTraceCorpus(6000));
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   TraceWindower windower(serial_interner.size(), /*window_length=*/100,
                          /*start_time=*/1000);
@@ -608,7 +604,7 @@ TEST_F(PipelineTest, WindowedReadSkipsEventsBeforeStartTime) {
   WriteFile("a,b,5,1\nc,d,50,2\ne,f,55,3\n");
 
   Interner serial_interner;
-  auto serial = ReadTraceCsv(PathStr(), serial_interner);
+  auto serial = ref::ReadTrace(PathStr(), serial_interner);
   ASSERT_TRUE(serial.ok());
   TraceWindower windower(serial_interner.size(), 10, 40);
   std::vector<CommGraph> golden = windower.Split(*serial);

@@ -1,12 +1,16 @@
 #include "ingest/row_scanner.h"
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
+#include "ref/readers.h"
 
 namespace commsig::ingest {
 namespace {
@@ -19,22 +23,35 @@ struct ScannedRow {
   uint64_t line_number = 0;
 };
 
+/// The reference scan: the oracle's getline-and-split CsvReader over the
+/// same bytes staged in a file. A data line is its fields re-joined on the
+/// delimiter.
 std::vector<ScannedRow> ScanReference(std::string_view data, char delim,
                                       size_t max_fields) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("commsig_row_scanner_" + std::to_string(::getpid()) + ".csv");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << data;
+  }
   std::vector<ScannedRow> rows;
-  LineScanner scanner(data);
-  std::string_view line;
-  std::string_view fields[8];
-  while (scanner.Next(line)) {
+  ref::CsvReader reader(path.string(), delim);
+  std::vector<std::string> fields;
+  while (reader.Next(fields)) {
     ScannedRow row;
-    row.line = std::string(line);
-    row.total_fields = SplitFields(line, delim, fields, max_fields);
-    for (size_t i = 0; i < std::min(row.total_fields, max_fields); ++i) {
-      row.fields.emplace_back(fields[i]);
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) row.line += delim;
+      row.line += fields[i];
     }
-    row.line_number = scanner.line_number();
+    row.total_fields = fields.size();
+    for (size_t i = 0; i < std::min(fields.size(), max_fields); ++i) {
+      row.fields.push_back(fields[i]);
+    }
+    row.line_number = reader.line_number();
     rows.push_back(std::move(row));
   }
+  std::filesystem::remove(path);
   return rows;
 }
 
@@ -98,6 +115,27 @@ TEST(FusedRowScannerTest, MatchesOnFieldCountEdgeCases) {
   ExpectSameScan("a,b,c,d,e,f,g\n");   // total count past max_fields
   ExpectSameScan("a,b\n", ',', 1);     // max_fields smaller than count
   ExpectSameScan("x;y;z\n", ';', 4);   // alternate delimiter
+}
+
+TEST(FusedRowScannerTest, DelimiterSuccessorByteIsNotADelimiter) {
+  // An inexact word-at-a-time zero-byte detector (the borrow-based
+  // (x-1)&~x form) also flags a byte equal to delim^1 when the byte below
+  // it is a true match — for ',' that byte is '-', so ",-0.5" would grow a
+  // phantom field boundary. Every successor byte value, at every offset
+  // within an 8-byte word, must split exactly like the reference.
+  std::string data;
+  for (int c = 1; c < 256; ++c) {
+    const char next = static_cast<char>(c);
+    if (next == ',' || next == '\n') continue;
+    for (size_t pad = 0; pad < 9; ++pad) {
+      data += std::string(pad, 'x');
+      data += ',';
+      data += next;
+      data += ",tail\n";
+    }
+  }
+  ExpectSameScan(data);
+  ExpectSameScan("o2,m3,-0.5\n");
 }
 
 TEST(FusedRowScannerTest, MatchesAcrossBlockBoundaries) {

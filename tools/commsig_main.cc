@@ -24,10 +24,11 @@
 //                       into one stream, sharing --max-total-errors
 //   --netflow PATH      input NetFlow v5 binary export (TCP flows only
 //                       unless --protocol 0)
-//   --parse-workers N   decode inputs with the staged parallel ingestion
-//                       pipeline using N parse workers (0 = serial
-//                       readers, the default; the decoded stream is
-//                       bit-identical either way)
+//   --parse-workers N   parse worker threads of the staged ingestion
+//                       pipeline every input is read through (framer ->
+//                       N parse workers -> in-order merge; default 1,
+//                       0 means 1); under --backpressure block the
+//                       decoded stream is bit-identical at every N
 //   --io-chunk-kb N     pipeline framing chunk size in KiB (default 256)
 //   --ingest-queue N    bounded queue capacity, in chunks/batches, between
 //                       pipeline stages (default 8)
@@ -180,7 +181,6 @@
 #include "core/parallel.h"
 #include "core/scheme.h"
 #include "data/netflow.h"
-#include "data/trace_io.h"
 #include "ingest/pipeline.h"
 #include "eval/properties.h"
 #include "eval/timeline.h"
@@ -281,15 +281,15 @@ IngestOptions IngestFromArgs(const Args& args, RecordErrorLog* log) {
   return opts;
 }
 
-/// Builds the parallel-ingestion configuration from the --parse-workers /
-/// --io-chunk-kb / --ingest-queue / --backpressure flags. Only consulted
-/// when --parse-workers > 0; the error policy (and its log/budget
-/// pointers) rides along so the pipeline's merge stage applies it in
-/// exact stream order.
+/// Builds the ingestion-pipeline configuration from the --parse-workers /
+/// --io-chunk-kb / --ingest-queue / --backpressure flags. The error policy
+/// (and its log/budget pointers) rides along so the pipeline's merge stage
+/// applies it in exact stream order.
 ingest::PipelineOptions PipelineFromArgs(const Args& args,
                                          const IngestOptions& ingest_opts) {
   ingest::PipelineOptions opts;
-  opts.parse_workers = static_cast<int>(args.GetInt("parse-workers", 0));
+  // 0 is accepted and clamps to one worker inside the pipeline.
+  opts.parse_workers = static_cast<int>(args.GetInt("parse-workers", 1));
   opts.chunk_bytes =
       static_cast<size_t>(args.GetInt("io-chunk-kb", 256)) * 1024;
   opts.queue_capacity = args.GetInt("ingest-queue", 8);
@@ -344,9 +344,10 @@ std::vector<std::string> SplitPaths(const std::string& value) {
 /// pipeline attribution and span timestamps line up in /varz and /tracez.
 uint64_t NowMicros() { return obs::TraceCollector::Global().NowMicros(); }
 
-/// Reads the input trace (CSV or NetFlow) under the requested error policy,
-/// reporting and optionally dumping quarantined records. The decode is
-/// attributed to the pipeline's parse stage.
+/// Reads the input trace (CSV or NetFlow) through the staged ingestion
+/// pipeline under the requested error policy, reporting and optionally
+/// dumping quarantined records. The decode is attributed to the pipeline's
+/// parse stage.
 bool LoadEvents(const Args& args, Interner& interner,
                 std::vector<TraceEvent>& events) {
   std::string trace_path = args.Get("trace", "");
@@ -357,94 +358,74 @@ bool LoadEvents(const Args& args, Interner& interner,
     return false;
   }
   RecordErrorLog error_log;
-  IngestOptions ingest = IngestFromArgs(args, &error_log);
+  ingest::PipelineOptions options =
+      PipelineFromArgs(args, IngestFromArgs(args, &error_log));
+  const bool netflow = !netflow_path.empty();
+  const ingest::PipelineFormat format =
+      netflow ? ingest::PipelineFormat::kNetflowV5
+              : ingest::PipelineFormat::kTraceCsv;
+  if (netflow) {
+    options.netflow.protocol_filter =
+        static_cast<uint8_t>(args.GetInt("protocol", 6));
+  }
+  const std::vector<std::string> paths =
+      netflow ? std::vector<std::string>{netflow_path}
+              : SplitPaths(trace_path);
+  if (paths.empty()) {
+    obs::LogError("bad_flags").Str("error", "--trace lists no paths");
+    return false;
+  }
   // Run-wide budget shared by every file of this ingest (--trace accepts a
   // comma-separated list); 0 leaves only the per-file budget active.
   GlobalErrorBudget global_budget;
   global_budget.max_total_errors = args.GetInt("max-total-errors", 0);
   if (global_budget.max_total_errors > 0) {
-    ingest.global_budget = &global_budget;
+    options.ingest.global_budget = &global_budget;
   }
-  // Opening an input is retryable IO: a file served off flaky network
+  // Reading an input is retryable IO: a file served off flaky network
   // storage gets the same backoff treatment as a checkpoint write.
   Retrier retrier(RetryFromArgs(args));
   const uint64_t parse_start_us = NowMicros();
-  if (!trace_path.empty()) {
-    const std::vector<std::string> paths = SplitPaths(trace_path);
-    if (paths.empty()) {
-      obs::LogError("bad_flags").Str("error", "--trace lists no paths");
-      return false;
-    }
-    for (const std::string& path : paths) {
-      std::vector<TraceEvent> file_events;
-      Status s = retrier.Run("reader_open", [&]() {
-        Status fp = failpoints::Inject("reader/open");
-        if (!fp.ok()) return fp;
-        if (args.GetInt("parse-workers", 0) > 0) {
-          auto loaded = ingest::ReadTraceEventsPipelined(
-              path, ingest::PipelineFormat::kTraceCsv, interner,
-              PipelineFromArgs(args, ingest));
-          if (!loaded.ok()) return loaded.status();
-          file_events = std::move(*loaded);
-          return Status::OK();
-        }
-        auto loaded = ReadTraceCsv(path, interner, ingest);
-        if (!loaded.ok()) return loaded.status();
-        file_events = std::move(*loaded);
-        return Status::OK();
-      });
-      if (!s.ok()) {
+  for (const std::string& path : paths) {
+    std::vector<TraceEvent> file_events;
+    Status s = retrier.Run("reader_open", [&]() {
+      Status fp = failpoints::Inject("reader/open");
+      if (!fp.ok()) return fp;
+      // A retry re-reads the file from byte 0, so each attempt charges its
+      // rejects to copies of the log and the run-wide budget, committed
+      // only when the attempt succeeds: a failed attempt's rejects must not
+      // count twice.
+      RecordErrorLog attempt_log = error_log;
+      GlobalErrorBudget attempt_budget = global_budget;
+      ingest::PipelineOptions attempt = options;
+      attempt.ingest.error_log = &attempt_log;
+      if (attempt.ingest.global_budget != nullptr) {
+        attempt.ingest.global_budget = &attempt_budget;
+      }
+      auto loaded =
+          ingest::ReadTraceEventsPipelined(path, format, interner, attempt);
+      if (!loaded.ok()) return loaded.status();
+      file_events = std::move(*loaded);
+      error_log = std::move(attempt_log);
+      global_budget = attempt_budget;
+      return Status::OK();
+    });
+    if (!s.ok()) {
+      if (netflow) {
+        obs::LogError("netflow_load_failed")
+            .Str("path", path)
+            .Str("error", s.ToString());
+      } else {
         obs::LogError("trace_load_failed")
             .Str("path", path)
             .Str("error", s.ToString());
-        return false;
       }
-      if (events.empty()) {
-        events = std::move(file_events);
-      } else {
-        events.insert(events.end(), file_events.begin(), file_events.end());
-      }
+      return false;
     }
-  } else {
-    NetflowReadOptions opts;
-    opts.protocol_filter =
-        static_cast<uint8_t>(args.GetInt("protocol", 6));
-    if (args.GetInt("parse-workers", 0) > 0) {
-      Status s = retrier.Run("reader_open", [&]() {
-        Status fp = failpoints::Inject("reader/open");
-        if (!fp.ok()) return fp;
-        ingest::PipelineOptions popts = PipelineFromArgs(args, ingest);
-        popts.netflow = opts;
-        auto loaded = ingest::ReadTraceEventsPipelined(
-            netflow_path, ingest::PipelineFormat::kNetflowV5, interner,
-            popts);
-        if (!loaded.ok()) return loaded.status();
-        events = std::move(*loaded);
-        return Status::OK();
-      });
-      if (!s.ok()) {
-        obs::LogError("netflow_load_failed")
-            .Str("path", netflow_path)
-            .Str("error", s.ToString());
-        return false;
-      }
+    if (events.empty()) {
+      events = std::move(file_events);
     } else {
-      std::vector<NetflowV5Record> records_out;
-      Status s = retrier.Run("reader_open", [&]() {
-        Status fp = failpoints::Inject("reader/open");
-        if (!fp.ok()) return fp;
-        auto records = ReadNetflowV5File(netflow_path, ingest);
-        if (!records.ok()) return records.status();
-        records_out = std::move(*records);
-        return Status::OK();
-      });
-      if (!s.ok()) {
-        obs::LogError("netflow_load_failed")
-            .Str("path", netflow_path)
-            .Str("error", s.ToString());
-        return false;
-      }
-      events = NetflowToEvents(records_out, interner, opts);
+      events.insert(events.end(), file_events.begin(), file_events.end());
     }
   }
   obs::WindowStatsAggregator::Global().RecordSetupStage(
