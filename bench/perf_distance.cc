@@ -2,9 +2,15 @@
 // signature length — the inner loop of every application (uniqueness
 // scans are O(n^2) distance evaluations).
 //
+// BM_Distance times one pair per kind at the signature lengths k in
+// {3, 10, 50, 200}; k = 3 and k = 10 are the paper's query-log and flow
+// settings. Both sides of the pair have k entries, so every row runs the
+// scalar merge.
+//
 // BM_PairwiseDistances sweeps every kernel over size-skew ratios 1:1,
-// 1:16, 1:256 in both implementations (impl:0 = the pre-SIMD single-merge
-// reference, impl:1 = the packed tiered kernels); main() derives the
+// 1:16, 1:256 in both implementations (impl:0 = ref::Distance, the
+// single-merge test oracle from tests/ref/; impl:1 = the packed kernels,
+// which merge at 1:1 and gallop at 1:16 and 1:256); main() derives the
 // in-run `distance/<kind>_speedup` gauges that
 // bench/baselines/BENCH_distance.baseline.json guards in CI.
 
@@ -13,6 +19,7 @@
 #include "bench/bench_registry.h"
 #include "common/random.h"
 #include "core/distance.h"
+#include "ref/distance.h"
 
 namespace commsig {
 namespace {
@@ -51,9 +58,9 @@ BENCHMARK(BM_Distance)
 
 // --- skew-sweep pairwise bench ---------------------------------------------
 
-// Signature sizes per skew level. Level 0 exercises the similar-size merge
-// tiers, level 1 (1:16) sits at the gallop threshold, level 2 (1:256) is
-// deep gallop territory.
+// Signature sizes per skew level. Level 0 exercises the similar-size
+// merge, level 1 (1:16) is past the gallop threshold (1:8), level 2 (1:256)
+// is deep gallop territory.
 struct SkewShape {
   size_t small;
   size_t large;
@@ -79,9 +86,8 @@ Signature MakeSized(size_t k, uint32_t universe, uint64_t seed) {
 // varied id layouts instead of replaying one branch-predictable pair.
 std::vector<std::pair<Signature, Signature>> MakeCorpus(
     const SkewShape& shape) {
-  // Universe ~4x the large side keeps id ranges dense enough that the
-  // bitset tier is reachable at 1:1 while the skewed shapes stay in their
-  // intended tiers.
+  // Universe 4x the large side: dense id ranges, so ~half of the smaller
+  // side's ids land in the larger one at every skew.
   const uint32_t universe = static_cast<uint32_t>(4 * shape.large);
   std::vector<std::pair<Signature, Signature>> corpus;
   for (uint64_t s = 0; s < 16; ++s) {
@@ -92,8 +98,8 @@ std::vector<std::pair<Signature, Signature>> MakeCorpus(
 }
 
 // args: kind (extended lineup, 0..5), skew level (0..2), impl (0 =
-// single-merge reference, 1 = packed tiered kernels). items/sec counts
-// pairs, so real_time_ns is ns/pair.
+// ref::Distance, 1 = packed kernels). items/sec counts pairs, so
+// real_time_ns is ns/pair.
 void BM_PairwiseDistances(benchmark::State& state) {
   const DistanceKind kind = static_cast<DistanceKind>(state.range(0));
   const SkewShape& shape = kSkews[state.range(1)];
@@ -103,7 +109,7 @@ void BM_PairwiseDistances(benchmark::State& state) {
   for (auto _ : state) {
     double sum = 0.0;
     for (const auto& [a, b] : corpus) {
-      sum += packed ? dist(a, b) : DistanceReference(kind, a, b);
+      sum += packed ? dist(a, b) : ref::Distance(kind, a, b);
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -146,9 +152,9 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
   // Derived per-kernel speedup gauges, measured within this run: reference
-  // single-merge time over packed tiered-kernel time, averaged across the
-  // three skew shapes so no single tier can carry the number. These are
-  // what tools/bench_guard.py holds against the checked-in baseline.
+  // single-merge time over packed-kernel time, averaged across the three
+  // skew shapes so neither tier can carry the number alone. These are what
+  // tools/bench_guard.py holds against the checked-in baseline.
   auto& reg = commsig::obs::MetricsRegistry::Global();
   for (int kind = 0; kind < 6; ++kind) {
     double ratio_sum = 0.0;

@@ -7,9 +7,9 @@
 // neon|off (see the resolution block in the top-level CMakeLists.txt):
 // AVX2 on x86-64, NEON on aarch64, or a scalar fallback that compiles the
 // same call sites to plain loops. Raw ISA intrinsics are confined to this
-// header — tools/commsig_lint.py's simd-intrinsics rule fails any
-// `_mm*`/`vld1q*` outside it — so kernel code in src/core/ only ever sees
-// the wrapper types below.
+// header — the analyzer's determinism pass (tools/analyze/, rule
+// raw-simd-intrinsic) fails any `_mm*`/`vld1q*` outside it — so kernel
+// code in src/core/ only ever sees the wrapper types below.
 //
 // Bit-identity contract. Every operation on VecD is elementwise and maps
 // to exactly one IEEE-754 double operation per lane (no FMA contraction,
@@ -214,76 +214,6 @@ inline double ReduceAdd(VecD x) {
   StoreU(lanes, x);
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
-
-// ---------------------------------------------------------------------------
-// VecU32: eight 32-bit ids, for the vectorized sorted-set merge. Only the
-// AVX2 backend implements a wide integer path today; other backends expose
-// kHasU32Block = false and the intersection tiers fall back to the scalar
-// merge (identical output, just unaccelerated).
-// ---------------------------------------------------------------------------
-
-#if defined(COMMSIG_SIMD_AVX2)
-
-inline constexpr bool kHasU32Block = true;
-inline constexpr size_t kU32Lanes = 8;
-
-struct VecU32 {
-  __m256i v;
-};
-
-inline VecU32 LoadU32(const uint32_t* p) {
-  return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-}
-inline VecU32 BroadcastU32(uint32_t x) {
-  return {_mm256_set1_epi32(static_cast<int>(x))};
-}
-/// Bit i of the result is set iff a[i] == b[i].
-inline uint32_t EqMask(VecU32 a, VecU32 b) {
-  return static_cast<uint32_t>(_mm256_movemask_ps(
-      _mm256_castsi256_ps(_mm256_cmpeq_epi32(a.v, b.v))));
-}
-/// Bit i of the result is set iff a[i] < b[i], comparing as unsigned
-/// 32-bit (the epi32 compare is signed; flipping the sign bit of both
-/// operands maps unsigned order onto signed order).
-inline uint32_t LtMask(VecU32 a, VecU32 b) {
-  const __m256i flip = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i af = _mm256_xor_si256(a.v, flip);
-  const __m256i bf = _mm256_xor_si256(b.v, flip);
-  return static_cast<uint32_t>(_mm256_movemask_ps(
-      _mm256_castsi256_ps(_mm256_cmpgt_epi32(bf, af))));
-}
-
-#else
-
-inline constexpr bool kHasU32Block = false;
-inline constexpr size_t kU32Lanes = 8;
-
-// Stub with the same shape so call sites compile unguarded; tier selection
-// never takes the blocked path when kHasU32Block is false.
-struct VecU32 {
-  uint32_t v[8];
-};
-
-inline VecU32 LoadU32(const uint32_t* p) {
-  VecU32 r;
-  std::memcpy(r.v, p, sizeof(r.v));
-  return r;
-}
-inline VecU32 BroadcastU32(uint32_t x) {
-  return {{x, x, x, x, x, x, x, x}};
-}
-inline uint32_t EqMask(VecU32 a, VecU32 b) {
-  uint32_t m = 0;
-  for (size_t i = 0; i < 8; ++i) m |= (a.v[i] == b.v[i]) ? (1u << i) : 0u;
-  return m;
-}
-inline uint32_t LtMask(VecU32 a, VecU32 b) {
-  uint32_t m = 0;
-  for (size_t i = 0; i < 8; ++i) m |= (a.v[i] < b.v[i]) ? (1u << i) : 0u;
-  return m;
-}
-
-#endif
 
 // ---------------------------------------------------------------------------
 // Byte-equality masks for the ingestion chunk scanner. The parse workers

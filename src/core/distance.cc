@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -51,83 +50,6 @@ Result<DistanceKind> ParseDistanceName(std::string_view name) {
   return Status::InvalidArgument("unknown distance: " + std::string(name));
 }
 
-double DistanceReference(DistanceKind kind, const Signature& a,
-                         const Signature& b) {
-  COMMSIG_COUNTER_ADD("distance/evaluations", 1);
-  const auto ea = a.entries();
-  const auto eb = b.entries();
-  if (ea.empty() && eb.empty()) return 0.0;
-  if (ea.empty() || eb.empty()) return 1.0;
-
-  // Single merge over the id-sorted entries accumulates every statistic any
-  // of the distances needs.
-  size_t inter_count = 0;
-  size_t union_count = 0;
-  double sum_both_inter = 0.0;  // Σ_{∩} (w1 + w2)
-  double sum_all = 0.0;         // Σ_{∪} (w1 + w2), missing weight = 0
-  double sum_min_inter = 0.0;   // Σ_{∩} min
-  double sum_geo_inter = 0.0;   // Σ_{∩} sqrt(w1·w2)
-  double sum_max_union = 0.0;   // Σ_{∪} max (exclusive j contributes w)
-  double dot = 0.0;             // Σ_{∩} w1·w2
-  double norm1 = 0.0, norm2 = 0.0;  // Σ w², per signature
-
-  size_t i = 0, j = 0;
-  while (i < ea.size() || j < eb.size()) {
-    ++union_count;
-    if (j >= eb.size() || (i < ea.size() && ea[i].node < eb[j].node)) {
-      sum_all += ea[i].weight;
-      sum_max_union += ea[i].weight;
-      norm1 += ea[i].weight * ea[i].weight;
-      ++i;
-    } else if (i >= ea.size() || eb[j].node < ea[i].node) {
-      sum_all += eb[j].weight;
-      sum_max_union += eb[j].weight;
-      norm2 += eb[j].weight * eb[j].weight;
-      ++j;
-    } else {
-      const double w1 = ea[i].weight;
-      const double w2 = eb[j].weight;
-      ++inter_count;
-      sum_both_inter += w1 + w2;
-      sum_all += w1 + w2;
-      sum_min_inter += std::min(w1, w2);
-      sum_geo_inter += std::sqrt(w1 * w2);
-      sum_max_union += std::max(w1, w2);
-      dot += w1 * w2;
-      norm1 += w1 * w1;
-      norm2 += w2 * w2;
-      ++i;
-      ++j;
-    }
-  }
-
-  double similarity = 0.0;
-  switch (kind) {
-    case DistanceKind::kJaccard:
-      similarity = static_cast<double>(inter_count) /
-                   static_cast<double>(union_count);
-      break;
-    case DistanceKind::kDice:
-      similarity = sum_both_inter / sum_all;
-      break;
-    case DistanceKind::kScaledDice:
-      similarity = sum_min_inter / sum_max_union;
-      break;
-    case DistanceKind::kScaledHellinger:
-      similarity = sum_geo_inter / sum_max_union;
-      break;
-    case DistanceKind::kCosine:
-      similarity = dot / std::sqrt(norm1 * norm2);
-      break;
-    case DistanceKind::kOverlap:
-      similarity = static_cast<double>(inter_count) /
-                   static_cast<double>(std::min(ea.size(), eb.size()));
-      break;
-  }
-  // Clamp against floating-point drift so callers can rely on [0, 1].
-  return std::clamp(1.0 - similarity, 0.0, 1.0);
-}
-
 // ===========================================================================
 // Packed kernels. Design (DESIGN.md §14):
 //
@@ -140,9 +62,9 @@ double DistanceReference(DistanceKind kind, const Signature& a,
 //    branched over every union element for every pair.
 //
 //  * The intersection runs over the flat packed id arrays through one of
-//    four tiers (auto-selected per pair, forceable for tests). Every tier
-//    emits the same matches in the same ascending-id order, so downstream
-//    sums are bit-identical no matter which tier ran.
+//    two tiers (auto-selected per pair, forceable for tests). Both emit the
+//    same matches in the same ascending-id order, so downstream sums are
+//    bit-identical no matter which tier ran.
 //
 //  * Matched weights are accumulated 4 lanes at a time via simd::VecD,
 //    whose fixed logical width makes the result identical across
@@ -150,10 +72,8 @@ double DistanceReference(DistanceKind kind, const Signature& a,
 //
 // Duplicate ids: FromTopK does not coalesce duplicate candidate nodes, so a
 // signature may (rarely, and only from adversarial inputs) contain repeated
-// ids. The merge/gallop/block tiers all pair occurrences greedily exactly
-// like the reference merge; the bitset tier cannot represent multiplicity,
-// so it detects in-range duplicates while building its bitmaps and falls
-// back to the merge tier.
+// ids. Both tiers pair occurrences greedily, exactly like the single-merge
+// test oracle (tests/ref/distance.h).
 // ===========================================================================
 
 namespace {
@@ -164,26 +84,19 @@ using distance_internal::IntersectTier;
 
 // Below this (smaller-set) size the scalar merge wins on setup cost alone.
 constexpr size_t kTinySize = 16;
-// Size ratio at or above which galloping search beats any linear merge.
+// Size ratio at or above which galloping search beats the linear merge.
 constexpr size_t kGallopRatio = 8;
-// Bitset tier when the overlapping id range is at most this many bits per
-// input element — the bitmap build is O(n) and the AND walk touches
-// range/64 words, so a dense range makes it word-parallel.
-constexpr size_t kBitsetRangeFactor = 8;
 
 // --- sinks ------------------------------------------------------------------
 
 struct CountSink {
-  static constexpr bool kCountOnly = true;
   size_t matches = 0;
   void Match(size_t /*ia*/, size_t /*ib*/) { ++matches; }
-  void Count(size_t n) { matches += n; }
 };
 
 /// Gathers matched weights into two flat arrays (ascending id order), the
 /// input of the 4-lane accumulators below.
 struct GatherSink {
-  static constexpr bool kCountOnly = false;
   const double* wa;
   const double* wb;
   double* out_a;
@@ -194,25 +107,23 @@ struct GatherSink {
     out_b[matches] = wb[ib];
     ++matches;
   }
-  void Count(size_t) {}  // never called: count fast path is count-only
 };
 
 /// Adapter for tiers that iterate with the two sets exchanged.
 template <typename Sink>
 struct SwapSink {
-  static constexpr bool kCountOnly = Sink::kCountOnly;
   Sink& inner;
   void Match(size_t ia, size_t ib) { inner.Match(ib, ia); }
-  void Count(size_t n) { inner.Count(n); }
 };
 
 // --- intersection tiers ----------------------------------------------------
-// All take (a, na, b, nb) with sink indices meaning (index-in-a,
+// Both take (a, na, b, nb) with sink indices meaning (index-in-a,
 // index-in-b), and emit matches in ascending id order.
 
 template <typename Sink>
-void IntersectMergeFrom(const NodeId* a, size_t na, const NodeId* b,
-                        size_t nb, size_t ia, size_t ib, Sink& sink) {
+void IntersectMerge(const NodeId* a, size_t na, const NodeId* b, size_t nb,
+                    Sink& sink) {
+  size_t ia = 0, ib = 0;
   while (ia < na && ib < nb) {
     const NodeId x = a[ia];
     const NodeId y = b[ib];
@@ -226,12 +137,6 @@ void IntersectMergeFrom(const NodeId* a, size_t na, const NodeId* b,
       ++ib;
     }
   }
-}
-
-template <typename Sink>
-void IntersectMerge(const NodeId* a, size_t na, const NodeId* b, size_t nb,
-                    Sink& sink) {
-  IntersectMergeFrom(a, na, b, nb, 0, 0, sink);
 }
 
 /// Galloping search of the (smaller) a set in the (larger) b set: the b
@@ -262,156 +167,28 @@ void IntersectGallop(const NodeId* a, size_t na, const NodeId* b, size_t nb,
   }
 }
 
-/// Vectorized linear merge: each element of the (smaller) a side is
-/// compared against 8 ids of b at once; whole blocks of b below the cursor
-/// id are skipped per compare. Falls back to the scalar merge for the tail
-/// and on backends without a wide-integer path.
-template <typename Sink>
-void IntersectBlockMerge(const NodeId* a, size_t na, const NodeId* b,
-                         size_t nb, Sink& sink) {
-  size_t ia = 0, ib = 0;
-  if constexpr (simd::kHasU32Block) {
-    constexpr uint32_t kAllLt = (1u << simd::kU32Lanes) - 1;
-    while (ia < na && ib + simd::kU32Lanes <= nb) {
-      const simd::VecU32 va = simd::BroadcastU32(a[ia]);
-      const simd::VecU32 vb = simd::LoadU32(b + ib);
-      const uint32_t lt = simd::LtMask(vb, va);  // b[ib+i] < a[ia]
-      if (lt == kAllLt) {
-        ib += simd::kU32Lanes;
-        continue;
-      }
-      // b is sorted, so the lt mask is a run of low bits and its popcount
-      // is the offset of the first element >= a[ia].
-      const size_t skip = static_cast<size_t>(std::popcount(lt));
-      if (simd::EqMask(va, vb) != 0) {
-        sink.Match(ia, ib + skip);
-        ib += skip + 1;
-      } else {
-        ib += skip;
-      }
-      ++ia;
-    }
-  }
-  IntersectMergeFrom(a, na, b, nb, ia, ib, sink);
-}
-
-struct BitsetScratch {
-  std::vector<uint64_t> bits_a;
-  std::vector<uint64_t> bits_b;
-};
-
-/// Word-parallel bitmap intersection over the overlapping id range
-/// [lo, hi]: build one bitmap per set, AND 64 ids at a time. Count-only
-/// sinks take a pure popcount walk; gathering sinks advance two monotone
-/// cursors to recover entry positions for each set bit. Returns false —
-/// caller must fall back to the merge tier — when either set repeats an id
-/// inside the range (a bitmap cannot represent multiplicity).
-template <typename Sink>
-bool IntersectBitset(const NodeId* a, size_t na, const NodeId* b, size_t nb,
-                     BitsetScratch& scratch, Sink& sink) {
-  const NodeId lo = std::max(a[0], b[0]);
-  const NodeId hi = std::min(a[na - 1], b[nb - 1]);
-  if (lo > hi) return true;  // disjoint ranges: no matches
-  const size_t words = static_cast<size_t>(hi - lo) / 64 + 1;
-  scratch.bits_a.assign(words, 0);
-  scratch.bits_b.assign(words, 0);
-
-  auto fill = [lo, hi](const NodeId* ids, size_t n,
-                       std::vector<uint64_t>& bits) {
-    const NodeId* first = std::lower_bound(ids, ids + n, lo);
-    for (const NodeId* p = first; p != ids + n && *p <= hi; ++p) {
-      const size_t off = *p - lo;
-      const uint64_t bit = uint64_t{1} << (off % 64);
-      if (bits[off / 64] & bit) return false;  // in-range duplicate id
-      bits[off / 64] |= bit;
-    }
-    return true;
-  };
-  if (!fill(a, na, scratch.bits_a) || !fill(b, nb, scratch.bits_b)) {
-    return false;
-  }
-
-  if constexpr (Sink::kCountOnly) {
-    size_t m = 0;
-    for (size_t w = 0; w < words; ++w) {
-      m += static_cast<size_t>(
-          std::popcount(scratch.bits_a[w] & scratch.bits_b[w]));
-    }
-    sink.Count(m);
-    return true;
-  } else {
-    size_t ia = static_cast<size_t>(std::lower_bound(a, a + na, lo) - a);
-    size_t ib = static_cast<size_t>(std::lower_bound(b, b + nb, lo) - b);
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t x = scratch.bits_a[w] & scratch.bits_b[w];
-      while (x != 0) {
-        const NodeId id =
-            lo + static_cast<NodeId>(w * 64 +
-                                     static_cast<size_t>(std::countr_zero(x)));
-        x &= x - 1;
-        // Matched ids exist in both arrays, so these cursors always land.
-        while (a[ia] < id) ++ia;
-        while (b[ib] < id) ++ib;
-        sink.Match(ia, ib);
-        ++ia;
-        ++ib;
-      }
-    }
-    return true;
-  }
-}
-
-IntersectTier ChooseTier(const NodeId* a, size_t na, const NodeId* b,
-                         size_t nb) {
+IntersectTier ChooseTier(size_t na, size_t nb) {
   const size_t small = std::min(na, nb);
   const size_t big = std::max(na, nb);
-  if (small < kTinySize) return IntersectTier::kMerge;
-  if (big >= small * kGallopRatio) return IntersectTier::kGallop;
-  const NodeId lo = std::max(a[0], b[0]);
-  const NodeId hi = std::min(a[na - 1], b[nb - 1]);
-  if (lo <= hi &&
-      static_cast<size_t>(hi - lo) <= kBitsetRangeFactor * (na + nb)) {
-    return IntersectTier::kBitset;
+  if (small >= kTinySize && big >= small * kGallopRatio) {
+    return IntersectTier::kGallop;
   }
-  return simd::kHasU32Block ? IntersectTier::kBlockMerge
-                            : IntersectTier::kMerge;
+  return IntersectTier::kMerge;
 }
 
-/// Runs the chosen tier with the smaller set in the "iterated" role (the
-/// gallop and block tiers require it; merge and bitset don't care).
+/// Runs the chosen tier; galloping iterates the smaller set.
 template <typename Sink>
 void Intersect(const NodeId* a, size_t na, const NodeId* b, size_t nb,
                IntersectTier tier, Sink& sink) {
   if (na == 0 || nb == 0) return;
-  if (tier == IntersectTier::kAuto) tier = ChooseTier(a, na, b, nb);
-  if (tier == IntersectTier::kBitset) {
-    thread_local BitsetScratch scratch;
-    if (IntersectBitset(a, na, b, nb, scratch, sink)) return;
-    tier = IntersectTier::kMerge;  // in-range duplicate ids
-  }
-  switch (tier) {
-    case IntersectTier::kMerge:
-      IntersectMerge(a, na, b, nb, sink);
-      return;
-    case IntersectTier::kGallop:
-      if (na <= nb) {
-        IntersectGallop(a, na, b, nb, sink);
-      } else {
-        SwapSink<Sink> swapped{sink};
-        IntersectGallop(b, nb, a, na, swapped);
-      }
-      return;
-    case IntersectTier::kBlockMerge:
-      if (na <= nb) {
-        IntersectBlockMerge(a, na, b, nb, sink);
-      } else {
-        SwapSink<Sink> swapped{sink};
-        IntersectBlockMerge(b, nb, a, na, swapped);
-      }
-      return;
-    case IntersectTier::kAuto:
-    case IntersectTier::kBitset:
-      break;  // unreachable: resolved above
+  if (tier == IntersectTier::kAuto) tier = ChooseTier(na, nb);
+  if (tier == IntersectTier::kMerge) {
+    IntersectMerge(a, na, b, nb, sink);
+  } else if (na <= nb) {
+    IntersectGallop(a, na, b, nb, sink);
+  } else {
+    SwapSink<Sink> swapped{sink};
+    IntersectGallop(b, nb, a, na, swapped);
   }
 }
 

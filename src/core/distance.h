@@ -52,9 +52,9 @@ Result<DistanceKind> ParseDistanceName(std::string_view name);
 
 /// One distance kernel, specialized per kind over the packed signature
 /// views: it touches only the statistics its formula needs (Jaccard never
-/// reads a weight) and runs the tiered set intersection of Section §14 —
-/// vectorized linear merge for similar-size sets, galloping search for
-/// skewed sizes, and a bitset path for dense id ranges.
+/// reads a weight) and runs the two-tier set intersection of DESIGN.md §14 —
+/// a scalar linear merge for similar-size sets and galloping search for
+/// skewed sizes.
 using DistanceKernelFn = double (*)(const Signature&, const Signature&);
 
 /// The kernel for `kind`. Hoist this out of pairwise loops (or use
@@ -69,16 +69,6 @@ DistanceKernelFn DistanceKernel(DistanceKind kind);
 /// observable communication is "identical to itself"; empty vs non-empty is
 /// distance 1.
 double Distance(DistanceKind kind, const Signature& a, const Signature& b);
-
-/// The pre-SIMD single-merge formulation: one linear merge over the entry
-/// pairs accumulating every statistic. Kept as the semantic reference the
-/// randomized equivalence tests compare the packed kernels against, and as
-/// the in-run baseline the BM_PairwiseDistances speedup gauges divide by.
-/// Values may differ from Distance() in the last few ulps (the packed
-/// kernels hoist per-signature sums to construction and accumulate matches
-/// 4 lanes at a time), never more.
-double DistanceReference(DistanceKind kind, const Signature& a,
-                         const Signature& b);
 
 /// Convenience value type bundling a kind with its evaluation; cheap to
 /// copy, usable as a function object. Resolves the kernel once at
@@ -102,17 +92,13 @@ class SignatureDistance {
 namespace distance_internal {
 
 /// Intersection strategy, normally auto-selected per pair from the set
-/// sizes and id range. Exposed so the equivalence tests can force each
-/// tier and assert bit-identical results (every tier emits the same
-/// matched-weight sequence in ascending id order, so the accumulated sums
-/// are equal bit for bit).
+/// sizes. Exposed so the equivalence tests can force each tier and assert
+/// bit-identical results (both tiers emit the same matched-weight sequence
+/// in ascending id order, so the accumulated sums are equal bit for bit).
 enum class IntersectTier {
   kAuto,
-  kMerge,       // scalar two-pointer linear merge
-  kBlockMerge,  // 8-wide vectorized merge (falls back to kMerge without a
-                // wide-integer SIMD backend)
-  kGallop,      // galloping/binary search of the smaller set in the larger
-  kBitset,      // word-parallel bitmap over the overlapping id range
+  kMerge,   // scalar two-pointer linear merge
+  kGallop,  // galloping/binary search of the smaller set in the larger
 };
 
 /// Distance with a forced intersection tier. Test seam; production code

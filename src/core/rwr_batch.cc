@@ -26,18 +26,12 @@ TransitionCache::TransitionCache(const CommGraph& g, TraversalMode mode)
   }
 }
 
-void TransitionCache::EnableDegreeOrder() {
-  traversal_order_ = graph_->NodesByTraversalDegree(
-      mode_ == TraversalMode::kSymmetric);
-}
-
 void TransitionCache::Rebase(const CommGraph& new_g,
                              std::span<const NodeId> changed_rows) {
   COMMSIG_CHECK(new_g.NumNodes() == norm_.size(),
                 "TransitionCache::Rebase requires a shared node universe");
   graph_ = &new_g;
   const bool symmetric = mode_ == TraversalMode::kSymmetric;
-  if (!traversal_order_.empty()) EnableDegreeOrder();
   for (NodeId x : changed_rows) {
     const double w = new_g.OutWeight(x) + (symmetric ? new_g.InWeight(x) : 0.0);
     num_walkable_ -= walkable_[x];
@@ -209,17 +203,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
     if (ws.dense) {
       ++dense_iters;
       std::fill(ws.next.begin(), ws.next.end(), 0.0);
-      if (cache_->has_traversal_order()) {
-        // Degree-descending row order (opt-in via EnableDegreeOrder): the
-        // hub rows run first while the state slab is cache-hot. Reorders
-        // per-target accumulation, so results drift at rounding level from
-        // the ascending scan.
-        for (NodeId x : cache_->traversal_order()) {
-          scatter_row(x, /*track=*/false);
-        }
-      } else {
-        for (NodeId x = 0; x < n; ++x) scatter_row(x, /*track=*/false);
-      }
+      for (NodeId x = 0; x < n; ++x) scatter_row(x, /*track=*/false);
     } else {
       ++sparse_iters;
       // `next` is all-zero here (maintained below), so the scatter only

@@ -54,28 +54,12 @@ class TransitionCache {
   size_t num_walkable() const { return num_walkable_; }
   size_t num_dangling() const { return norm_.size() - num_walkable_; }
 
-  /// Opts this cache into degree-ordered dense traversal: full-graph scans
-  /// of the batched solver visit rows in CommGraph::NodesByTraversalDegree
-  /// order instead of ascending id, which keeps the hub rows' scatter
-  /// targets cache-hot. Off by default because reordering a full scan
-  /// changes the per-target accumulation order: batched results then match
-  /// the serial solver only within rounding drift (the RWR^h bit-identity
-  /// guarantee holds only for the default ascending order). O(n log n) to
-  /// build; Rebase() rebuilds it when enabled.
-  void EnableDegreeOrder();
-
-  /// Degree-descending row order when EnableDegreeOrder was called; empty
-  /// otherwise (callers then scan ascending).
-  std::span<const NodeId> traversal_order() const { return traversal_order_; }
-  bool has_traversal_order() const { return !traversal_order_.empty(); }
-
  private:
   const CommGraph* graph_;
   TraversalMode mode_;
   std::vector<double> norm_;
   std::vector<double> inv_norm_;
   std::vector<uint8_t> walkable_;
-  std::vector<NodeId> traversal_order_;  // empty unless EnableDegreeOrder
   size_t num_walkable_ = 0;
 };
 

@@ -13,19 +13,6 @@ double CommGraph::EdgeWeight(NodeId v, NodeId u) const {
   return 0.0;
 }
 
-std::vector<NodeId> CommGraph::NodesByTraversalDegree(bool symmetric) const {
-  const size_t n = NumNodes();
-  std::vector<NodeId> order(n);
-  for (NodeId v = 0; v < n; ++v) order[v] = v;
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    const size_t da = OutDegree(a) + (symmetric ? InDegree(a) : 0);
-    const size_t db = OutDegree(b) + (symmetric ? InDegree(b) : 0);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  return order;
-}
-
 std::vector<CommGraph::FlatEdge> CommGraph::Edges() const {
   std::vector<FlatEdge> flat;
   flat.reserve(out_edges_.size());

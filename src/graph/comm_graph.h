@@ -104,16 +104,6 @@ class CommGraph {
   };
   std::vector<FlatEdge> Edges() const;
 
-  /// Node ids permuted for cache-friendly full-graph traversal: descending
-  /// traversable degree (out-degree, plus in-degree when `symmetric`), ties
-  /// by ascending id. Scanning rows in this order front-loads the hub rows
-  /// whose edge ranges dominate a CSR sweep, so their scatter targets are
-  /// touched while the hot part of the state slab is still cache-resident.
-  /// Note: consuming a full scan in this order reorders the per-target
-  /// accumulation relative to the ascending-id scan, which perturbs sums at
-  /// rounding level — see TransitionCache::EnableDegreeOrder.
-  std::vector<NodeId> NodesByTraversalDegree(bool symmetric) const;
-
  private:
   friend class GraphBuilder;
 

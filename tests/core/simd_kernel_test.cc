@@ -1,14 +1,15 @@
 // Scalar-vs-SIMD equivalence suite for the vectorized kernels.
 //
 // Three contracts are pinned here:
-//  1. The packed tiered distance kernels match the single-merge reference
-//     (DistanceReference) on randomized signatures across every size/skew/
-//     overlap regime — exactly for the count-based kinds, within 1e-12 for
-//     the weighted ones (the packed kernels hoist per-signature sums and
-//     accumulate 4 lanes at a time, which reorders FP additions).
-//  2. Every intersection tier produces the bitwise-identical distance: the
-//     tiers emit the same matched-weight sequence in the same order, so
-//     forcing any of them must not change a single bit.
+//  1. The packed distance kernels match the single-merge test oracle
+//     (ref::Distance, tests/ref/distance.h) on randomized signatures across
+//     every size/skew/overlap regime — exactly for the count-based kinds,
+//     within 1e-12 for the weighted ones (the packed kernels hoist
+//     per-signature sums and accumulate 4 lanes at a time, which reorders
+//     FP additions).
+//  2. Both intersection tiers (merge, gallop) produce the bitwise-identical
+//     distance: they emit the same matched-weight sequence in the same
+//     order, so forcing either must not change a single bit.
 //  3. The RWR block kernels are bit-identical with their scalar reference
 //     loops: toggling simd::Enabled() must not change any probability bit.
 //     (On -DCOMMSIG_SIMD=off builds the toggle is inert and the test
@@ -30,6 +31,7 @@
 #include "core/rwr_batch.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "ref/distance.h"
 
 namespace commsig {
 namespace {
@@ -59,7 +61,7 @@ struct PairCase {
 // Empty/singleton/disjoint/identical specials plus randomized draws over
 // (sizes, skew, id density). Duplicated ids arise naturally: RandomSig
 // draws with replacement and FromTopK keeps repeats, so the dense draws
-// exercise the bitset tier's duplicate fallback too.
+// check that both tiers pair repeated ids like the reference merge.
 std::vector<PairCase> MakeCorpus(uint64_t seed) {
   Rng rng(seed);
   std::vector<PairCase> corpus;
@@ -104,20 +106,20 @@ TEST(SimdDistanceTest, PackedMatchesReferenceRandomized) {
   for (size_t i = 0; i < corpus.size(); ++i) {
     const auto& [a, b] = corpus[i];
     for (DistanceKind kind : AllDistanceKindsExtended()) {
-      const double ref = DistanceReference(kind, a, b);
+      const double oracle = ref::Distance(kind, a, b);
       const double packed = Distance(kind, a, b);
       if (kind == DistanceKind::kJaccard || kind == DistanceKind::kOverlap) {
         // Count-based kinds divide the same integers: exact.
-        EXPECT_DOUBLE_EQ(packed, ref)
+        EXPECT_DOUBLE_EQ(packed, oracle)
             << "pair " << i << " kind " << DistanceName(kind);
       } else {
-        EXPECT_NEAR(packed, ref, 1e-12)
+        EXPECT_NEAR(packed, oracle, 1e-12)
             << "pair " << i << " kind " << DistanceName(kind);
       }
       EXPECT_GE(packed, 0.0);
       EXPECT_LE(packed, 1.0);
-      // Symmetry of the packed kernels (the tiers swap roles internally
-      // when the first signature is the larger one).
+      // Symmetry of the packed kernels (the gallop tier swaps roles
+      // internally when the first signature is the larger one).
       EXPECT_DOUBLE_EQ(packed, Distance(kind, b, a))
           << "pair " << i << " kind " << DistanceName(kind);
     }
@@ -127,9 +129,7 @@ TEST(SimdDistanceTest, PackedMatchesReferenceRandomized) {
 TEST(SimdDistanceTest, AllTiersBitwiseIdentical) {
   const auto corpus = MakeCorpus(77);
   const IntersectTier tiers[] = {IntersectTier::kMerge,
-                                 IntersectTier::kBlockMerge,
-                                 IntersectTier::kGallop,
-                                 IntersectTier::kBitset};
+                                 IntersectTier::kGallop};
   for (size_t i = 0; i < corpus.size(); ++i) {
     const auto& [a, b] = corpus[i];
     for (DistanceKind kind : AllDistanceKindsExtended()) {
@@ -137,7 +137,7 @@ TEST(SimdDistanceTest, AllTiersBitwiseIdentical) {
           DistanceWithTier(kind, a, b, IntersectTier::kAuto);
       for (IntersectTier tier : tiers) {
         const double forced = DistanceWithTier(kind, a, b, tier);
-        // Bitwise, not just ==: every tier must emit the same matched
+        // Bitwise, not just ==: both tiers must emit the same matched
         // weights in the same order, making the accumulated sums (and the
         // final division) identical bit for bit.
         uint64_t auto_bits, forced_bits;
@@ -242,49 +242,6 @@ TEST(SimdRwrTest, ScalarToggleBitIdenticalTruncatedAndUnbounded) {
       }
     }
   }
-}
-
-TEST(SimdRwrTest, DegreeOrderedTraversalWithinDriftBound) {
-  // The opt-in degree-sorted dense traversal reorders per-target
-  // accumulation, so it is held to the unbounded-solver drift bound rather
-  // than bit-identity. Unbounded walks on a dense-ish graph go dense
-  // within a hop or two, which is the only scan the order affects.
-  CommGraph g = RandomGraph(40, 0.3, 17);
-  RwrOptions opts{.reset = 0.15,
-                  .max_hops = 0,
-                  .tolerance = 1e-10,
-                  .max_iterations = 300};
-  TransitionCache plain(g, opts.traversal);
-  TransitionCache ordered(g, opts.traversal);
-  ordered.EnableDegreeOrder();
-  ASSERT_TRUE(ordered.has_traversal_order());
-  ASSERT_FALSE(plain.has_traversal_order());
-  ASSERT_EQ(ordered.traversal_order().size(), g.NumNodes());
-
-  const auto base = SolveAll(plain, opts, g.NumNodes());
-  const auto reordered = SolveAll(ordered, opts, g.NumNodes());
-  ASSERT_EQ(base.size(), reordered.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    for (size_t u = 0; u < base[i].probabilities.size(); ++u) {
-      EXPECT_NEAR(reordered[i].probabilities[u], base[i].probabilities[u],
-                  1e-9);
-    }
-  }
-}
-
-TEST(SimdRwrTest, DegreeOrderSurvivesRebase) {
-  CommGraph g = RandomGraph(24, 0.25, 5);
-  TransitionCache cache(g, TraversalMode::kDirected);
-  cache.EnableDegreeOrder();
-  const std::vector<NodeId> before(cache.traversal_order().begin(),
-                                   cache.traversal_order().end());
-  std::vector<NodeId> all(g.NumNodes());
-  std::iota(all.begin(), all.end(), 0);
-  cache.Rebase(g, all);
-  EXPECT_TRUE(cache.has_traversal_order());
-  EXPECT_EQ(std::vector<NodeId>(cache.traversal_order().begin(),
-                                cache.traversal_order().end()),
-            before);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,12 +35,13 @@
 //   --backpressure P    block = stall the IO stage when a queue fills
 //                       (lossless, default); shed = drop whole chunks and
 //                       report overload to the degradation ladder
-//   --window-length N   window length in trace time units (default 86400)
+//   --window-length N   window length in trace time units, >= 1
+//                       (default 86400)
 //   --scheme SPEC       tt | ut | ut-tfidf | rwr(c=..,h=..) |
 //                       rwr-push(c=..,eps=..) (default tt)
 //   --dist NAME         jac | dice | sdice | shel | cos | overlap
 //                       (default shel)
-//   --k N               signature length (default 10)
+//   --k N               signature length, >= 1 (default 10)
 //   --window I          window index (default 0)
 //   --window2 J         second window for cross-window commands (default 1)
 //   --decay THETA       accumulate windows as C'_t = theta*C'_{t-1} + C_t
@@ -237,6 +238,15 @@ struct Args {
         errno == ERANGE) {
       DieInvalidFlag(key, s, "a non-negative integer");
     }
+    return v;
+  }
+  /// GetInt for flags where 0 is not a usable setting, rejected like any
+  /// other malformed value: --k 0 makes every signature empty (and every
+  /// pair of them at distance 0), --window-length 0 silently degenerates
+  /// to one-unit windows.
+  uint64_t GetPositiveInt(const std::string& key, uint64_t fallback) const {
+    const uint64_t v = GetInt(key, fallback);
+    if (v == 0) DieInvalidFlag(key, Get(key, "0"), "a positive integer");
     return v;
   }
   double GetDouble(const std::string& key, double fallback) const {
@@ -467,7 +477,7 @@ struct Workspace {
 bool Load(const Args& args, Workspace& ws) {
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, ws.interner, events)) return false;
-  uint64_t window_length = args.GetInt("window-length", 86400);
+  uint64_t window_length = args.GetPositiveInt("window-length", 86400);
   TraceWindower windower(ws.interner.size(), window_length);
   const uint64_t build_start_us = NowMicros();
   ws.windows = windower.Split(events);
@@ -515,7 +525,7 @@ bool Load(const Args& args, Workspace& ws) {
 
 Result<std::unique_ptr<SignatureScheme>> SchemeFor(const Args& args) {
   SchemeOptions opts;
-  opts.k = args.GetInt("k", 10);
+  opts.k = args.GetPositiveInt("k", 10);
   return CreateScheme(args.Get("scheme", "tt"), opts);
 }
 
@@ -679,7 +689,7 @@ StreamSupervisor::Options SupervisorFromArgs(const Args& args,
                                              const std::string& ckpt_dir,
                                              RecordErrorLog* dead_letters) {
   StreamSupervisor::Options opts;
-  opts.k = args.GetInt("k", 10);
+  opts.k = args.GetPositiveInt("k", 10);
   opts.checkpoint_every = args.GetInt("checkpoint-every", 10000);
   opts.emit_every = args.GetInt("emit-every", 0);
   opts.kill_after = args.GetInt("kill-after", 0);
@@ -707,7 +717,7 @@ int RunStream(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  const size_t k = args.GetInt("k", 10);
+  const size_t k = args.GetPositiveInt("k", 10);
 
   RecordErrorLog dead_letters;
   StreamSupervisor::Options opts =
@@ -781,7 +791,7 @@ int RunChaoscheck(const Args& args) {
     obs::LogError("chaoscheck_no_events");
     return 1;
   }
-  const size_t k = args.GetInt("k", 10);
+  const size_t k = args.GetPositiveInt("k", 10);
   const uint64_t trials = args.GetInt("trials", 3);
   const uint64_t seed = args.GetInt("seed", 1);
   const std::vector<NodeId> focal = FocalFromEvents(interner, events);
@@ -932,8 +942,8 @@ int RunFaultcheck(const Args& args) {
   if (!LoadEvents(args, interner, events)) return 1;
   const double fraction = args.GetDouble("fraction", 0.01);
   const double max_drift = args.GetDouble("max-drift", 0.25);
-  const size_t k = args.GetInt("k", 10);
-  const uint64_t window_length = args.GetInt("window-length", 86400);
+  const size_t k = args.GetPositiveInt("k", 10);
+  const uint64_t window_length = args.GetPositiveInt("window-length", 86400);
 
   FaultInjector::Options fopts;
   fopts.seed = args.GetInt("seed", 1);
@@ -999,7 +1009,7 @@ int RunTimeline(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  const uint64_t window_length = args.GetInt("window-length", 86400);
+  const uint64_t window_length = args.GetPositiveInt("window-length", 86400);
   const uint64_t stride = args.GetInt("stride", window_length);
   if (stride == 0 || stride > window_length) {
     obs::LogError("bad_flags")
