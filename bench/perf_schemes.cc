@@ -16,6 +16,7 @@
 #include "core/top_talkers.h"
 #include "core/unexpected_talkers.h"
 #include "graph/graph_builder.h"
+#include "ref/rwr.h"
 
 namespace commsig::bench {
 namespace {
@@ -119,14 +120,17 @@ BENCHMARK(BM_RwrBatch)
     ->ArgNames({"externals", "h"});
 
 // The headline comparison, measured in one run: all-hosts RWR^3 signatures
-// on the 20k-external window, per-source baseline (batched:0, the
-// pre-batching path looping Compute) vs the batched engine (batched:1).
-// perf_schemes' main() derives the speedup gauge from these two rows.
+// on the 20k-external window, per-source baseline (batched:0, the serial
+// power iteration of the test oracle, ref::RwrSignature, looped over the
+// hosts) vs the batched engine (batched:1). perf_schemes' main() derives
+// the speedup gauge from these two rows.
 void BM_RwrAllNodes(benchmark::State& state) {
   const FlowDataset& ds = DatasetFor(20000);
   auto windows = ds.Windows();
   const bool batched = state.range(0) == 1;
-  RwrScheme rwr({.k = 10}, {.reset = 0.1, .max_hops = 3});
+  const SchemeOptions options{.k = 10};
+  const RwrOptions rwr_options{.reset = 0.1, .max_hops = 3};
+  RwrScheme rwr(options, rwr_options);
   for (auto _ : state) {
     if (batched) {
       benchmark::DoNotOptimize(rwr.ComputeAll(windows[0], ds.local_hosts));
@@ -134,7 +138,7 @@ void BM_RwrAllNodes(benchmark::State& state) {
       std::vector<Signature> sigs;
       sigs.reserve(ds.local_hosts.size());
       for (NodeId v : ds.local_hosts) {
-        sigs.push_back(rwr.Compute(windows[0], v));
+        sigs.push_back(ref::RwrSignature(options, rwr_options, windows[0], v));
       }
       benchmark::DoNotOptimize(sigs);
     }

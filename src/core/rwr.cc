@@ -44,101 +44,9 @@ std::vector<double> RwrScheme::StationaryVector(const CommGraph& g,
 }
 
 RwrScheme::RwrSolve RwrScheme::Solve(const CommGraph& g, NodeId v) const {
-  return Solve(g, v, TransitionCache(g, rwr_.traversal));
-}
-
-RwrScheme::RwrSolve RwrScheme::Solve(const CommGraph& g, NodeId v,
-                                     const TransitionCache& cache) const {
-  std::vector<double> r(g.NumNodes(), 0.0);
-  r[v] = 1.0;
-  return SolveFrom(g, v, cache, std::move(r));
-}
-
-RwrScheme::RwrSolve RwrScheme::SolveFrom(const CommGraph& g, NodeId v,
-                                         const TransitionCache& cache,
-                                         std::vector<double> r) const {
-  const size_t n = g.NumNodes();
-  const bool symmetric = rwr_.traversal == TraversalMode::kSymmetric;
-  const double c = rwr_.reset;
-
-  // Scratch survives across calls: an all-hosts sweep allocates the result
-  // vector only, not a second O(n) buffer per solve.
-  thread_local std::vector<double> scratch;
-  scratch.assign(n, 0.0);
-  std::vector<double>& next = scratch;
-
-  COMMSIG_SPAN("rwr/iterate");
-  const size_t iterations =
-      rwr_.max_hops > 0 ? rwr_.max_hops : rwr_.max_iterations;
-  size_t iterations_run = 0;
-  double last_residual = 0.0;
-  bool converged = rwr_.max_hops > 0;  // truncated walks converge by fiat
-  for (size_t iter = 0; iter < iterations; ++iter) {
-    ++iterations_run;
-    std::fill(next.begin(), next.end(), 0.0);
-    // Walking mass (the reset-tax base) and dangling mass are accumulated
-    // inside the scatter scan — the old separate all-n rescan per iteration
-    // summed exactly the same terms in the same order.
-    double walked = 0.0;
-    double dangling = 0.0;
-    for (NodeId x = 0; x < n; ++x) {
-      const double mass = r[x];
-      if (mass == 0.0) continue;
-      if (!cache.walkable(x)) {
-        // Nodes with no traversable edges return their mass to the start
-        // node, preserving a total probability of 1.
-        dangling += mass;
-        continue;
-      }
-      walked += mass;
-      // Multiply by the cached reciprocal instead of dividing — the same
-      // two-multiply expression the batched engine uses, which keeps the
-      // two paths bit-identical while removing the division that dominated
-      // the inner loop's arithmetic cost.
-      const double scale = mass * ((1.0 - c) * cache.inv_norm(x));
-      for (const Edge& e : g.OutEdges(x)) {
-        next[e.node] += scale * e.weight;
-      }
-      if (symmetric) {
-        for (const Edge& e : g.InEdges(x)) {
-          next[e.node] += scale * e.weight;
-        }
-      }
-    }
-    // Reset mass: c from every walking node, plus everything a dangling
-    // node would have carried.
-    next[v] += c * walked + dangling;
-
-    if (rwr_.max_hops == 0) {
-      double delta = 0.0;
-      for (size_t i = 0; i < n; ++i) delta += std::fabs(next[i] - r[i]);
-      r.swap(next);
-      last_residual = delta;
-      if (delta < rwr_.tolerance) {
-        converged = true;
-        break;
-      }
-    } else {
-      r.swap(next);
-    }
-  }
-  COMMSIG_COUNTER_ADD("rwr/calls", 1);
-  COMMSIG_COUNTER_ADD("rwr/iterations", iterations_run);
-  if (rwr_.max_hops == 0) {
-    COMMSIG_HISTOGRAM_OBSERVE("rwr/residual_at_convergence", last_residual);
-  }
-  return {std::move(r), converged, last_residual, iterations_run};
-}
-
-Signature RwrScheme::SignatureFromVector(const CommGraph& g, NodeId v,
-                                         const std::vector<double>& r) const {
-  std::vector<Signature::Entry> candidates;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    if (r[u] <= 0.0) continue;
-    if (!KeepCandidate(g, v, u)) continue;
-    candidates.push_back({u, r[u]});
-  }
-  return Signature::FromTopK(std::move(candidates), options_.k);
+  TransitionCache cache(g, rwr_.traversal);
+  RwrBatchEngine engine(rwr_, cache);
+  return std::move(engine.SolveBatch(std::span<const NodeId>(&v, 1))[0]);
 }
 
 Signature RwrScheme::SignatureFromSupport(
@@ -165,18 +73,7 @@ Signature RwrScheme::SignatureFromSupport(
 }
 
 Signature RwrScheme::Compute(const CommGraph& g, NodeId v) const {
-  RwrSolve solve = Solve(g, v);
-  if (!solve.converged && rwr_.fallback_hops > 0) {
-    // Degradation ladder (RWR -> RWR^h): an unconverged vector has no
-    // accuracy guarantee at any rank, while the truncated walk is exact for
-    // its restricted h-hop semantics — a defined approximation beats an
-    // undefined one.
-    COMMSIG_COUNTER_ADD("robust/rwr_fallbacks", 1);
-    RwrOptions truncated = rwr_;
-    truncated.max_hops = rwr_.fallback_hops;
-    solve = RwrScheme(options_, truncated).Solve(g, v);
-  }
-  return SignatureFromVector(g, v, solve.probabilities);
+  return ComputeAll(g, std::span<const NodeId>(&v, 1))[0];
 }
 
 std::vector<Signature> RwrScheme::ComputeAll(
@@ -186,13 +83,15 @@ std::vector<Signature> RwrScheme::ComputeAll(
   // One normalizer/partition derivation for the whole sweep, shared by the
   // main engine and the fallback ladder.
   TransitionCache cache(g, rwr_.traversal);
-  return SolveManyBatched(g, cache, nodes, nullptr);
+  return SolveManyBatched(g, cache, nodes, {}, nullptr, nullptr);
 }
 
 std::vector<Signature> RwrScheme::SolveManyBatched(
     const CommGraph& g, const TransitionCache& cache,
     std::span<const NodeId> nodes,
-    std::vector<std::vector<Signature::Entry>>* supports) const {
+    std::span<const std::span<const Signature::Entry>> seeds,
+    std::vector<std::vector<Signature::Entry>>* supports,
+    size_t* reseeded_columns) const {
   std::vector<Signature> out(nodes.size());
   if (supports != nullptr) {
     supports->clear();
@@ -207,41 +106,77 @@ std::vector<Signature> RwrScheme::SolveManyBatched(
   truncated.max_hops = rwr_.fallback_hops;
   RwrBatchEngine fallback_engine(truncated, cache);
 
-  // Support-sparse result buffers (nonzero entries per column), reused
-  // across batches so the sweep never materializes n-length vectors.
-  std::vector<Signature::Entry> entries, retry_entries;
-  std::vector<std::pair<size_t, size_t>> ranges, retry_ranges;
-  std::vector<uint8_t> converged, retry_converged;
-  std::vector<NodeId> retry_sources;
+  // One rung of the ladder: the batch columns it solved and their
+  // support-sparse results, reused across batches so the sweep never
+  // materializes n-length vectors.
+  struct Rung {
+    std::vector<size_t> columns;
+    std::vector<NodeId> sources;
+    std::vector<Signature::Entry> entries;
+    std::vector<std::pair<size_t, size_t>> ranges;
+    std::vector<uint8_t> converged;
+  };
+  Rung first, reseeded, fallback;
+  // Per batch column: the rung holding its latest result, and its index
+  // there.
+  std::vector<std::pair<const Rung*, size_t>> latest;
 
   const bool use_fallback = rwr_.max_hops == 0 && rwr_.fallback_hops > 0;
   const size_t width = RwrBatchEngine::kDefaultBatchWidth;
   for (size_t begin = 0; begin < nodes.size(); begin += width) {
     const size_t count = std::min(width, nodes.size() - begin);
     std::span<const NodeId> batch = nodes.subspan(begin, count);
-    engine.SolveBatchSupport(batch, ws, entries, ranges, converged);
+    std::span<const std::span<const Signature::Entry>> batch_seeds =
+        seeds.empty() ? seeds : seeds.subspan(begin, count);
+    engine.SolveBatchSupport(batch, ws, first.entries, first.ranges,
+                             first.converged, batch_seeds);
+    latest.clear();
+    for (size_t b = 0; b < count; ++b) latest.push_back({&first, b});
 
-    if (use_fallback) {
-      // Same degradation ladder as Compute, applied per column: re-solve
-      // only the unconverged sources as a truncated sub-batch.
-      retry_sources.clear();
+    // Re-solves the still-unconverged columns (only the seeded ones when
+    // `seeded_only`) as one unseeded sub-batch on `eng`.
+    auto resolve_unconverged = [&](Rung& rung, const RwrBatchEngine& eng,
+                                   bool seeded_only) {
+      rung.columns.clear();
+      rung.sources.clear();
       for (size_t b = 0; b < count; ++b) {
-        if (!converged[b]) retry_sources.push_back(batch[b]);
+        const auto [prev, j] = latest[b];
+        if (prev->converged[j]) continue;
+        if (seeded_only && batch_seeds[b].empty()) continue;
+        rung.columns.push_back(b);
+        rung.sources.push_back(batch[b]);
       }
-      if (!retry_sources.empty()) {
-        COMMSIG_COUNTER_ADD("robust/rwr_fallbacks", retry_sources.size());
-        fallback_engine.SolveBatchSupport(retry_sources, ws, retry_entries,
-                                          retry_ranges, retry_converged);
+      if (rung.sources.empty()) return size_t{0};
+      eng.SolveBatchSupport(rung.sources, ws, rung.entries, rung.ranges,
+                            rung.converged);
+      for (size_t j = 0; j < rung.columns.size(); ++j) {
+        latest[rung.columns[j]] = {&rung, j};
+      }
+      return rung.sources.size();
+    };
+    if (!batch_seeds.empty()) {
+      // A warm start that misses tolerance gets a cold attempt before the
+      // ladder, exactly like a node that was never seeded.
+      const size_t retried = resolve_unconverged(reseeded, engine, true);
+      if (reseeded_columns != nullptr) *reseeded_columns += retried;
+    }
+    if (use_fallback) {
+      // Degradation ladder (RWR -> RWR^h): an unconverged vector has no
+      // accuracy guarantee at any rank, while the truncated walk is exact
+      // for its restricted h-hop semantics — a defined approximation beats
+      // an undefined one.
+      const size_t fell_back = resolve_unconverged(fallback, fallback_engine,
+                                                   false);
+      if (fell_back > 0) {
+        COMMSIG_COUNTER_ADD("robust/rwr_fallbacks", fell_back);
       }
     }
 
-    size_t ri = 0;
     for (size_t b = 0; b < count; ++b) {
-      const bool retried = use_fallback && !converged[b];
-      const auto [start, end] = retried ? retry_ranges[ri++] : ranges[b];
-      const Signature::Entry* base =
-          retried ? retry_entries.data() : entries.data();
-      std::span<const Signature::Entry> support(base + start, end - start);
+      const auto [rung, j] = latest[b];
+      const auto [start, end] = rung->ranges[j];
+      std::span<const Signature::Entry> support(rung->entries.data() + start,
+                                                end - start);
       out[begin + b] = SignatureFromSupport(g, batch[b], support);
       if (supports != nullptr) {
         (*supports)[begin + b].assign(support.begin(), support.end());
@@ -350,7 +285,7 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
     fresh->row_drift.assign(g.NumNodes(), 0.0);
     if (!nodes.empty()) {
       std::vector<std::vector<Signature::Entry>> supports;
-      out = SolveManyBatched(g, *fresh->cache, nodes, &supports);
+      out = SolveManyBatched(g, *fresh->cache, nodes, {}, &supports, nullptr);
       for (size_t i = 0; i < nodes.size(); ++i) {
         fresh->warm[i].support = std::move(supports[i]);
       }
@@ -360,7 +295,6 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
   }
 
   COMMSIG_SPAN("rwr/incremental_compute_all");
-  const size_t n = g.NumNodes();
   const bool symmetric = rwr_.traversal == TraversalMode::kSymmetric;
   const double c = rwr_.reset;
   // Carry the previous window's cache forward: only changed rows can hold
@@ -397,13 +331,12 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
   }
 
   std::vector<Signature> out(nodes.size());
-  std::vector<NodeId> cold_nodes;
-  std::vector<size_t> cold_slots;
-  std::vector<size_t> warm_slots;
+  std::vector<NodeId> resolve_nodes;
+  std::vector<size_t> resolve_slots;
+  std::vector<std::span<const Signature::Entry>> seeds;
   size_t reused = 0;
   size_t warm_fallbacks = 0;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeId v = nodes[i];
     RwrIncrementalState::Warm& warm = st->warm[i];
     double weighted = 0.0;
     if (any_drift) {
@@ -415,59 +348,32 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
     if (warm.acc_drift <= rwr_.incremental_max_drift) {
       out[i] = std::move(previous[i]);  // reuse is O(1), previous is owned
       ++reused;
-    } else if (rwr_.max_hops == 0 &&
-               warm.acc_drift <= rwr_.incremental_warm_drift) {
-      warm_slots.push_back(i);
-    } else {
-      // Truncated walks re-solve exactly (their normal path); unbounded
-      // walks past the warm bound fall to the cold ladder.
-      if (rwr_.max_hops == 0) ++warm_fallbacks;
-      cold_nodes.push_back(v);
-      cold_slots.push_back(i);
-    }
-  }
-
-  // Warm starts: seed the power iteration with the previous stationary
-  // vector. The convergence criterion is Solve's own, so the fixed point —
-  // and therefore the signature — matches a cold solve within tolerance.
-  for (size_t i : warm_slots) {
-    const NodeId v = nodes[i];
-    RwrIncrementalState::Warm& warm = st->warm[i];
-    std::vector<double> seed(n, 0.0);
-    double total = 0.0;
-    for (const Signature::Entry& e : warm.support) total += e.weight;
-    if (total > 0.0) {
-      const double inv = 1.0 / total;
-      for (const Signature::Entry& e : warm.support) {
-        seed[e.node] = e.weight * inv;
-      }
-    } else {
-      seed[v] = 1.0;
-    }
-    RwrSolve solve = SolveFrom(g, v, cache, std::move(seed));
-    if (!solve.converged) {
-      ++warm_fallbacks;
-      cold_nodes.push_back(v);
-      cold_slots.push_back(i);
       continue;
     }
-    out[i] = SignatureFromVector(g, v, solve.probabilities);
-    warm.support.clear();
-    for (NodeId u = 0; u < n; ++u) {
-      if (solve.probabilities[u] > 0.0) {
-        warm.support.push_back({u, solve.probabilities[u]});
-      }
-    }
-    warm.acc_drift = 0.0;
+    // Warm start (unbounded walks only): the node's column starts from its
+    // stored support, and the engine's convergence criterion makes the
+    // fixed point — and therefore the signature — match a cold solve
+    // within tolerance. Truncated walks re-solve exactly (their normal
+    // path); unbounded walks past the warm bound re-solve cold.
+    const bool warm_start = rwr_.max_hops == 0 &&
+                            warm.acc_drift <= rwr_.incremental_warm_drift;
+    if (rwr_.max_hops == 0 && !warm_start) ++warm_fallbacks;
+    resolve_nodes.push_back(nodes[i]);
+    resolve_slots.push_back(i);
+    seeds.push_back(warm_start ? std::span<const Signature::Entry>(
+                                     warm.support)
+                               : std::span<const Signature::Entry>());
   }
 
-  if (!cold_nodes.empty()) {
+  if (!resolve_nodes.empty()) {
     std::vector<std::vector<Signature::Entry>> supports;
-    std::vector<Signature> solved =
-        SolveManyBatched(g, cache, cold_nodes, &supports);
-    for (size_t j = 0; j < cold_nodes.size(); ++j) {
-      out[cold_slots[j]] = std::move(solved[j]);
-      st->warm[cold_slots[j]] = {std::move(supports[j]), 0.0};
+    size_t reseeded = 0;
+    std::vector<Signature> solved = SolveManyBatched(
+        g, cache, resolve_nodes, seeds, &supports, &reseeded);
+    warm_fallbacks += reseeded;
+    for (size_t j = 0; j < resolve_nodes.size(); ++j) {
+      out[resolve_slots[j]] = std::move(solved[j]);
+      st->warm[resolve_slots[j]] = {std::move(supports[j]), 0.0};
     }
   }
 

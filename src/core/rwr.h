@@ -44,18 +44,16 @@ class RwrScheme final : public SignatureScheme {
 
   SchemeTraits traits() const override;
 
-  /// Computes the signature. If the unbounded walk fails to converge within
-  /// max_iterations, degrades to the truncated RWR^h walk with
-  /// rwr_options().fallback_hops hops (counted under
-  /// `robust/rwr_fallbacks`) instead of using the unconverged vector.
+  /// Computes the signature as ComputeAll(g, {v})[0], a batch of one.
   Signature Compute(const CommGraph& g, NodeId v) const override;
 
-  /// Batched override: windows `nodes` through the block power iteration of
-  /// RwrBatchEngine (one graph scan amortized over a batch of sources,
-  /// frontier-sparse truncated walks) instead of solving per node. Results
-  /// are bit-identical to per-node Compute for RWR^h and match within
-  /// solver tolerance for unbounded walks; the unconverged-column fallback
-  /// ladder behaves exactly like Compute's.
+  /// Windows `nodes` through the block power iteration of RwrBatchEngine
+  /// (one graph scan amortized over a batch of sources, frontier-sparse
+  /// truncated walks). Columns are independent, so a node's signature does
+  /// not depend on which nodes share its batch. If an unbounded walk fails
+  /// to converge within max_iterations, its node degrades to the truncated
+  /// RWR^h walk with rwr_options().fallback_hops hops (counted under
+  /// `robust/rwr_fallbacks`) instead of using the unconverged vector.
   std::vector<Signature> ComputeAll(
       const CommGraph& g, std::span<const NodeId> nodes) const override;
 
@@ -68,11 +66,13 @@ class RwrScheme final : public SignatureScheme {
   ///     rwr_options().incremental_max_drift — exact 0 for any node whose
   ///     support touches no changed row, the common case at high overlap;
   ///   - warm-started (unbounded walks only) while drift <=
-  ///     incremental_warm_drift: the power iteration is seeded with the
-  ///     previous stationary vector and converges in the usual criterion;
-  ///   - cold-solved through the batched engine + fallback ladder
-  ///     otherwise, or when a warm start fails to converge (counted under
-  ///     `timeline/rwr_warm_start_fallbacks`).
+  ///     incremental_warm_drift: its engine column is seeded with the
+  ///     stored support and converges in the usual criterion;
+  ///   - cold-solved otherwise.
+  /// Warm and cold nodes re-solve in one batched sweep. A seeded column
+  /// that fails to converge is re-solved unseeded; both it and every node
+  /// past the warm bound count under `timeline/rwr_warm_start_fallbacks`.
+  /// Columns still unconverged take the fallback ladder.
   /// Truncated RWR^h signatures are bit-identical to ComputeAll whenever
   /// drift is exactly 0 and exact re-solves otherwise; unbounded results
   /// stay within incremental_max_drift + solver tolerance in L1.
@@ -81,15 +81,9 @@ class RwrScheme final : public SignatureScheme {
       const GraphDelta* delta, std::vector<Signature> previous,
       std::unique_ptr<IncrementalState>& state) const override;
 
-  /// Runs the power iteration and reports convergence explicitly.
+  /// Runs the power iteration for `v` (a width-1 RwrBatchEngine batch) and
+  /// reports convergence explicitly. No fallback ladder.
   RwrSolve Solve(const CommGraph& g, NodeId v) const;
-
-  /// Like Solve(g, v) but reuses a prebuilt TransitionCache (row
-  /// normalizers + dangling partition) instead of re-deriving it — the
-  /// amortized form for many solves on one window. `cache` must have been
-  /// built from `g` with rwr_options().traversal.
-  RwrSolve Solve(const CommGraph& g, NodeId v,
-                 const TransitionCache& cache) const;
 
   /// Exposes the full occupancy-probability vector for node `v` (before
   /// top-k truncation). Probabilities sum to 1; index = node id. Used by
@@ -100,32 +94,27 @@ class RwrScheme final : public SignatureScheme {
   const RwrOptions& rwr_options() const { return rwr_; }
 
  private:
-  /// Power iteration from an arbitrary initial distribution `r` (consumed).
-  /// Solve seeds e_v through this, so cold and warm solves share one code
-  /// path and identical convergence semantics.
-  RwrSolve SolveFrom(const CommGraph& g, NodeId v, const TransitionCache& cache,
-                     std::vector<double> r) const;
-
-  /// Batched sweep core shared by ComputeAll and the incremental cold path:
-  /// solves `nodes` through RwrBatchEngine (+ the truncated fallback
-  /// ladder) against a prebuilt cache. When `supports` is non-null it is
+  /// Sweep core shared by ComputeAll and the incremental re-solve: solves
+  /// `nodes` through RwrBatchEngine against a prebuilt cache. `seeds` is
+  /// empty or index-aligned with `nodes`; a non-empty seed warm-starts
+  /// its column (RwrBatchEngine::SolveBatchSupport). A seeded column that
+  /// fails to converge is re-solved unseeded and counted in
+  /// `*reseeded_columns` (when non-null); columns still unconverged take
+  /// the truncated fallback ladder. When `supports` is non-null it is
   /// resized alongside the result and receives each node's sparse
   /// stationary support (the incremental warm state).
   std::vector<Signature> SolveManyBatched(
       const CommGraph& g, const TransitionCache& cache,
       std::span<const NodeId> nodes,
-      std::vector<std::vector<Signature::Entry>>* supports) const;
+      std::span<const std::span<const Signature::Entry>> seeds,
+      std::vector<std::vector<Signature::Entry>>* supports,
+      size_t* reseeded_columns) const;
 
-  /// Top-k extraction from a dense occupancy vector: applies the
-  /// Definition-1 candidate filter, then Signature::FromTopK.
-  Signature SignatureFromVector(const CommGraph& g, NodeId v,
-                                const std::vector<double>& r) const;
-
-  /// Same extraction from a sparse support list (nonzero entries ascending
-  /// by node id), as produced by RwrBatchEngine::SolveBatchSupport. Skips
-  /// the O(n) rescan per focal node, which dominates all-hosts sweeps on
-  /// windows whose walk support is far below n. Candidate order matches
-  /// SignatureFromVector's ascending scan, so results are identical.
+  /// Top-k extraction from a sparse support list (nonzero entries
+  /// ascending by node id), as produced by
+  /// RwrBatchEngine::SolveBatchSupport: the Definition-1 candidate filter
+  /// fused into a streaming top-k selection, with no O(n) rescan per focal
+  /// node.
   Signature SignatureFromSupport(
       const CommGraph& g, NodeId v,
       std::span<const Signature::Entry> support) const;

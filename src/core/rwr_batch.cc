@@ -8,7 +8,77 @@
 #include "common/simd.h"
 #include "obs/obs.h"
 
+// Forces the row-scatter lambda of RwrBatchEngine::Run inline.
+#if defined(__GNUC__)
+#define COMMSIG_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define COMMSIG_ALWAYS_INLINE
+#endif
+
 namespace commsig {
+namespace {
+
+/// acc[j] += Σ_r |a[r·width + j] − b[r·width + j]| over a row-major
+/// rows × width slab, rows ascending in every column — the serial
+/// iteration's summation order. Whole vector blocks accumulate row by row;
+/// the remaining columns run one at a time, so each sum stays in a
+/// register instead of taking a load-add-store round trip per row, which
+/// dominated the dense iterations of batches narrower than a vector.
+void AccumAbsDiffRows(double* acc, const double* a, const double* b,
+                      size_t rows, size_t width) {
+  const size_t body = width - width % simd::kLanes;
+  if (body > 0) {
+    for (size_t r = 0; r < rows; ++r) {
+      simd::AccumAbsDiff(acc, a + r * width, b + r * width, body);
+    }
+  }
+  for (size_t j = body; j < width; ++j) {
+    double sum = acc[j];
+    for (size_t r = 0; r < rows; ++r) {
+      sum += std::fabs(a[r * width + j] - b[r * width + j]);
+    }
+    acc[j] = sum;
+  }
+}
+
+/// Writes each column's start distribution into ws.r (unit mass at the
+/// source, or the seed normalized to sum 1) and the sorted set of rows
+/// holding mass into ws.frontier. Kept out of line so the iteration loop of
+/// RwrBatchEngine::Run compiles exactly as it does without seeds.
+[[gnu::noinline]] void SeedColumns(
+    std::span<const NodeId> sources,
+    std::span<const std::span<const Signature::Entry>> seeds,
+    size_t num_nodes, RwrBatchWorkspace& ws) {
+  const size_t B = sources.size();
+  auto add_to_frontier = [&](NodeId x) {
+    if (!ws.in_next[x]) {
+      ws.in_next[x] = 1;
+      ws.frontier.push_back(x);
+    }
+  };
+  for (size_t b = 0; b < B; ++b) {
+    COMMSIG_CHECK(sources[b] < num_nodes, "RWR source out of range");
+    const std::span<const Signature::Entry> seed =
+        seeds.empty() ? std::span<const Signature::Entry>() : seeds[b];
+    double total = 0.0;
+    for (const Signature::Entry& e : seed) total += e.weight;
+    if (total > 0.0) {
+      const double inv = 1.0 / total;
+      for (const Signature::Entry& e : seed) {
+        COMMSIG_CHECK(e.node < num_nodes, "RWR seed node out of range");
+        ws.r[static_cast<size_t>(e.node) * B + b] = e.weight * inv;
+        add_to_frontier(e.node);
+      }
+    } else {
+      ws.r[static_cast<size_t>(sources[b]) * B + b] = 1.0;
+      add_to_frontier(sources[b]);
+    }
+  }
+  std::sort(ws.frontier.begin(), ws.frontier.end());
+  for (NodeId x : ws.frontier) ws.in_next[x] = 0;
+}
+
+}  // namespace
 
 TransitionCache::TransitionCache(const CommGraph& g, TraversalMode mode)
     : graph_(&g), mode_(mode) {
@@ -92,9 +162,11 @@ void RwrBatchEngine::VisitColumn(const RwrBatchWorkspace& ws, size_t num_nodes,
 }
 
 template <typename FinalizeCol, typename FinalizeRest>
-void RwrBatchEngine::Run(std::span<const NodeId> sources,
-                         RwrBatchWorkspace& ws, FinalizeCol&& on_converged,
-                         FinalizeRest&& on_done) const {
+void RwrBatchEngine::Run(
+    std::span<const NodeId> sources,
+    std::span<const std::span<const Signature::Entry>> seeds,
+    RwrBatchWorkspace& ws, FinalizeCol&& on_converged,
+    FinalizeRest&& on_done) const {
   const CommGraph& g = cache_->graph();
   const size_t n = g.NumNodes();
   const size_t B = sources.size();
@@ -110,34 +182,35 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
   // Frontier bookkeeping stops paying for itself once most rows are live.
   const size_t dense_threshold = n / 4;
 
-  // Seed each column with unit mass at its source; the initial frontier is
-  // the sorted, deduplicated source set.
-  for (size_t b = 0; b < B; ++b) {
-    COMMSIG_CHECK(sources[b] < n, "RWR source out of range");
-    ws.r[static_cast<size_t>(sources[b]) * B + b] = 1.0;
-    if (!ws.in_next[sources[b]]) {
-      ws.in_next[sources[b]] = 1;
-      ws.frontier.push_back(sources[b]);
-    }
-  }
-  std::sort(ws.frontier.begin(), ws.frontier.end());
-  for (NodeId x : ws.frontier) ws.in_next[x] = 0;
+  SeedColumns(sources, seeds, n, ws);
 
   size_t active_count = B;
 
   // One row of the scatter: mass at x either returns to the sources
   // (dangling) or spreads along x's traversable edges. Rows where only a
   // few columns are live — the common case on early frontier hops, where
-  // each row carries mass for one or two sources — take a scalar
-  // per-column path; rows most columns share take the contiguous B-wide
+  // each row carries mass for one or two sources — and every row of a
+  // batch narrower than one vector take a scalar per-column path; rows
+  // most columns of a wide batch share take the contiguous B-wide
   // multiply-add, which vectorizes. Either way each column adds the same
-  // terms in the same edge order as the serial path (RWR^h bit-identity).
-  auto scatter_row = [&](NodeId x, bool track) {
+  // terms in the same edge order as the serial iteration (bit-identity).
+  // Forced inline: as a call, the per-row overhead dominated narrow
+  // batches, whose rows carry a single multiply-add per edge.
+  auto scatter_row = [&](NodeId x, bool track) COMMSIG_ALWAYS_INLINE {
     const double* mass = &ws.r[static_cast<size_t>(x) * B];
     if (!cache_->walkable(x)) {
-      // Accumulating an all-zero row adds 0.0 everywhere — harmless, so no
-      // occupancy pre-check is needed on this branch.
-      simd::AccumAdd(ws.dangling.data(), mass, B);
+      if (B < simd::kLanes) {
+        // Narrow batch: per-lane adds that skip empty lanes — every
+        // isolated node of a dense scan — instead of a load-add-store
+        // round trip per row.
+        for (size_t b = 0; b < B; ++b) {
+          if (mass[b] != 0.0) ws.dangling[b] += mass[b];
+        }
+      } else {
+        // Accumulating an all-zero row adds 0.0 everywhere — harmless, so
+        // no occupancy pre-check is needed on this branch.
+        simd::AccumAdd(ws.dangling.data(), mass, B);
+      }
       return;
     }
     uint32_t* lanes = ws.lanes.data();
@@ -147,29 +220,37 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
     }
     if (live == 0) return;
     const double row_scale = (1.0 - c) * cache_->inv_norm(x);
-    if (live * 2 <= B) {
+    if (B < simd::kLanes || live * 2 <= B) {
       // Few live lanes: per-lane scalar work proportional to `live`
       // instead of B. The walked adds skip the all-zero lanes — adding 0.0
       // is an FP identity here, so this matches the full-width path
-      // bit-for-bit. Touched-row tracking only needs one sweep over the
-      // edge list: every live lane scatters to the same target rows.
-      bool first = true;
+      // bit-for-bit. Touched-row tracking takes one separate sweep over
+      // the edge list (every live lane scatters to the same target rows),
+      // which keeps the per-lane scatter loops free of bookkeeping.
       for (size_t i = 0; i < live; ++i) {
         const size_t b = lanes[i];
         ws.walked[b] += mass[b];
         const double scale_b = mass[b] * row_scale;
+        double* const col = ws.next.data() + b;
         auto scatter_one = [&](std::span<const Edge> edges) {
           for (const Edge& e : edges) {
-            if (track && first && !ws.in_next[e.node]) {
-              ws.in_next[e.node] = 1;
-              ws.touched.push_back(e.node);
-            }
-            ws.next[static_cast<size_t>(e.node) * B + b] += scale_b * e.weight;
+            col[static_cast<size_t>(e.node) * B] += scale_b * e.weight;
           }
         };
         scatter_one(g.OutEdges(x));
         if (symmetric) scatter_one(g.InEdges(x));
-        first = false;
+      }
+      if (track) {
+        auto mark = [&](std::span<const Edge> edges) {
+          for (const Edge& e : edges) {
+            if (!ws.in_next[e.node]) {
+              ws.in_next[e.node] = 1;
+              ws.touched.push_back(e.node);
+            }
+          }
+        };
+        mark(g.OutEdges(x));
+        if (symmetric) mark(g.InEdges(x));
       }
       return;
     }
@@ -245,9 +326,7 @@ void RwrBatchEngine::Run(std::span<const NodeId> sources,
       // the summation order match the serial full scan.
       std::fill(ws.delta.begin(), ws.delta.end(), 0.0);
       if (ws.dense) {
-        for (size_t i = 0; i < n * B; i += B) {
-          simd::AccumAbsDiff(ws.delta.data(), &ws.next[i], &ws.r[i], B);
-        }
+        AccumAbsDiffRows(ws.delta.data(), ws.next.data(), ws.r.data(), n, B);
       } else {
         size_t fi = 0, ti = 0;
         while (fi < ws.frontier.size() || ti < ws.touched.size()) {
@@ -362,7 +441,7 @@ std::vector<RwrScheme::RwrSolve> RwrBatchEngine::SolveBatch(
     s.residual = residual;
     s.iterations = iters;
   };
-  Run(sources, ws,
+  Run(sources, {}, ws,
       [&](size_t b, double residual, size_t iters) {
         extract(b, /*converged=*/true, residual, iters);
       },
@@ -379,14 +458,17 @@ void RwrBatchEngine::SolveBatchSupport(
     std::span<const NodeId> sources, RwrBatchWorkspace& ws,
     std::vector<Signature::Entry>& entries,
     std::vector<std::pair<size_t, size_t>>& ranges,
-    std::vector<uint8_t>& converged) const {
+    std::vector<uint8_t>& converged,
+    std::span<const std::span<const Signature::Entry>> seeds) const {
+  COMMSIG_CHECK(seeds.empty() || seeds.size() == sources.size(),
+                "RWR seeds must be empty or one per source");
   const size_t n = cache_->num_nodes();
   const size_t B = sources.size();
   const bool truncated = opts_.max_hops > 0;
   entries.clear();
   ranges.assign(B, {0, 0});
   converged.assign(B, 0);
-  Run(sources, ws,
+  Run(sources, seeds, ws,
       [&](size_t b, double /*residual*/, size_t /*iters*/) {
         const size_t start = entries.size();
         VisitColumn(ws, n, B, b, [&](NodeId x, double val) {

@@ -41,9 +41,9 @@ class TransitionCache {
 
   /// 1 / norm(x) (0 for dangling rows), precomputed so the power-iteration
   /// inner loops multiply instead of divide — divisions were the single
-  /// largest arithmetic cost of a sweep. Both the serial and batched
-  /// solvers scale by this, keeping their results bit-identical to each
-  /// other.
+  /// largest arithmetic cost of a sweep. The engine and the serial test
+  /// oracle (ref::RwrSolve) both scale by this, keeping their results
+  /// bit-identical to each other.
   double inv_norm(NodeId x) const { return inv_norm_[x]; }
 
   /// True iff `x` has traversable edges. Walks at non-walkable (dangling)
@@ -102,9 +102,13 @@ struct RwrBatchWorkspace {
 ///    remaining iterations instead of being recomputed to the slowest
 ///    column's horizon.
 ///
-/// Per-column results are bit-identical to RwrScheme::Solve for truncated
-/// RWR^h walks (same additions in the same order), and match within solver
-/// tolerance for unbounded walks.
+/// This is the only RWR power iteration: RwrScheme's sweeps, warm starts
+/// and single-source solves (a batch of one) all run on it. Per column it
+/// adds the same terms in the same order as the serial iteration of
+/// Definition 5 (the test oracle ref::RwrSolve): results are bit-identical
+/// to it for truncated RWR^h walks at every batch width and for unbounded
+/// walks at width 1, and match within solver tolerance for wider
+/// unbounded batches.
 class RwrBatchEngine {
  public:
   /// Number of source columns a batch window holds by default. Wide enough
@@ -137,11 +141,18 @@ class RwrBatchEngine {
   /// convergence (always true for truncated walks) for the caller's
   /// fallback ladder. The output vectors are cleared and refilled, so
   /// callers can reuse them across batches without reallocation.
-  void SolveBatchSupport(std::span<const NodeId> sources,
-                         RwrBatchWorkspace& ws,
-                         std::vector<Signature::Entry>& entries,
-                         std::vector<std::pair<size_t, size_t>>& ranges,
-                         std::vector<uint8_t>& converged) const;
+  ///
+  /// `seeds` is empty or index-aligned with `sources`. A non-empty
+  /// seeds[b] — a sparse (node, mass) support ascending by node id, such
+  /// as a previous solve's output — is normalized to sum 1 and replaces
+  /// column b's unit start at its source (the incremental warm start); an
+  /// empty one keeps the unit start.
+  void SolveBatchSupport(
+      std::span<const NodeId> sources, RwrBatchWorkspace& ws,
+      std::vector<Signature::Entry>& entries,
+      std::vector<std::pair<size_t, size_t>>& ranges,
+      std::vector<uint8_t>& converged,
+      std::span<const std::span<const Signature::Entry>> seeds = {}) const;
 
   /// The calling thread's lazily constructed scratch workspace
   /// (thread_local, so never shared; the reference must not be handed to
@@ -151,7 +162,8 @@ class RwrBatchEngine {
   const RwrOptions& options() const { return opts_; }
 
  private:
-  /// Shared block power iteration. on_converged(b, residual, iterations)
+  /// Shared block power iteration from the start distributions `seeds`
+  /// describes (see SolveBatchSupport). on_converged(b, residual, iterations)
   /// fires when a column meets tolerance and is masked out (column b of
   /// ws.r is readable through VisitColumn at that point); on_done(live)
   /// fires once after the iteration cap with the still-live column indices
@@ -159,8 +171,10 @@ class RwrBatchEngine {
   /// workspace arrays). Restores the workspace's all-zero invariant before
   /// returning.
   template <typename FinalizeCol, typename FinalizeRest>
-  void Run(std::span<const NodeId> sources, RwrBatchWorkspace& ws,
-           FinalizeCol&& on_converged, FinalizeRest&& on_done) const;
+  void Run(std::span<const NodeId> sources,
+           std::span<const std::span<const Signature::Entry>> seeds,
+           RwrBatchWorkspace& ws, FinalizeCol&& on_converged,
+           FinalizeRest&& on_done) const;
 
   /// Invokes fn(node, probability) for each nonzero entry of column b,
   /// ascending by node id.

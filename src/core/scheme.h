@@ -225,12 +225,12 @@ struct RwrOptions {
   double incremental_max_drift = 1e-6;
 
   /// Unbounded walks whose drift estimate exceeds incremental_max_drift
-  /// but stays at or below this limit are warm-started: the power
-  /// iteration is seeded with the previous stationary vector, so it pays
-  /// ~ln(drift/tolerance) contraction steps instead of ~ln(1/tolerance).
-  /// Above the limit (or when the warm solve fails to converge) the node
-  /// joins the cold batched re-solve, counted under
-  /// `timeline/rwr_warm_start_fallbacks`.
+  /// but stays at or below this limit are warm-started: the node's column
+  /// in the batched re-solve is seeded with its previous stationary
+  /// support, so it pays ~ln(drift/tolerance) contraction steps instead of
+  /// ~ln(1/tolerance). Above the limit the column starts cold, and a
+  /// seeded column that fails to converge is re-solved cold; both count
+  /// under `timeline/rwr_warm_start_fallbacks`.
   double incremental_warm_drift = 0.25;
 };
 

@@ -46,7 +46,7 @@ FlowDataset FlowTraceGenerator::Generate() const {
   const FlowGeneratorConfig& cfg = config_;
   assert(cfg.num_local_hosts >= 2);
   assert(cfg.num_external_hosts > cfg.num_popular_services);
-  assert(cfg.num_windows >= 2);
+  assert(cfg.num_windows >= 1);
 
   Rng rng(cfg.seed);
   FlowDataset ds;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "graph/graph_builder.h"
 #include "ingest/chunker.h"
 #include "ingest/record_batch.h"
@@ -650,242 +648,6 @@ struct SignatureRowsSink {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Sharded windower stage.
-// ---------------------------------------------------------------------------
-
-/// A block of merged events in flight to one window shard.
-struct EventBlock {
-  std::vector<TraceEvent> events;
-};
-
-/// The merge-side sink that routes accepted events into per-shard windower
-/// stages through bounded SPSC queues. Sharding is by `src % shards`: every
-/// observation of a (src, dst) pair lands in one shard in stream order, so
-/// per-shard aggregation sums each edge's weights in stream order and the
-/// final per-window graphs are bit-identical to TraceWindower::Split on the
-/// merged events.
-///
-/// While ingestion runs, shard threads pre-bucket window counts and store
-/// their events. Validation and aggregation need the final node-universe
-/// size, so they run in FinishAndBuild after the merge completes.
-class ShardedWindowSink {
- public:
-  ShardedWindowSink(size_t shards, size_t queue_capacity,
-                    uint64_t window_length, uint64_t start_time)
-      : shards_(std::max<size_t>(shards, 1)),
-        window_length_(std::max<uint64_t>(window_length, 1)),
-        start_time_(start_time),
-        states_(shards_) {
-    const size_t pool = queue_capacity + 2;
-    for (size_t s = 0; s < shards_; ++s) {
-      ShardState& st = states_[s];
-      st.queue =
-          std::make_unique<BoundedSpscQueue<EventBlock*>>(queue_capacity);
-      st.free_queue = std::make_unique<BoundedSpscQueue<EventBlock*>>(pool);
-      for (size_t i = 0; i < pool; ++i) {
-        st.pool.push_back(std::make_unique<EventBlock>());
-        EventBlock* block = st.pool.back().get();
-        st.free_queue->Push(block);
-      }
-      if (!st.free_queue->Pop(st.filling)) st.filling = nullptr;
-      st.thread = std::thread([this, s] { ShardLoop(s); });
-    }
-  }
-
-  ~ShardedWindowSink() { Shutdown(); }
-
-  void Emit(NodeId src, NodeId dst, uint64_t time, double weight) {
-    ShardState& st = states_[src % shards_];
-    st.filling->events.push_back({src, dst, time, weight});
-    if (st.filling->events.size() >= kBlockEvents) Flush(st);
-  }
-
-  /// Flushes remainders, stops the shard threads, and assembles the final
-  /// window graphs (parallelized over shards, then over windows).
-  std::vector<CommGraph> FinishAndBuild(size_t num_nodes,
-                                        NodeId bipartite_left_size) {
-    num_nodes_.store(num_nodes, std::memory_order_release);
-    Shutdown();
-
-    size_t num_windows = 0;
-    for (ShardState& st : states_) {
-      num_windows = std::max(num_windows, st.num_windows);
-    }
-
-    // Per-shard validation + aggregation (the per-pair weight sums), then
-    // per-window assembly from the disjoint shard aggregates.
-    ThreadPool pool(std::min(shards_, static_cast<size_t>(8)));
-    ParallelFor(pool, shards_, [&](size_t s) { AggregateShard(s); });
-
-    uint64_t dropped = 0;
-    std::vector<uint64_t> window_events(num_windows, 0);
-    for (ShardState& st : states_) {
-      dropped += st.dropped;
-      for (size_t w = 0; w < st.events_per_window.size(); ++w) {
-        window_events[w] += st.events_per_window[w];
-      }
-    }
-
-    std::vector<CommGraph> graphs(num_windows);
-    ParallelFor(pool, num_windows, [&](size_t w) {
-      GraphBuilder builder(num_nodes);
-      builder.SetBipartiteLeftSize(bipartite_left_size);
-      size_t total = 0;
-      for (ShardState& st : states_) {
-        if (w < st.aggregated.size()) total += st.aggregated[w].size();
-      }
-      builder.Reserve(total);
-      for (ShardState& st : states_) {
-        if (w >= st.aggregated.size()) continue;
-        for (const CommGraph::FlatEdge& e : st.aggregated[w]) {
-          builder.AddEdge(e.src, e.dst, e.weight);
-        }
-      }
-      graphs[w] = std::move(builder).Build();
-    });
-
-    // Same accounting the serial windower emits, so dashboards can't tell
-    // the paths apart.
-    if (dropped > 0) {
-      COMMSIG_COUNTER_ADD("robust/windower_dropped_events", dropped);
-    }
-    COMMSIG_COUNTER_ADD("windower/windows_built", num_windows);
-    for (size_t w = 0; w < num_windows; ++w) {
-      COMMSIG_HISTOGRAM_OBSERVE("windower/window_events", window_events[w]);
-    }
-    return graphs;
-  }
-
-  uint64_t producer_stalls() const {
-    uint64_t total = 0;
-    for (const ShardState& st : states_) total += st.queue->producer_stalls();
-    return total;
-  }
-  uint64_t consumer_stalls() const {
-    uint64_t total = 0;
-    for (const ShardState& st : states_) total += st.queue->consumer_stalls();
-    return total;
-  }
-
- private:
-  static constexpr size_t kBlockEvents = 4096;
-
-  struct ShardState {
-    std::unique_ptr<BoundedSpscQueue<EventBlock*>> queue;
-    std::unique_ptr<BoundedSpscQueue<EventBlock*>> free_queue;
-    std::vector<std::unique_ptr<EventBlock>> pool;
-    EventBlock* filling = nullptr;
-    std::thread thread;
-
-    // Shard-thread state (owned by the shard thread until join).
-    std::vector<TraceEvent> events;
-    std::vector<size_t> window_counts;
-    size_t num_windows = 0;
-
-    // Finish-stage results.
-    uint64_t dropped = 0;
-    std::vector<uint64_t> events_per_window;
-    std::vector<std::vector<CommGraph::FlatEdge>> aggregated;
-  };
-
-  size_t WindowOf(uint64_t time) const {
-    if (time < start_time_) return static_cast<size_t>(-1);
-    return static_cast<size_t>((time - start_time_) / window_length_);
-  }
-
-  void Flush(ShardState& st) {
-    if (st.filling == nullptr || st.filling->events.empty()) return;
-    st.queue->Push(st.filling);
-    if (!st.free_queue->Pop(st.filling)) st.filling = nullptr;
-  }
-
-  void ShardLoop(size_t s) {
-    ShardState& st = states_[s];
-    EventBlock* block = nullptr;
-    while (st.queue->Pop(block)) {
-      for (const TraceEvent& e : block->events) {
-        const size_t w = WindowOf(e.time);
-        if (w != static_cast<size_t>(-1)) {
-          if (w + 1 > st.num_windows) {
-            st.num_windows = w + 1;
-            st.window_counts.resize(st.num_windows, 0);
-          }
-          ++st.window_counts[w];
-          st.events.push_back(e);
-        }
-      }
-      block->events.clear();
-      st.free_queue->Push(block);
-    }
-  }
-
-  /// Validation (TryAddEdge's exact predicate) + per-window, per-pair
-  /// aggregation for one shard. Weights of one pair sum in stream order —
-  /// the stable sort preserves it — which is the bit-identity argument.
-  void AggregateShard(size_t s) {
-    ShardState& st = states_[s];
-    const size_t num_nodes = num_nodes_.load(std::memory_order_acquire);
-    st.events_per_window.assign(st.num_windows, 0);
-    std::vector<std::vector<CommGraph::FlatEdge>> staged(st.num_windows);
-    for (size_t w = 0; w < st.num_windows; ++w) {
-      staged[w].reserve(st.window_counts[w]);
-    }
-    for (const TraceEvent& e : st.events) {
-      const size_t w = WindowOf(e.time);
-      if (e.src >= num_nodes || e.dst >= num_nodes ||
-          !std::isfinite(e.weight) || e.weight <= 0.0) {
-        ++st.dropped;
-        continue;
-      }
-      staged[w].push_back({e.src, e.dst, e.weight});
-      ++st.events_per_window[w];
-    }
-    st.events.clear();
-    st.events.shrink_to_fit();
-
-    st.aggregated.assign(st.num_windows, {});
-    for (size_t w = 0; w < st.num_windows; ++w) {
-      std::vector<CommGraph::FlatEdge>& edges = staged[w];
-      std::stable_sort(edges.begin(), edges.end(),
-                       [](const CommGraph::FlatEdge& a,
-                          const CommGraph::FlatEdge& b) {
-                         return a.src != b.src ? a.src < b.src
-                                               : a.dst < b.dst;
-                       });
-      std::vector<CommGraph::FlatEdge>& out = st.aggregated[w];
-      for (size_t i = 0; i < edges.size();) {
-        const NodeId src = edges[i].src;
-        const NodeId dst = edges[i].dst;
-        double weight = 0.0;
-        for (; i < edges.size() && edges[i].src == src && edges[i].dst == dst;
-             ++i) {
-          weight += edges[i].weight;
-        }
-        out.push_back({src, dst, weight});
-      }
-    }
-  }
-
-  void Shutdown() {
-    if (shut_down_) return;
-    shut_down_ = true;
-    for (ShardState& st : states_) Flush(st);
-    for (ShardState& st : states_) st.queue->Close();
-    for (ShardState& st : states_) {
-      if (st.thread.joinable()) st.thread.join();
-      st.free_queue->Close();
-    }
-  }
-
-  size_t shards_;
-  uint64_t window_length_;
-  uint64_t start_time_;
-  std::atomic<size_t> num_nodes_{0};
-  std::vector<ShardState> states_;
-  bool shut_down_ = false;
-};
-
 RowFormat ToRowFormat(PipelineFormat format) {
   return format == PipelineFormat::kNetflowV5 ? RowFormat::kNetflow
                                               : RowFormat::kTrace;
@@ -942,29 +704,6 @@ Result<SignatureSet> ReadSignatureSetPipelined(const std::string& path,
     set.signatures.push_back(Signature::FromTopK(std::move(e), k));
   }
   return set;
-}
-
-Result<std::vector<CommGraph>> ReadWindowsPipelined(
-    const std::string& path, PipelineFormat format, Interner& interner,
-    const WindowedReadOptions& window_options, const PipelineOptions& options,
-    PipelineStats* stats) {
-  const size_t shards =
-      window_options.shards > 0
-          ? window_options.shards
-          : static_cast<size_t>(std::max(options.parse_workers, 1));
-  ShardedWindowSink sink(shards, std::max<size_t>(options.queue_capacity, 1),
-                         window_options.window_length,
-                         window_options.start_time);
-  Status s =
-      RunPipeline(path, ToRowFormat(format), interner, options, sink, stats);
-  if (!s.ok()) return s;  // the sink destructor unwinds the shard stage
-  std::vector<CommGraph> graphs = sink.FinishAndBuild(
-      interner.size(), window_options.bipartite_left_size);
-  if (stats != nullptr) {
-    stats->producer_stalls += sink.producer_stalls();
-    stats->consumer_stalls += sink.consumer_stalls();
-  }
-  return graphs;
 }
 
 }  // namespace commsig::ingest

@@ -111,33 +111,6 @@ Result<SignatureSet> ReadSignatureSetPipelined(const std::string& path,
                                                const PipelineOptions& options,
                                                PipelineStats* stats = nullptr);
 
-/// Windowing configuration for ReadWindowsPipelined, mirroring
-/// TraceWindower's constructor.
-struct WindowedReadOptions {
-  uint64_t window_length = 1;
-  uint64_t start_time = 0;
-  NodeId bipartite_left_size = 0;
-  /// Window shard stages fed by the merge through bounded queues; 0 picks
-  /// parse_workers. Events are sharded by src id, which keeps every
-  /// observation of one (src, dst) pair in a single shard in stream order
-  /// — the property that makes the sharded aggregation bit-identical to
-  /// TraceWindower::Split.
-  size_t shards = 0;
-};
-
-/// Parallel counterpart of reading events then TraceWindower::Split: the
-/// merge stage routes accepted events into per-shard windower stages
-/// through bounded SPSC queues, shards pre-bucket and aggregate while
-/// ingestion is still running, and final per-window graphs are assembled
-/// from the shard aggregates. Window graphs are bit-identical to
-/// `TraceWindower(interner.size(), ...).Split(events)` on the events
-/// ReadTraceEventsPipelined returns, at every worker/shard count (kBlock
-/// only).
-Result<std::vector<CommGraph>> ReadWindowsPipelined(
-    const std::string& path, PipelineFormat format, Interner& interner,
-    const WindowedReadOptions& window_options, const PipelineOptions& options,
-    PipelineStats* stats = nullptr);
-
 }  // namespace commsig::ingest
 
 #endif  // COMMSIG_INGEST_PIPELINE_H_

@@ -4,12 +4,14 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <vector>
 
 #include "core/rwr_push.h"
 #include "core/scheme.h"
 #include "graph/windower.h"
+#include "obs/metrics.h"
 #include "robust/fault_injector.h"
 
 namespace commsig {
@@ -46,6 +48,10 @@ std::vector<NodeId> AllFocal() {
   std::vector<NodeId> focal(kNumNodes);
   for (NodeId v = 0; v < kNumNodes; ++v) focal[v] = v;
   return focal;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name).Value();
 }
 
 double MaxWeightDeviation(const std::vector<Signature>& a,
@@ -99,13 +105,82 @@ TEST(IncrementalEngineTest, RwrStaysWithinDocumentedEpsilon) {
     auto windows = SlidingWindows(BurstyEvents(13));
     auto focal = AllFocal();
     IncrementalSignatureEngine engine(*scheme, focal);
-    for (const CommGraph& g : windows) {
-      const auto& incr = engine.AdvanceBorrowed(g);
-      auto scratch = scheme->ComputeAll(g, focal);
+    uint64_t dirty = 0, not_warm = 0;
+    for (size_t w = 0; w < windows.size(); ++w) {
+      const uint64_t dirty_before = CounterValue("timeline/nodes_dirty");
+      const uint64_t not_warm_before =
+          CounterValue("timeline/rwr_warm_start_fallbacks");
+      const auto& incr = engine.AdvanceBorrowed(windows[w]);
+      if (w > 0) {  // transitions only: the first window primes
+        dirty += CounterValue("timeline/nodes_dirty") - dirty_before;
+        not_warm += CounterValue("timeline/rwr_warm_start_fallbacks") -
+                    not_warm_before;
+      }
+      auto scratch = scheme->ComputeAll(windows[w], focal);
       EXPECT_LE(MaxWeightDeviation(incr, scratch), 1e-5)
           << "h=" << max_hops;
     }
+#ifndef COMMSIG_OBS_DISABLED
+    // The unbounded run must keep exercising the warm rung: some dirty
+    // node re-solved from its seeded support, not cold.
+    if (max_hops == 0) {
+      EXPECT_GT(dirty - not_warm, 0u);
+    }
+#endif
   }
+}
+
+TEST(IncrementalEngineTest, RwrUnconvergedWarmStartsEndOnTruncatedFallback) {
+  // An iteration cap no start converges under: each dirty node's seeded
+  // column misses tolerance, re-solves cold, misses again and ends on the
+  // truncated RWR^fallback_hops walk — counted once under each counter.
+  RwrOptions rwr;
+  rwr.max_iterations = 2;
+  rwr.fallback_hops = 2;
+  rwr.incremental_warm_drift = 1e300;  // every dirty node is warm-eligible
+  auto scheme = MakeRwr({.k = 5}, rwr);
+  RwrOptions truncated = rwr;
+  truncated.max_hops = rwr.fallback_hops;
+  auto fallback = MakeRwr({.k = 5}, truncated);
+
+  auto windows = SlidingWindows(BurstyEvents(13));
+  // The always-on core (senders 0-9, receivers 10-16): walkable in every
+  // window, so none of them converges in two steps. An isolated node
+  // would: its unit mass never moves.
+  std::vector<NodeId> focal(17);
+  std::iota(focal.begin(), focal.end(), 0);
+  IncrementalSignatureEngine engine(*scheme, focal);
+  std::vector<Signature> previous = engine.AdvanceBorrowed(windows[0]);
+  EXPECT_EQ(previous, fallback->ComputeAll(windows[0], focal));
+  uint64_t dirty = 0;
+  for (size_t w = 1; w < windows.size(); ++w) {
+    const uint64_t dirty_before = CounterValue("timeline/nodes_dirty");
+    const uint64_t warm_before =
+        CounterValue("timeline/rwr_warm_start_fallbacks");
+    const uint64_t fallbacks_before = CounterValue("robust/rwr_fallbacks");
+    const auto& incr = engine.AdvanceBorrowed(windows[w]);
+    const uint64_t window_dirty =
+        CounterValue("timeline/nodes_dirty") - dirty_before;
+    EXPECT_EQ(CounterValue("timeline/rwr_warm_start_fallbacks") - warm_before,
+              window_dirty)
+        << "window " << w;
+    EXPECT_EQ(CounterValue("robust/rwr_fallbacks") - fallbacks_before,
+              window_dirty)
+        << "window " << w;
+    dirty += window_dirty;
+
+    // Re-solved nodes hold the truncated walk's signature; the rest were
+    // reused from the previous window.
+    auto expected = fallback->ComputeAll(windows[w], focal);
+    for (size_t i = 0; i < focal.size(); ++i) {
+      if (incr[i] == expected[i]) continue;
+      EXPECT_EQ(incr[i], previous[i]) << "window " << w << " node " << i;
+    }
+    previous = incr;
+  }
+#ifndef COMMSIG_OBS_DISABLED
+  EXPECT_GT(dirty, 0u);
+#endif
 }
 
 TEST(IncrementalEngineTest, RwrPushMatchesScratch) {

@@ -11,6 +11,7 @@
 #include "core/rwr.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "ref/rwr.h"
 
 namespace commsig {
 namespace {
@@ -67,8 +68,8 @@ TEST(TransitionCacheTest, NormsAndPartitionMatchGraph) {
 }
 
 // RWR^h: the batched engine must reproduce the serial power iteration
-// bit-for-bit across traversal modes, reset strengths, hop depths, and
-// dangling structure.
+// (the ref::RwrSolve oracle) bit-for-bit across traversal modes, reset
+// strengths, hop depths, and dangling structure.
 TEST(RwrBatchTest, TruncatedWalksBitIdenticalToSerial) {
   CommGraph g = RandomGraph(30, 0.15, 7);
   std::vector<NodeId> sources = AllNodes(g);
@@ -77,13 +78,12 @@ TEST(RwrBatchTest, TruncatedWalksBitIdenticalToSerial) {
     for (double c : {0.0, 0.1, 0.5}) {
       for (size_t h : {1u, 2u, 4u}) {
         RwrOptions opts{.reset = c, .max_hops = h, .traversal = mode};
-        RwrScheme scheme({.k = 10}, opts);
         TransitionCache cache(g, mode);
         RwrBatchEngine engine(opts, cache);
         auto solves = engine.SolveBatch(sources);
         ASSERT_EQ(solves.size(), sources.size());
         for (size_t i = 0; i < sources.size(); ++i) {
-          auto serial = scheme.Solve(g, sources[i]);
+          auto serial = ref::RwrSolve(opts, g, sources[i]);
           SCOPED_TRACE(testing::Message()
                        << "mode=" << static_cast<int>(mode) << " c=" << c
                        << " h=" << h << " v=" << sources[i]);
@@ -145,12 +145,11 @@ TEST(RwrBatchTest, UnboundedWalksMatchSerialWithinTolerance) {
   for (double c : {0.1, 0.5}) {
     RwrOptions opts{.reset = c, .max_hops = 0,
                     .traversal = TraversalMode::kSymmetric};
-    RwrScheme scheme({.k = 10}, opts);
     TransitionCache cache(g, opts.traversal);
     RwrBatchEngine engine(opts, cache);
     auto solves = engine.SolveBatch(sources);
     for (size_t i = 0; i < sources.size(); ++i) {
-      auto serial = scheme.Solve(g, sources[i]);
+      auto serial = ref::RwrSolve(opts, g, sources[i]);
       SCOPED_TRACE(testing::Message() << "c=" << c << " v=" << sources[i]);
       EXPECT_EQ(solves[i].converged, serial.converged);
       EXPECT_EQ(solves[i].iterations, serial.iterations);
@@ -161,6 +160,72 @@ TEST(RwrBatchTest, UnboundedWalksMatchSerialWithinTolerance) {
         sum += solves[i].probabilities[u];
       }
       EXPECT_NEAR(sum, 1.0, 1e-9);
+
+      // Width 1 — what RwrScheme::Solve and Compute run — takes the
+      // engine's scalar per-lane scatter and must equal the oracle exactly.
+      auto single = engine.SolveBatch(
+          std::span<const NodeId>(sources).subspan(i, 1));
+      ASSERT_EQ(single.size(), 1u);
+      EXPECT_EQ(single[0].converged, serial.converged);
+      EXPECT_EQ(single[0].iterations, serial.iterations);
+      EXPECT_EQ(single[0].probabilities, serial.probabilities);
+    }
+  }
+}
+
+// Warm starts: a seeded column starts from its seed normalized to sum 1
+// (an empty seed keeps the unit start at the source) and must then follow
+// the oracle's iteration from that same start bit for bit, with seeded
+// and unseeded columns mixed in one batch.
+TEST(RwrBatchTest, SeededColumnsBitIdenticalToSerialFromSameSeed) {
+  CommGraph g = RandomGraph(40, 0.1, 37);
+  for (TraversalMode mode :
+       {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
+    RwrOptions opts{.reset = 0.1, .max_hops = 0, .traversal = mode};
+    TransitionCache cache(g, mode);
+    RwrBatchEngine engine(opts, cache);
+
+    // Seeds: the unnormalized supports of other sources' stationary
+    // vectors, so most seeds put no mass on their own source.
+    std::vector<NodeId> sources = AllNodes(g);
+    auto donors = engine.SolveBatch(sources);
+    std::vector<std::vector<Signature::Entry>> seed_storage(sources.size());
+    std::vector<std::span<const Signature::Entry>> seeds(sources.size());
+    for (size_t b = 0; b < sources.size(); ++b) {
+      if (b % 3 == 0) continue;  // unseeded column
+      const auto& donor = donors[(b * 7 + 3) % sources.size()].probabilities;
+      for (NodeId u = 0; u < g.NumNodes(); ++u) {
+        if (donor[u] != 0.0) seed_storage[b].push_back({u, 3.5 * donor[u]});
+      }
+      seeds[b] = seed_storage[b];
+    }
+
+    std::vector<Signature::Entry> entries;
+    std::vector<std::pair<size_t, size_t>> ranges;
+    std::vector<uint8_t> converged;
+    engine.SolveBatchSupport(sources, RwrBatchEngine::LocalWorkspace(),
+                             entries, ranges, converged, seeds);
+    ASSERT_EQ(ranges.size(), sources.size());
+    for (size_t b = 0; b < sources.size(); ++b) {
+      SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
+                                      << " b=" << b);
+      std::vector<double> start(g.NumNodes(), 0.0);
+      if (seeds[b].empty()) {
+        start[sources[b]] = 1.0;
+      } else {
+        double total = 0.0;
+        for (const Signature::Entry& e : seeds[b]) total += e.weight;
+        for (const Signature::Entry& e : seeds[b]) {
+          start[e.node] = e.weight * (1.0 / total);
+        }
+      }
+      auto serial = ref::RwrSolve(opts, g, sources[b], cache, start);
+      std::vector<double> got(g.NumNodes(), 0.0);
+      for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
+        got[entries[j].node] = entries[j].weight;
+      }
+      EXPECT_EQ(converged[b] != 0, serial.converged);
+      EXPECT_EQ(got, serial.probabilities);
     }
   }
 }
@@ -172,13 +237,12 @@ TEST(RwrBatchTest, FrontierSparsePathMatchesSerial) {
   CommGraph g = RandomGraph(600, 0.005, 23);
   RwrOptions opts{.reset = 0.1, .max_hops = 2,
                   .traversal = TraversalMode::kSymmetric};
-  RwrScheme scheme({.k = 10}, opts);
   TransitionCache cache(g, opts.traversal);
   RwrBatchEngine engine(opts, cache);
   std::vector<NodeId> sources = {0, 17, 300, 599};
   auto solves = engine.SolveBatch(sources);
   for (size_t i = 0; i < sources.size(); ++i) {
-    auto serial = scheme.Solve(g, sources[i]);
+    auto serial = ref::RwrSolve(opts, g, sources[i]);
     for (size_t u = 0; u < g.NumNodes(); ++u) {
       EXPECT_EQ(solves[i].probabilities[u], serial.probabilities[u])
           << "v=" << sources[i] << " u=" << u;
@@ -233,7 +297,8 @@ TEST(RwrBatchTest, FallbackLadderMatchesSerialCompute) {
   ASSERT_EQ(batched.size(), nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     // The fallback runs a truncated walk, so equality is exact.
-    EXPECT_EQ(batched[i], scheme.Compute(g, nodes[i])) << "v=" << nodes[i];
+    EXPECT_EQ(batched[i], ref::RwrSignature({.k = 10}, opts, g, nodes[i]))
+        << "v=" << nodes[i];
   }
 }
 
@@ -249,7 +314,8 @@ TEST(RwrBatchTest, UnconvergedWithoutFallbackKeepsRawVector) {
   std::vector<NodeId> nodes = AllNodes(g);
   auto batched = scheme.ComputeAll(g, nodes);
   for (size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_EQ(batched[i], scheme.Compute(g, nodes[i])) << "v=" << nodes[i];
+    EXPECT_EQ(batched[i], ref::RwrSignature({.k = 10}, opts, g, nodes[i]))
+        << "v=" << nodes[i];
   }
 }
 
@@ -266,28 +332,16 @@ TEST(RwrBatchTest, ComputeAllMatchesPerNodeComputeOnFlowData) {
     auto scheme = CreateScheme(
         spec, {.k = 10, .restrict_to_opposite_partition = true});
     ASSERT_TRUE(scheme.ok()) << spec;
-    auto batched = (*scheme)->ComputeAll(g, ds.local_hosts);
+    const auto& rwr = static_cast<const RwrScheme&>(**scheme);
+    auto batched = rwr.ComputeAll(g, ds.local_hosts);
     ASSERT_EQ(batched.size(), ds.local_hosts.size());
     for (size_t i = 0; i < ds.local_hosts.size(); ++i) {
-      EXPECT_EQ(batched[i], (*scheme)->Compute(g, ds.local_hosts[i]))
+      EXPECT_EQ(batched[i], rwr.Compute(g, ds.local_hosts[i]))
           << spec << " host " << i;
-    }
-  }
-}
-
-TEST(RwrBatchTest, SerialSolveWithSharedCacheMatchesFreshCache) {
-  CommGraph g = RandomGraph(25, 0.2, 31);
-  RwrOptions opts{.reset = 0.1, .max_hops = 0,
-                  .traversal = TraversalMode::kSymmetric};
-  RwrScheme scheme({.k = 10}, opts);
-  TransitionCache cache(g, opts.traversal);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    auto fresh = scheme.Solve(g, v);
-    auto shared = scheme.Solve(g, v, cache);
-    EXPECT_EQ(shared.converged, fresh.converged);
-    EXPECT_EQ(shared.iterations, fresh.iterations);
-    for (size_t u = 0; u < g.NumNodes(); ++u) {
-      EXPECT_EQ(shared.probabilities[u], fresh.probabilities[u]);
+      EXPECT_EQ(batched[i],
+                ref::RwrSignature(rwr.options(), rwr.rwr_options(), g,
+                                  ds.local_hosts[i]))
+          << spec << " host " << i;
     }
   }
 }

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "data/netflow.h"
-#include "graph/windower.h"
 #include "ref/readers.h"
 
 namespace commsig::ingest {
@@ -558,68 +557,6 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
     EXPECT_EQ(FingerprintEvents(*got, interner),
               FingerprintEvents(*serial, serial_interner));
     EXPECT_EQ(FingerprintErrorLog(log), FingerprintErrorLog(serial_log));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded windowing.
-// ---------------------------------------------------------------------------
-
-TEST_F(PipelineTest, WindowedReadMatchesSerialSplitAtEveryShardCount) {
-  WriteFile(CleanTraceCorpus(6000));
-
-  Interner serial_interner;
-  auto serial = ref::ReadTrace(PathStr(), serial_interner);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  TraceWindower windower(serial_interner.size(), /*window_length=*/100,
-                         /*start_time=*/1000);
-  std::vector<CommGraph> golden = windower.Split(*serial);
-  ASSERT_GT(golden.size(), 1u);
-
-  for (int workers : {1, 2}) {
-    for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-      Interner interner;
-      PipelineOptions options;
-      options.parse_workers = workers;
-      options.chunk_bytes = 4096;
-      WindowedReadOptions window_options;
-      window_options.window_length = 100;
-      window_options.start_time = 1000;
-      window_options.shards = shards;
-      auto got = ReadWindowsPipelined(PathStr(), PipelineFormat::kTraceCsv,
-                                      interner, window_options, options);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_EQ(got->size(), golden.size())
-          << "workers=" << workers << " shards=" << shards;
-      for (size_t w = 0; w < golden.size(); ++w) {
-        EXPECT_EQ(FingerprintGraph((*got)[w]), FingerprintGraph(golden[w]))
-            << "window=" << w << " workers=" << workers
-            << " shards=" << shards;
-      }
-    }
-  }
-}
-
-TEST_F(PipelineTest, WindowedReadSkipsEventsBeforeStartTime) {
-  WriteFile("a,b,5,1\nc,d,50,2\ne,f,55,3\n");
-
-  Interner serial_interner;
-  auto serial = ref::ReadTrace(PathStr(), serial_interner);
-  ASSERT_TRUE(serial.ok());
-  TraceWindower windower(serial_interner.size(), 10, 40);
-  std::vector<CommGraph> golden = windower.Split(*serial);
-
-  Interner interner;
-  WindowedReadOptions window_options;
-  window_options.window_length = 10;
-  window_options.start_time = 40;
-  window_options.shards = 2;
-  auto got = ReadWindowsPipelined(PathStr(), PipelineFormat::kTraceCsv,
-                                  interner, window_options, {});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), golden.size());
-  for (size_t w = 0; w < golden.size(); ++w) {
-    EXPECT_EQ(FingerprintGraph((*got)[w]), FingerprintGraph(golden[w]));
   }
 }
 

@@ -7,7 +7,9 @@ hosts as aliases and `selfmatch` a perfect persistence; a zero window
 length silently degenerates to one-unit windows.  Every subcommand that
 reads either flag must exit 2 with the CLI's usual
 `invalid value for --<flag>` message before printing any result, while
-`--k 1` keeps working.
+`--k 1` keeps working.  A last flag given no value at all (`... --k`) is
+rejected the same way, with `missing value for --<flag>`, instead of
+being dropped for its default.
 
 Usage: cli_zero_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
@@ -81,6 +83,12 @@ class ZeroFlagsTest(unittest.TestCase):
                 self.assert_rejected(
                     self.run_cli(command, "--window-length", "0"),
                     "window-length")
+
+    def test_trailing_flag_without_value_rejected(self):
+        proc = self.run_cli("signatures", "--window-length", "1000", "--k")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("missing value for --k", proc.stderr)
+        self.assertEqual(proc.stdout, "")
 
     def test_k_one_still_runs(self):
         proc = self.run_cli("signatures", "--k", "1",

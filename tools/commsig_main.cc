@@ -984,13 +984,13 @@ int RunFaultcheck(const Args& args) {
           .Str("status", scheme.status().ToString());
       return 1;
     }
+    const std::vector<Signature> before = (*scheme)->ComputeAll(g0, focal);
+    const std::vector<Signature> after = (*scheme)->ComputeAll(g1, focal);
     double sum = 0.0;
     size_t n = 0;
-    for (NodeId v : focal) {
-      Signature a = (*scheme)->Compute(g0, v);
-      Signature b = (*scheme)->Compute(g1, v);
-      if (a.empty() && b.empty()) continue;
-      sum += jaccard(a, b);
+    for (size_t i = 0; i < focal.size(); ++i) {
+      if (before[i].empty() && after[i].empty()) continue;
+      sum += jaccard(before[i], after[i]);
       ++n;
     }
     const double mean = n > 0 ? sum / static_cast<double>(n) : 0.0;
@@ -1165,9 +1165,13 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   Args args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     std::string flag = argv[i];
     if (flag.rfind("--", 0) != 0) return Usage();
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return 2;
+    }
     args.flags[flag.substr(2)] = argv[i + 1];
   }
 
