@@ -1,8 +1,5 @@
 #include "core/parallel.h"
 
-#include <cmath>
-
-#include "core/distance.h"
 #include "core/rwr_batch.h"
 #include "obs/obs.h"
 
@@ -29,38 +26,6 @@ std::vector<Signature> ComputeAllParallel(const SignatureScheme& scheme,
     for (size_t j = 0; j < count; ++j) out[begin + j] = std::move(sigs[j]);
   });
   return out;
-}
-
-std::vector<double> PairwiseDistancesParallel(
-    std::span<const Signature> sigs, SignatureDistance dist,
-    ThreadPool& pool) {
-  COMMSIG_SPAN("distance/pairwise_scan");
-  const size_t n = sigs.size();
-  std::vector<double> matrix(n * n, 0.0);
-  if (n < 2) return matrix;
-  const size_t pairs = n * (n - 1) / 2;
-  COMMSIG_COUNTER_ADD("distance/pairwise_pairs", pairs);
-  // Each unordered pair is evaluated once and mirrored into both triangles.
-  // Parallelizing over the flattened upper-triangle index space (instead of
-  // over rows, where row i carries n-i-1 evaluations and the tail rows
-  // almost none) keeps every worker chunk the same size.
-  ParallelFor(pool, pairs, [&](size_t p) {
-    // Invert p = i*(2n-i-1)/2 + (j-i-1): rows_before(i) <= p has the
-    // closed-form root below; the loops absorb floating-point slack.
-    auto rows_before = [n](size_t i) { return i * (2 * n - i - 1) / 2; };
-    size_t i = static_cast<size_t>(
-        (2.0 * n - 1.0 -
-         std::sqrt((2.0 * n - 1.0) * (2.0 * n - 1.0) - 8.0 * p)) /
-        2.0);
-    if (i >= n - 1) i = n - 2;
-    while (i > 0 && rows_before(i) > p) --i;
-    while (rows_before(i + 1) <= p) ++i;
-    const size_t j = i + 1 + (p - rows_before(i));
-    const double d = dist(sigs[i], sigs[j]);
-    matrix[i * n + j] = d;
-    matrix[j * n + i] = d;
-  });
-  return matrix;
 }
 
 }  // namespace commsig

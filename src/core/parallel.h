@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/distance.h"
 #include "core/scheme.h"
 
 namespace commsig {
@@ -25,14 +24,6 @@ std::vector<Signature> ComputeAllParallel(const SignatureScheme& scheme,
                                           const CommGraph& g,
                                           std::span<const NodeId> nodes,
                                           ThreadPool& pool);
-
-/// Parallel pairwise distance matrix (row-major n x n, zero diagonal) —
-/// the inner loop of uniqueness scans and multiusage detection at scale.
-/// Evaluates each unordered pair once (upper triangle, mirrored), and
-/// balances the triangle across workers by flattening the pair index space.
-std::vector<double> PairwiseDistancesParallel(
-    std::span<const Signature> sigs, SignatureDistance dist,
-    ThreadPool& pool);
 
 }  // namespace commsig
 

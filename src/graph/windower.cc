@@ -21,57 +21,9 @@ size_t TraceWindower::WindowOf(uint64_t time) const {
 
 std::vector<CommGraph> TraceWindower::Split(
     const std::vector<TraceEvent>& events) const {
-  COMMSIG_SPAN("windower/split");
-  // Pass 1: per-window event counts, so each builder's staging array is
-  // allocated once at exactly the right size (the count is a slight
-  // overestimate when corrupt events are later dropped — harmless).
-  size_t num_windows = 0;
-  std::vector<size_t> window_counts;
-  for (const TraceEvent& e : events) {
-    size_t w = WindowOf(e.time);
-    if (w == static_cast<size_t>(-1)) continue;
-    if (w + 1 > num_windows) {
-      num_windows = w + 1;
-      window_counts.resize(num_windows, 0);
-    }
-    ++window_counts[w];
-  }
-
-  std::vector<GraphBuilder> builders;
-  std::vector<size_t> events_per_window(num_windows, 0);
-  builders.reserve(num_windows);
-  for (size_t w = 0; w < num_windows; ++w) {
-    builders.emplace_back(num_nodes_);
-    builders.back().SetBipartiteLeftSize(bipartite_left_size_);
-    builders.back().Reserve(window_counts[w]);
-  }
-  size_t dropped = 0;
-  for (const TraceEvent& e : events) {
-    size_t w = WindowOf(e.time);
-    if (w == static_cast<size_t>(-1)) continue;
-    // TryAddEdge rejects out-of-range ids and NaN/Inf/non-positive weights
-    // — the windower sits on the ingest path, where such events mean a
-    // corrupt upstream record, not a programming error.
-    if (!builders[w].TryAddEdge(e.src, e.dst, e.weight)) {
-      ++dropped;
-      continue;
-    }
-    ++events_per_window[w];
-  }
-  if (dropped > 0) {
-    COMMSIG_COUNTER_ADD("robust/windower_dropped_events", dropped);
-  }
-
-  std::vector<CommGraph> graphs;
-  graphs.reserve(num_windows);
-  for (auto& b : builders) {
-    graphs.push_back(std::move(b).Build());
-  }
-  COMMSIG_COUNTER_ADD("windower/windows_built", num_windows);
-  for (size_t w = 0; w < num_windows; ++w) {
-    COMMSIG_HISTOGRAM_OBSERVE("windower/window_events", events_per_window[w]);
-  }
-  return graphs;
+  // With stride == length each event lands only in window (t - start) /
+  // length, so the sliding split builds exactly the tumbling windows.
+  return SplitSliding(events, window_length_);
 }
 
 std::vector<CommGraph> TraceWindower::SplitSliding(

@@ -282,7 +282,7 @@ void PreRegisterCoreMetrics() {
        {"rwr/calls", "rwr/iterations", "rwr/batch_solves",
         "rwr/batch_dense_iterations", "rwr/batch_sparse_iterations",
         "rwr_push/calls", "rwr_push/pushes",
-        "signature/built", "distance/evaluations", "distance/pairwise_pairs",
+        "signature/built", "distance/evaluations",
         "sketch/cm_updates",
         "sketch/cm_queries", "sketch/fm_updates", "sketch/fm_queries",
         "sketch/ss_updates",

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distance.h"
 #include "data/flow_generator.h"
 
 namespace commsig {
@@ -22,7 +21,8 @@ TEST(ComputeAllParallelTest, MatchesSerialForEveryScheme) {
   CommGraph g = ds.Windows()[0];
   ThreadPool pool(4);
   SchemeOptions opts{.k = 10, .restrict_to_opposite_partition = true};
-  for (const char* spec : {"tt", "ut", "rwr(c=0.1,h=3)", "rwr-push(c=0.1,eps=1e-6)"}) {
+  for (const char* spec :
+       {"tt", "ut", "rwr(c=0.1,h=3)", "rwr-push(c=0.1,eps=1e-6)"}) {
     auto scheme = CreateScheme(spec, opts);
     ASSERT_TRUE(scheme.ok());
     auto serial = (*scheme)->ComputeAll(g, ds.local_hosts);
@@ -40,25 +40,6 @@ TEST(ComputeAllParallelTest, EmptyNodeList) {
   ThreadPool pool(2);
   auto scheme = *CreateScheme("tt", {.k = 5});
   EXPECT_TRUE(ComputeAllParallel(*scheme, g, {}, pool).empty());
-}
-
-TEST(PairwiseDistancesParallelTest, MatchesSerial) {
-  FlowDataset ds = SmallFlows();
-  CommGraph g = ds.Windows()[0];
-  ThreadPool pool(4);
-  auto scheme = *CreateScheme("tt", {.k = 10});
-  auto sigs = scheme->ComputeAll(g, ds.local_hosts);
-  SignatureDistance dist(DistanceKind::kScaledHellinger);
-  auto matrix = PairwiseDistancesParallel(sigs, dist, pool);
-  const size_t n = sigs.size();
-  ASSERT_EQ(matrix.size(), n * n);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(matrix[i * n + i], 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      EXPECT_DOUBLE_EQ(matrix[i * n + j], dist(sigs[i], sigs[j]));
-      EXPECT_DOUBLE_EQ(matrix[i * n + j], matrix[j * n + i]);
-    }
-  }
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ class ObsSchemaRoundTripTest(unittest.TestCase):
         cls.metrics_path = os.path.join(cls.tmp.name, "metrics.json")
         cls.log_path = os.path.join(cls.tmp.name, "log.jsonl")
         proc = subprocess.run(
-            [COMMSIG, "stream", "--trace", trace, "--window-length", "100",
+            [COMMSIG, "stream", "--trace", trace,
              "--metrics-out", cls.metrics_path, "--log-file", cls.log_path,
              "--log-level", "debug"],
             capture_output=True, text=True, timeout=120)

@@ -1,173 +1,26 @@
-// commsig command-line tool: run the library's signature pipeline on a
-// trace CSV (rows `src,dst,time,weight`) without writing any code.
-//
-// Subcommands:
-//   signatures  print per-node signatures for one window
-//   selfmatch   cross-window self-match AUC per scheme (paper Fig. 2/3)
-//   multiusage  similar-signature pairs within one window (paper Fig. 5)
-//   masquerade  Algorithm-1 masquerade detection across two windows
-//   anomalies   nodes whose behaviour broke between two windows
-//   stream      one-pass streaming TT/UT signatures (Section VI) with
-//               optional crash-safe checkpointing
-//   faultcheck  inject a fixed fraction of faults into the event stream and
-//               report per-scheme signature drift (robustness gate)
-//   chaoscheck  run the supervised stream under randomized kill / IO-fault
-//               schedules and verify the recovered signatures are
-//               bit-identical to a fault-free run (self-healing gate)
-//   timeline    per-transition and per-lag persistence over a (possibly
-//               sliding) window sequence, computed incrementally with
-//               dirty-node tracking or from scratch
-//
-// Common flags:
-//   --trace PATHS       input trace CSV (this or --netflow is required);
-//                       comma-separated paths concatenate multiple files
-//                       into one stream, sharing --max-total-errors
-//   --netflow PATH      input NetFlow v5 binary export (TCP flows only
-//                       unless --protocol 0)
-//   --parse-workers N   parse worker threads of the staged ingestion
-//                       pipeline every input is read through (framer ->
-//                       N parse workers -> in-order merge; default 1,
-//                       0 means 1); under --backpressure block the
-//                       decoded stream is bit-identical at every N
-//   --io-chunk-kb N     pipeline framing chunk size in KiB (default 256)
-//   --ingest-queue N    bounded queue capacity, in chunks/batches, between
-//                       pipeline stages (default 8)
-//   --backpressure P    block = stall the IO stage when a queue fills
-//                       (lossless, default); shed = drop whole chunks and
-//                       report overload to the degradation ladder
-//   --window-length N   window length in trace time units, >= 1
-//                       (default 86400)
-//   --scheme SPEC       tt | ut | ut-tfidf | rwr(c=..,h=..) |
-//                       rwr-push(c=..,eps=..) (default tt)
-//   --dist NAME         jac | dice | sdice | shel | cos | overlap
-//                       (default shel)
-//   --k N               signature length, >= 1 (default 10)
-//   --window I          window index (default 0)
-//   --window2 J         second window for cross-window commands (default 1)
-//   --decay THETA       accumulate windows as C'_t = theta*C'_{t-1} + C_t
-//                       before computing signatures (default 0 = off)
-//   --threads N         worker threads for signature computation (default 1)
-//   --metrics-out PATH  write a JSON snapshot of the metrics registry
-//                       (counters/gauges/histograms) after the command
-//                       (and periodically during `stream`, keyed to the
-//                       checkpoint cadence)
-//   --trace-out PATH    record scoped spans and write a Chrome trace_event
-//                       JSON file (open at chrome://tracing or
-//                       https://ui.perfetto.dev); flushed periodically
-//                       during `stream` like --metrics-out
-//
-// Introspection flags (all commands):
-//   --stats-port N        serve live introspection over HTTP on
-//                         127.0.0.1:N (0 = ephemeral port, logged at
-//                         startup): /metrics /varz /healthz /tracez
-//                         /pipelinez
-//   --stats-stall-ms N    /healthz reports 503 once the last window
-//                         advance is older than N ms (default 30000;
-//                         0 = liveness only)
-//   --stats-linger-ms N   keep the stats server (and process) alive N ms
-//                         after the command finishes, so a scrape can
-//                         read the final state (default 0)
-//   --log-level L         debug | info | warn | error — structured-log
-//                         threshold (default info; env COMMSIG_LOG)
-//   --log-file PATH       append structured JSON log lines to PATH in
-//                         addition to stderr
-//   --window-budget-ms N  slow-window watchdog: emit a structured warning
-//                         with the stage breakdown when one window advance
-//                         exceeds N ms (default 0 = off)
-//
-// Robust ingestion flags (all commands):
-//   --on-error MODE     fail | skip | quarantine — what a reader does with
-//                       a malformed record (default fail)
-//   --error-budget N    with skip/quarantine, abort anyway after N rejected
-//                       records per file (default 100000; 0 = unlimited)
-//   --max-total-errors N  run-wide budget shared across every input file:
-//                       abort once more than N records were rejected in
-//                       total, with a typed `budget_exhausted` log event
-//                       (default 0 = off)
-//   --quarantine-out P  with quarantine, write rejected records (reason,
-//                       position, detail) to this dead-letter CSV
-//
-// Self-healing runtime flags (stream / chaoscheck; see DESIGN.md §13):
-//   --retry-max-attempts N  attempts per retryable IO operation —
-//                       checkpoint save, telemetry flush, log-file open,
-//                       reader open (default 4)
-//   --retry-initial-ms N   backoff before the first retry (default 5)
-//   --retry-max-ms N       ceiling on any single backoff (default 200)
-//   --retry-multiplier F   backoff growth factor (default 2.0)
-//   --retry-jitter F       uniform jitter fraction in [0,1] (default 0.25)
-//   --retry-deadline-ms N  total backoff budget per operation (0 = off)
-//   --degrade-escalate-after N  consecutive failure/overload signals that
-//                       step the degradation ladder one tier up (default 3)
-//   --degrade-recover-after N   consecutive healthy epochs that step it
-//                       back down (default 8)
-//   --degrade-checkpoint-stretch N  checkpoint-cadence multiplier at the
-//                       widen_checkpoints tier (default 4)
-//   --max-epoch-attempts N  in-place retries per stream epoch before the
-//                       from-scratch rebuild and, failing that, poison
-//                       quarantine (default 3)
-//   --failpoints SPEC   arm deterministic IO fail-points, e.g.
-//                       'checkpoint/write=enospc@2;stream/epoch=eio@1x2'
-//                       (site=kind[@after][xcount], ';'-separated; needs a
-//                       build with COMMSIG_FAILPOINTS, the default)
-//
-// stream flags:
-//   --checkpoint-dir D    durable checkpoint directory (enables restore)
-//   --checkpoint-every N  checkpoint every N events (default 10000)
-//   --kill-after N        abort (exit 3) after N events this run — crash
-//                         test hook for checkpoint/restore round-trips
-//   --emit-every N        additionally extract all focal signatures every N
-//                         events (periodic re-emission; cached extractions
-//                         make quiet nodes nearly free)
-//   --replay-delay-us N   sleep N microseconds after each event — replays
-//                         the trace as a live stream so the introspection
-//                         plane can be watched while windows advance
-//   --replay-rate X       timestamp-paced replay: trace time advances X
-//                         times faster than wall-clock (1.0 = real time),
-//                         scheduled against the stream's first timestamp
-//                         so pacing never drifts (0 = off)
-//   --dead-letter-out P   write poison-epoch dead-letter records (reason,
-//                         position, detail) to this CSV
-//
-// chaoscheck flags (plus the stream + self-healing flags above):
-//   --trials N          randomized kill/fault schedules to run (default 3)
-//   --seed S            schedule RNG seed (default 1); the same seed
-//                       replays the same schedule
-//   --chaos-dir D       scratch checkpoint directory (default: a fresh
-//                       directory under the system temp dir, removed on
-//                       success)
-//
-// timeline flags:
-//   --stride N          window start spacing in trace time units (default =
-//                       --window-length, i.e. tumbling; smaller strides
-//                       overlap: overlap fraction = 1 - stride/length)
-//   --mode M            incremental | scratch (default incremental) — the
-//                       incremental path diffs consecutive windows and
-//                       recomputes dirty focal nodes only
-//   --max-lag L         deepest lag for the persistence-by-lag table
-//                       (default 5)
-//
-// faultcheck flags:
-//   --fraction F        per-fault-type injection probability (default 0.01)
-//   --seed S            fault injector seed (default 1)
-//   --max-drift D       fail (exit 1) if any scheme's mean Jaccard drift
-//                       exceeds D (default 0.25)
-//
-// Example:
-//   commsig selfmatch --trace flows.csv --window-length 432000
-//       --scheme 'rwr(c=0.1,h=3)' --dist shel     (one line)
+// commsig command-line tool: runs the library's signature pipeline on a
+// trace CSV (rows `src,dst,time,weight`) or a NetFlow v5 export. `commsig
+// --help` prints every subcommand and flag from kCommands and kFlags below;
+// Args::Parse rejects any other flag or value before any IO.
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -175,7 +28,7 @@
 #include "apps/anomaly.h"
 #include "apps/masquerade_detector.h"
 #include "apps/multiusage.h"
-#include "common/bytes.h"
+#include "common/check.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/distance.h"
@@ -186,7 +39,6 @@
 #include "eval/properties.h"
 #include "eval/timeline.h"
 #include "graph/decayed_accumulator.h"
-#include "graph/graph_stats.h"
 #include "graph/windower.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -194,7 +46,6 @@
 #include "obs/stats_server.h"
 #include "obs/trace.h"
 #include "obs/window_stats.h"
-#include "robust/checkpoint.h"
 #include "robust/degradation.h"
 #include "robust/failpoints.h"
 #include "robust/fault_injector.h"
@@ -206,135 +57,432 @@
 namespace commsig {
 namespace {
 
-/// Rejects a malformed flag value with a message naming the flag. Exits
-/// rather than returning: every caller would otherwise have to thread a
-/// Status through, and a CLI flag error has exactly one sensible outcome.
-[[noreturn]] void DieInvalidFlag(const std::string& key,
-                                 const std::string& value,
-                                 const char* expected) {
-  std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n",
-               key.c_str(), value.c_str(), expected);
-  std::exit(2);
+enum Command : unsigned {
+  kSignatures = 1 << 0,
+  kSelfmatch = 1 << 1,
+  kMultiusage = 1 << 2,
+  kMasquerade = 1 << 3,
+  kAnomalies = 1 << 4,
+  kStream = 1 << 5,
+  kFaultcheck = 1 << 6,
+  kChaoscheck = 1 << 7,
+  kTimeline = 1 << 8,
+};
+constexpr unsigned kAll = (1 << 9) - 1;
+/// The subcommands that analyze the windowed Workspace (see Load).
+constexpr unsigned kWorkspace =
+    kSignatures | kSelfmatch | kMultiusage | kMasquerade | kAnomalies;
+constexpr unsigned kTwoWindows = kSelfmatch | kMasquerade | kAnomalies;
+constexpr unsigned kSupervised = kStream | kChaoscheck;
+
+struct CommandInfo {
+  const char* name;
+  Command command;
+  const char* help;
+};
+
+constexpr CommandInfo kCommands[] = {
+    {"signatures", kSignatures, "per-node signatures of one window"},
+    {"selfmatch", kSelfmatch, "cross-window self-match AUC (paper Fig. 2/3)"},
+    {"multiusage", kMultiusage, "similar-signature pairs (paper Fig. 5)"},
+    {"masquerade", kMasquerade, "Algorithm 1 masquerade detection"},
+    {"anomalies", kAnomalies, "nodes whose behaviour broke between windows"},
+    {"stream", kStream, "one-pass streaming TT/UT signatures (Section VI)"},
+    {"faultcheck", kFaultcheck, "signature drift under injected faults"},
+    {"chaoscheck", kChaoscheck, "stream recovery under kill/IO-fault chaos"},
+    {"timeline", kTimeline, "persistence over (sliding) window sequences"},
+};
+
+enum class Kind { kUint, kDouble, kChoice, kString };
+/// The ends of a kDouble row's interval.
+enum class Ends { kClosed, kOpenMin, kOpenMax };
+
+/// One meaning of one flag. --threshold and --seed each have one row per
+/// meaning, for disjoint subcommands.
+struct Flag {
+  const char* name;
+  Kind kind;
+  unsigned commands;  // the Command bits whose code reads the flag
+  const char* def;    // as typed; nullptr when `help` says what unset means
+  const char* help;
+  const char* syntax = nullptr;  // kChoice: "a | b"; kString: value shape
+  Status (*check)(const std::string& value) = nullptr;  // kString parser
+  uint64_t min_uint = 0, max_uint = 0;
+  double min_double = 0, max_double = 0;
+  Ends ends = Ends::kClosed;
+};
+
+/// std::chrono durations count in signed 64-bit integers.
+constexpr uint64_t kMaxChrono = std::numeric_limits<int64_t>::max();
+/// Millisecond flags the CLI multiplies into microseconds.
+constexpr uint64_t kMaxMsAsUs = UINT64_MAX / 1000;
+/// --threads and --parse-workers: each worker is a std::thread, and
+/// creating too many throws out of main.
+constexpr uint64_t kMaxThreads = 256;
+constexpr double kMaxDouble = std::numeric_limits<double>::max();
+
+constexpr Flag Uint(const char* name, unsigned commands, const char* def,
+                    uint64_t min, uint64_t max, const char* help) {
+  return {name, Kind::kUint, commands, def, help, nullptr, nullptr, min, max};
+}
+constexpr Flag Real(const char* name, unsigned commands, const char* def,
+                    double min, double max, Ends ends, const char* help) {
+  Flag f{name, Kind::kDouble, commands, def, help};
+  f.min_double = min;
+  f.max_double = max;
+  f.ends = ends;
+  return f;
+}
+constexpr Flag Choice(const char* name, unsigned commands, const char* def,
+                      const char* choices, const char* help) {
+  return {name, Kind::kChoice, commands, def, help, choices};
+}
+constexpr Flag Text(const char* name, unsigned commands, const char* def,
+                    const char* syntax, const char* help,
+                    Status (*check)(const std::string&) = nullptr) {
+  return {name, Kind::kString, commands, def, help, syntax, check};
 }
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
+Status CheckLogLevel(const std::string& name) {
+  obs::LogLevel level = obs::LogLevel::kInfo;
+  if (name.empty() || obs::ParseLogLevel(name, level)) return Status::OK();
+  return Status::InvalidArgument("unknown log level");
+}
 
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& s = it->second;
-    char* end = nullptr;
-    errno = 0;
-    uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    // strtoull silently wraps negatives and stops at the first bad char;
-    // require the whole token to be a non-negative in-range integer.
-    if (s.empty() || s[0] == '-' || end != s.c_str() + s.size() ||
-        errno == ERANGE) {
-      DieInvalidFlag(key, s, "a non-negative integer");
-    }
-    return v;
-  }
-  /// GetInt for flags where 0 is not a usable setting, rejected like any
-  /// other malformed value: --k 0 makes every signature empty (and every
-  /// pair of them at distance 0), --window-length 0 silently degenerates
-  /// to one-unit windows.
-  uint64_t GetPositiveInt(const std::string& key, uint64_t fallback) const {
-    const uint64_t v = GetInt(key, fallback);
-    if (v == 0) DieInvalidFlag(key, Get(key, "0"), "a positive integer");
-    return v;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    const std::string& s = it->second;
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-        !std::isfinite(v)) {
-      DieInvalidFlag(key, s, "a finite number");
-    }
-    return v;
-  }
+/// Arming is the parse: the registry owns the spec grammar. The reset
+/// keeps only the last of repeated --failpoints flags.
+Status ArmFailpoints(const std::string& spec) {
+  FailPointRegistry::Global().Reset();
+  if (spec.empty()) return Status::OK();
+  if (!failpoints::Enabled()) return Status::Unimplemented("not compiled in");
+  return FailPointRegistry::Global().ArmFromSpec(spec);
+}
+
+constexpr Flag kFlags[] = {
+    Text("trace", kAll, nullptr, "path[,path...]",
+         "input trace CSV; comma-separated paths are read as one stream"),
+    Text("netflow", kAll, nullptr, "path", "input NetFlow v5 export"),
+    Uint("protocol", kAll, "6", 0, 255,
+         "IP protocol kept from --netflow records (6 = TCP, 0 = all)"),
+    Uint("parse-workers", kAll, "1", 0, kMaxThreads,
+         "parse workers (0 = 1); output is the same at any N under block"),
+    // Chunk buffers and queue slots are allocated up front; keep them small.
+    Uint("io-chunk-kb", kAll, "256", 1, 1 << 20, "ingest chunk size in KiB"),
+    Uint("ingest-queue", kAll, "8", 1, 1 << 16,
+         "capacity of the queues between ingest stages, in chunks/batches"),
+    Choice("backpressure", kAll, "block", "block | shed",
+           "on a full queue: stall the reader, or drop the whole chunk"),
+    Choice("on-error", kAll, "fail", "fail | skip | quarantine",
+           "what a reader does with a malformed record"),
+    Uint("error-budget", kAll, "100000", 0, UINT64_MAX,
+         "skip/quarantine still abort after N rejects per file (0 = no cap)"),
+    Uint("max-total-errors", kAll, "0", 0, UINT64_MAX,
+         "abort after N rejects across all input files (0 = off)"),
+    Text("quarantine-out", kAll, nullptr, "path", "dead-letter CSV of rejects"),
+    Uint("window-length", kWorkspace | kFaultcheck | kTimeline, "86400", 1,
+         UINT64_MAX, "window length in trace time units"),
+    Real("decay", kWorkspace, "0", 0, 1, Ends::kOpenMax,
+         "window t becomes C'_t = decay*C'_{t-1} + C_t (0 = off)"),
+    Uint("threads", kWorkspace, "1", 1, kMaxThreads, "signature threads"),
+    // RWR extraction reserves k entries per node.
+    Uint("k", kAll, "10", 1, 1 << 20, "signature length"),
+    Text("scheme", kWorkspace | kTimeline, "tt",
+         "tt | ut | ut-tfidf | rwr(c=..,h=..) | rwr-push(c=..,eps=..)",
+         "signature scheme",
+         [](const std::string& v) { return CreateScheme(v, {}).status(); }),
+    Choice("dist", kTwoWindows | kMultiusage | kTimeline, "shel",
+           "jac | dice | sdice | shel | cos | overlap", "signature distance"),
+    Uint("window", kWorkspace, "0", 0, UINT64_MAX, "window index"),
+    Uint("window2", kTwoWindows, "1", 0, UINT64_MAX, "second window index"),
+    Real("threshold", kMultiusage, "0.5", 0, 1, Ends::kClosed,
+         "report pairs at distance <= this"),
+    Uint("max-pairs", kMultiusage, "50", 0, UINT64_MAX,
+         "report at most N pairs, closest first (0 = all)"),
+    Real("threshold", kAnomalies, "2.0", 0, kMaxDouble, Ends::kClosed,
+         "report persistence at least this many sigma below the mean"),
+    Uint("ell", kMasquerade, "3", 1, UINT64_MAX,
+         "Algorithm 1's l: rank depth searched for a node's new label"),
+    Real("delta-divisor", kMasquerade, "5.0", 0, kMaxDouble, Ends::kOpenMin,
+         "Algorithm 1's c: delta = mean self-persistence / c"),
+    Uint("checkpoint-every", kSupervised, "10000", 0, UINT64_MAX,
+         "checkpoint and flush telemetry every N events (0 = never)"),
+    Uint("emit-every", kSupervised, "0", 0, UINT64_MAX,
+         "also extract all focal signatures every N events (0 = off)"),
+    Uint("replay-delay-us", kSupervised, "0", 0, kMaxChrono,
+         "sleep N microseconds after each event (0 = off)"),
+    Real("replay-rate", kSupervised, "0", 0, kMaxDouble, Ends::kClosed,
+         "replay trace time at X times wall-clock, 1 = real time (0 = off)"),
+    Uint("max-epoch-attempts", kSupervised, "3", 1, UINT32_MAX,
+         "tries per stream epoch before a rebuild, then poison quarantine"),
+    Uint("degrade-escalate-after", kSupervised, "3", 1, UINT32_MAX,
+         "consecutive bad epochs that step the degradation ladder up"),
+    Uint("degrade-recover-after", kSupervised, "8", 1, UINT32_MAX,
+         "consecutive healthy epochs that step it back down"),
+    Uint("degrade-checkpoint-stretch", kSupervised, "4", 1, UINT64_MAX,
+         "checkpoint-cadence multiplier at the widen_checkpoints tier"),
+    Text("checkpoint-dir", kStream, nullptr, "dir",
+         "durable checkpoint directory (enables restore)"),
+    Uint("kill-after", kStream, "0", 0, UINT64_MAX,
+         "exit 3 after N events this run, a crash-test hook (0 = off)"),
+    Text("dead-letter-out", kStream, nullptr, "path",
+         "dead-letter CSV of quarantined poison epochs"),
+    Uint("seed", kStream, "49374", 0, UINT64_MAX, "sketch seed (0xc0de)"),
+    Uint("trials", kChaoscheck, "3", 0, UINT64_MAX,
+         "kill/fault schedules to run"),
+    Uint("seed", kChaoscheck, "1", 1, UINT64_MAX,
+         "schedule seed; when given, also the sketch seed"),
+    Text("chaos-dir", kChaoscheck, nullptr, "dir",
+         "checkpoint scratch dir (unset = a temp dir removed on success)"),
+    Uint("stride", kTimeline, nullptr, 1, UINT64_MAX,
+         "start spacing in time units, <= --window-length (unset = tumbling)"),
+    Choice("mode", kTimeline, "incremental", "incremental | scratch",
+           "recompute only dirty focal nodes, or every window from scratch"),
+    Uint("max-lag", kTimeline, "5", 0, UINT64_MAX,
+         "deepest lag in the persistence-by-lag table (0 = no table)"),
+    Real("fraction", kFaultcheck, "0.01", 0, 1, Ends::kClosed,
+         "per-fault-type injection probability"),
+    Uint("seed", kFaultcheck, "1", 0, UINT64_MAX, "fault injector seed"),
+    Real("max-drift", kFaultcheck, "0.25", 0, 1, Ends::kClosed,
+         "exit 1 if a scheme's mean Jaccard drift exceeds this"),
+    Uint("retry-max-attempts", kAll, "4", 1, UINT32_MAX,
+         "tries per retryable IO: checkpoint, telemetry, log and input opens"),
+    Uint("retry-initial-ms", kAll, "5", 0, UINT64_MAX, "first backoff, in ms"),
+    // The jittered backoff reaches twice this, rounded up as a double, and
+    // must still fit a millisecond sleep.
+    Uint("retry-max-ms", kAll, "200", 0, kMaxChrono / 4,
+         "ceiling on one backoff, in ms"),
+    Real("retry-multiplier", kAll, "2.0", 1, kMaxDouble, Ends::kClosed,
+         "backoff growth factor"),
+    Real("retry-jitter", kAll, "0.25", 0, 1, Ends::kClosed,
+         "uniform jitter as a fraction of each backoff"),
+    Uint("retry-deadline-ms", kAll, "0", 0, kMaxChrono,
+         "total backoff budget per operation, in ms (0 = off)"),
+    Text("failpoints", kAll, nullptr, "site=kind[@after][xcount][;...]",
+         "arm IO fail-points (needs a COMMSIG_FAILPOINTS build)",
+         ArmFailpoints),
+    Text("log-level", kAll, nullptr, "debug | info | warn | error",
+         "log threshold (unset = $COMMSIG_LOG, else info)", CheckLogLevel),
+    Text("log-file", kAll, nullptr, "path", "append JSON log lines here too"),
+    Text("metrics-out", kAll, nullptr, "path",
+         "metrics JSON, written at exit and at stream checkpoints"),
+    Text("trace-out", kAll, nullptr, "path",
+         "Chrome trace_event JSON of the spans, written like --metrics-out"),
+    Uint("window-budget-ms", kAll, "0", 0, kMaxMsAsUs,
+         "warn when one window advance takes over N ms (0 = off)"),
+    Uint("stats-port", kAll, nullptr, 0, 65535,
+         "serve /metrics etc. on 127.0.0.1:N (unset = off, 0 = any port)"),
+    Uint("stats-stall-ms", kAll, "30000", 0, kMaxMsAsUs,
+         "/healthz fails once no window advanced for N ms (0 = liveness only)"),
+    Uint("stats-linger-ms", kAll, "0", 0, kMaxChrono,
+         "keep the stats server up N ms after the command finishes"),
 };
+
+/// The kind and bounds of `f` as the usage text and errors show them.
+std::string Bounds(const Flag& f) {
+  char buf[80];
+  switch (f.kind) {
+    case Kind::kUint:
+      return "integer in [" + std::to_string(f.min_uint) + ", " +
+             std::to_string(f.max_uint) + "]";
+    case Kind::kDouble:
+      std::snprintf(buf, sizeof(buf), "number in %c%.17g, %.17g%c",
+                    f.ends == Ends::kOpenMin ? '(' : '[', f.min_double,
+                    f.max_double, f.ends == Ends::kOpenMax ? ')' : ']');
+      return buf;
+    case Kind::kChoice:
+      return std::string("one of ") + f.syntax;
+    default:
+      return f.syntax;
+  }
+}
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: commsig <signatures|selfmatch|multiusage|masquerade|"
-               "anomalies|stream|faultcheck|chaoscheck|timeline> "
-               "--trace PATH [flags]\n"
-               "see the header of tools/commsig_main.cc for all flags\n");
+               "usage: commsig <command> (--trace PATHS | --netflow PATH) "
+               "[--<flag> <value>]...\n\ncommands:\n");
+  for (const CommandInfo& c : kCommands) {
+    std::fprintf(stderr, "  %-11s %s\n", c.name, c.help);
+  }
+  std::fprintf(stderr,
+               "\nflags (--name  kind and bounds  default  for the commands "
+               "that read it):\n");
+  for (const Flag& f : kFlags) {
+    std::string commands = f.commands == kAll ? "all" : "";
+    for (const CommandInfo& c : kCommands) {
+      if (f.commands == kAll || (f.commands & c.command) == 0) continue;
+      if (!commands.empty()) commands += ',';
+      commands += c.name;
+    }
+    std::fprintf(stderr, "  --%s  %s  default %s  for %s\n      %s\n", f.name,
+                 Bounds(f).c_str(), f.def != nullptr ? f.def : "none",
+                 commands.c_str(), f.help);
+  }
   return 2;
 }
 
-/// Builds reader options from the --on-error / --error-budget flags.
-IngestOptions IngestFromArgs(const Args& args, RecordErrorLog* log) {
-  IngestOptions opts;
-  std::string policy = args.Get("on-error", "fail");
-  if (policy == "fail") {
-    opts.policy = ErrorPolicy::kFail;
-  } else if (policy == "skip") {
-    opts.policy = ErrorPolicy::kSkip;
-  } else if (policy == "quarantine") {
-    opts.policy = ErrorPolicy::kQuarantine;
+/// Whole-token parse of a base-10 unsigned integer (strtoull alone wraps
+/// "-1") or of a finite double.
+template <typename T>
+bool ParseNumber(const std::string& s, T& out) {
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_same_v<T, uint64_t>) {
+    out = std::strtoull(s.c_str(), &end, 10);
+    if (s.find('-') != std::string::npos) return false;
   } else {
-    DieInvalidFlag("on-error", policy, "fail | skip | quarantine");
+    out = std::strtod(s.c_str(), &end);
   }
-  opts.max_errors = args.GetInt("error-budget", 100000);
-  opts.error_log = log;
-  return opts;
+  return !s.empty() && end == s.c_str() + s.size() && errno != ERANGE &&
+         std::isfinite(static_cast<double>(out));
 }
 
-/// Builds the ingestion-pipeline configuration from the --parse-workers /
-/// --io-chunk-kb / --ingest-queue / --backpressure flags. The error policy
-/// (and its log/budget pointers) rides along so the pipeline's merge stage
-/// applies it in exact stream order.
+/// Empty when `v` is a valid value of `f`, else what a valid value is.
+std::string Expected(const Flag& f, const std::string& v) {
+  uint64_t u = 0;
+  double d = 0;
+  switch (f.kind) {
+    case Kind::kUint:
+      if (ParseNumber(v, u) && u >= f.min_uint && u <= f.max_uint) return "";
+      return "an " + Bounds(f);
+    case Kind::kDouble:
+      if (ParseNumber(v, d) &&
+          (f.ends == Ends::kOpenMin ? d > f.min_double : d >= f.min_double) &&
+          (f.ends == Ends::kOpenMax ? d < f.max_double : d <= f.max_double)) {
+        return "";
+      }
+      return "a finite " + Bounds(f);
+    case Kind::kChoice:
+      for (std::string_view rest = f.syntax; !rest.empty();) {
+        const size_t bar = std::min(rest.find(" | "), rest.size());
+        if (rest.substr(0, bar) == v) return "";
+        rest.remove_prefix(std::min(bar + 3, rest.size()));
+      }
+      return f.syntax;
+    case Kind::kString:
+      break;
+  }
+  const Status s = f.check != nullptr ? f.check(v) : Status::OK();
+  return s.ok() ? "" : std::string(f.syntax) + "; " + s.ToString();
+}
+
+/// The subcommand and its flag values, checked against kFlags. Reading a
+/// flag the subcommand's row does not list is a programming error.
+class Args {
+ public:
+  explicit Args(const CommandInfo& command) : command_(command) {}
+
+  /// Reads argv[2..] as `--name value` pairs, left to right. Returns false
+  /// after printing the first unknown name, name this subcommand does not
+  /// read, missing value, or value outside its row's kind and bounds. A
+  /// repeated flag keeps its last value.
+  bool Parse(int argc, char** argv) {
+    auto fail = [](const std::string& message) {
+      std::fputs((message + "\n").c_str(), stderr);
+      return false;
+    };
+    for (int i = 2; i < argc; i += 2) {
+      const std::string flag = argv[i];
+      if (flag.rfind("--", 0) != 0) return fail("expected a --flag: " + flag);
+      const std::string name = flag.substr(2);
+      const Flag* row = Find(name);
+      if (row == nullptr) {
+        bool known = false;
+        for (const Flag& f : kFlags) known = known || name == f.name;
+        if (!known) return fail("unknown flag " + flag + " (commsig --help)");
+        return fail("flag " + flag + " does not apply to " + command_.name);
+      }
+      if (i + 1 == argc) return fail("missing value for " + flag);
+      const std::string value = argv[i + 1];
+      const std::string expected = Expected(*row, value);
+      if (!expected.empty()) {
+        return fail("invalid value for " + flag + ": '" + value +
+                    "' (expected " + expected + ")");
+      }
+      values_[name] = value;
+    }
+    return true;
+  }
+
+  Command command() const { return command_.command; }
+  bool Given(const std::string& name) const { return values_.count(name) > 0; }
+  /// The given value, else the row's default, else "".
+  std::string Str(const std::string& name) const {
+    const Flag* row = Find(name);
+    COMMSIG_CHECK(row != nullptr, command_.name + (" ignores --" + name));
+    auto it = values_.find(name);
+    if (it != values_.end()) return it->second;
+    return row->def != nullptr ? row->def : "";
+  }
+  uint64_t Uint(const std::string& key) const { return Number<uint64_t>(key); }
+  double Double(const std::string& key) const { return Number<double>(key); }
+
+ private:
+  /// The row of `name` that this subcommand reads, or nullptr.
+  const Flag* Find(const std::string& name) const {
+    for (const Flag& f : kFlags) {
+      if (name == f.name && (f.commands & command_.command) != 0) return &f;
+    }
+    return nullptr;
+  }
+  template <typename T>
+  T Number(const std::string& name) const {
+    T v = 0;
+    COMMSIG_CHECK(ParseNumber(Str(name), v), "--" + name + " is unset");
+    return v;
+  }
+
+  const CommandInfo& command_;
+  std::map<std::string, std::string> values_;
+};
+
+/// The error policy (and its log/budget pointers) rides along so the
+/// pipeline's merge stage applies it in exact stream order.
 ingest::PipelineOptions PipelineFromArgs(const Args& args,
-                                         const IngestOptions& ingest_opts) {
+                                         RecordErrorLog* log) {
   ingest::PipelineOptions opts;
-  // 0 is accepted and clamps to one worker inside the pipeline.
-  opts.parse_workers = static_cast<int>(args.GetInt("parse-workers", 1));
-  opts.chunk_bytes =
-      static_cast<size_t>(args.GetInt("io-chunk-kb", 256)) * 1024;
-  opts.queue_capacity = args.GetInt("ingest-queue", 8);
-  const std::string policy = args.Get("backpressure", "block");
-  if (policy == "shed") {
+  opts.parse_workers = static_cast<int>(args.Uint("parse-workers"));
+  opts.chunk_bytes = static_cast<size_t>(args.Uint("io-chunk-kb")) * 1024;
+  opts.queue_capacity = args.Uint("ingest-queue");
+  if (args.Str("backpressure") == "shed") {
     opts.backpressure = ingest::BackpressurePolicy::kShed;
-  } else if (policy != "block") {
-    DieInvalidFlag("backpressure", policy, "block | shed");
   }
-  opts.ingest = ingest_opts;
+  const std::string policy = args.Str("on-error");
+  opts.ingest.policy = policy == "skip"         ? ErrorPolicy::kSkip
+                       : policy == "quarantine" ? ErrorPolicy::kQuarantine
+                                                : ErrorPolicy::kFail;
+  opts.ingest.max_errors = args.Uint("error-budget");
+  opts.ingest.error_log = log;
   return opts;
 }
 
-/// Builds the IO retry policy from the --retry-* flags.
 RetryPolicy RetryFromArgs(const Args& args) {
-  RetryPolicy policy;
-  policy.max_attempts =
-      static_cast<uint32_t>(args.GetInt("retry-max-attempts", 4));
-  policy.initial_backoff_ms = args.GetInt("retry-initial-ms", 5);
-  policy.max_backoff_ms = args.GetInt("retry-max-ms", 200);
-  policy.multiplier = args.GetDouble("retry-multiplier", 2.0);
-  policy.jitter = args.GetDouble("retry-jitter", 0.25);
-  policy.deadline_ms = args.GetInt("retry-deadline-ms", 0);
-  return policy;
+  return {
+      .max_attempts = static_cast<uint32_t>(args.Uint("retry-max-attempts")),
+      .initial_backoff_ms = args.Uint("retry-initial-ms"),
+      .multiplier = args.Double("retry-multiplier"),
+      .max_backoff_ms = args.Uint("retry-max-ms"),
+      .jitter = args.Double("retry-jitter"),
+      .deadline_ms = args.Uint("retry-deadline-ms")};
 }
 
-/// Builds the degradation-ladder knobs from the --degrade-* flags.
-DegradationController::Options DegradeFromArgs(const Args& args) {
-  DegradationController::Options opts;
-  opts.escalate_after =
-      static_cast<uint32_t>(args.GetInt("degrade-escalate-after", 3));
-  opts.recover_after =
-      static_cast<uint32_t>(args.GetInt("degrade-recover-after", 8));
-  opts.checkpoint_stretch = args.GetInt("degrade-checkpoint-stretch", 4);
-  return opts;
+/// `spec` at signature length `k`. It cannot fail: Args::Parse checked
+/// --scheme, and faultcheck's specs are fixed.
+std::unique_ptr<SignatureScheme> MakeScheme(const std::string& spec, size_t k) {
+  SchemeOptions opts;
+  opts.k = k;
+  auto scheme = CreateScheme(spec, opts);
+  COMMSIG_CHECK(scheme.ok(), scheme.status().ToString());
+  return std::move(*scheme);
+}
+
+std::unique_ptr<SignatureScheme> SchemeFor(const Args& args) {
+  return MakeScheme(args.Str("scheme"), args.Uint("k"));
+}
+
+SignatureDistance DistFor(const Args& args) {
+  auto kind = ParseDistanceName(args.Str("dist"));
+  COMMSIG_CHECK(kind.ok(), kind.status().ToString());
+  return SignatureDistance(*kind);
 }
 
 /// Splits a comma-separated flag value into its non-empty components.
@@ -360,24 +508,15 @@ uint64_t NowMicros() { return obs::TraceCollector::Global().NowMicros(); }
 /// parse stage.
 bool LoadEvents(const Args& args, Interner& interner,
                 std::vector<TraceEvent>& events) {
-  std::string trace_path = args.Get("trace", "");
-  std::string netflow_path = args.Get("netflow", "");
-  if (trace_path.empty() == netflow_path.empty()) {
-    obs::LogError("bad_flags")
-        .Str("error", "exactly one of --trace / --netflow is required");
-    return false;
-  }
+  const std::string trace_path = args.Str("trace");
+  const std::string netflow_path = args.Str("netflow");
   RecordErrorLog error_log;
-  ingest::PipelineOptions options =
-      PipelineFromArgs(args, IngestFromArgs(args, &error_log));
+  ingest::PipelineOptions options = PipelineFromArgs(args, &error_log);
   const bool netflow = !netflow_path.empty();
   const ingest::PipelineFormat format =
       netflow ? ingest::PipelineFormat::kNetflowV5
               : ingest::PipelineFormat::kTraceCsv;
-  if (netflow) {
-    options.netflow.protocol_filter =
-        static_cast<uint8_t>(args.GetInt("protocol", 6));
-  }
+  options.netflow.protocol_filter = static_cast<uint8_t>(args.Uint("protocol"));
   const std::vector<std::string> paths =
       netflow ? std::vector<std::string>{netflow_path}
               : SplitPaths(trace_path);
@@ -388,7 +527,7 @@ bool LoadEvents(const Args& args, Interner& interner,
   // Run-wide budget shared by every file of this ingest (--trace accepts a
   // comma-separated list); 0 leaves only the per-file budget active.
   GlobalErrorBudget global_budget;
-  global_budget.max_total_errors = args.GetInt("max-total-errors", 0);
+  global_budget.max_total_errors = args.Uint("max-total-errors");
   if (global_budget.max_total_errors > 0) {
     options.ingest.global_budget = &global_budget;
   }
@@ -445,7 +584,7 @@ bool LoadEvents(const Args& args, Interner& interner,
         .U64("rejected", error_log.total())
         .Str("path", trace_path.empty() ? netflow_path : trace_path);
   }
-  std::string quarantine_out = args.Get("quarantine-out", "");
+  const std::string quarantine_out = args.Str("quarantine-out");
   if (!quarantine_out.empty()) {
     Status s = error_log.WriteCsv(quarantine_out);
     if (!s.ok()) {
@@ -461,24 +600,57 @@ bool LoadEvents(const Args& args, Interner& interner,
   return true;
 }
 
-/// Everything loaded from the trace that the subcommands share.
+/// Nodes with outgoing traffic in any of `windows`.
+std::vector<NodeId> FocalFromWindows(size_t num_nodes,
+                                     std::span<const CommGraph> windows) {
+  std::vector<bool> has_out(num_nodes, false);
+  for (const auto& g : windows) {
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (g.OutDegree(v) > 0) has_out[v] = true;
+    }
+  }
+  std::vector<NodeId> focal;
+  for (NodeId v = 0; v < has_out.size(); ++v) {
+    if (has_out[v]) focal.push_back(v);
+  }
+  return focal;
+}
+
+/// Everything loaded from the trace that the subcommands share, and the
+/// --scheme signatures of --window (s0) and --window2 (s1).
 struct Workspace {
   Interner interner;
   std::vector<CommGraph> windows;
   std::vector<NodeId> focal;  // nodes with outgoing traffic in any window
   std::unique_ptr<ThreadPool> pool = std::make_unique<ThreadPool>(1);
+  std::unique_ptr<SignatureScheme> scheme;
+  size_t w0 = 0, w1 = 0;
+  std::vector<Signature> s0, s1;
 
-  std::vector<Signature> Signatures(const SignatureScheme& scheme,
-                                    size_t window) {
-    return ComputeAllParallel(scheme, windows[window], focal, *pool);
+  /// False, after logging, when a window the subcommand reads is missing.
+  bool ComputeSignatures(const Args& args) {
+    const bool two = (args.command() & kTwoWindows) != 0;
+    w0 = args.Uint("window");
+    w1 = two ? args.Uint("window2") : w0;
+    for (size_t w : {w0, w1}) {
+      if (w >= windows.size()) {
+        obs::LogError("window_out_of_range")
+            .U64("window", w)
+            .U64("windows", windows.size());
+        return false;
+      }
+    }
+    scheme = SchemeFor(args);
+    s0 = ComputeAllParallel(*scheme, windows[w0], focal, *pool);
+    if (two) s1 = ComputeAllParallel(*scheme, windows[w1], focal, *pool);
+    return true;
   }
 };
 
 bool Load(const Args& args, Workspace& ws) {
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, ws.interner, events)) return false;
-  uint64_t window_length = args.GetPositiveInt("window-length", 86400);
-  TraceWindower windower(ws.interner.size(), window_length);
+  TraceWindower windower(ws.interner.size(), args.Uint("window-length"));
   const uint64_t build_start_us = NowMicros();
   ws.windows = windower.Split(events);
   obs::WindowStatsAggregator::Global().RecordSetupStage(
@@ -489,12 +661,8 @@ bool Load(const Args& args, Workspace& ws) {
   }
   // Optional COI-style decayed accumulation: window i becomes the decayed
   // sum of windows 0..i.
-  double theta = args.GetDouble("decay", 0.0);
+  const double theta = args.Double("decay");
   if (theta > 0.0) {
-    if (theta >= 1.0) {
-      obs::LogError("bad_flags").Str("error", "--decay must be in [0, 1)");
-      return false;
-    }
     DecayedGraphAccumulator acc(ws.interner.size(), theta);
     std::vector<CommGraph> decayed;
     decayed.reserve(ws.windows.size());
@@ -504,16 +672,8 @@ bool Load(const Args& args, Workspace& ws) {
     }
     ws.windows = std::move(decayed);
   }
-  std::vector<bool> has_out(ws.interner.size(), false);
-  for (const auto& g : ws.windows) {
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      if (g.OutDegree(v) > 0) has_out[v] = true;
-    }
-  }
-  for (NodeId v = 0; v < has_out.size(); ++v) {
-    if (has_out[v]) ws.focal.push_back(v);
-  }
-  size_t threads = args.GetInt("threads", 1);
+  ws.focal = FocalFromWindows(ws.interner.size(), ws.windows);
+  const size_t threads = args.Uint("threads");
   if (threads > 1) ws.pool = std::make_unique<ThreadPool>(threads);
   obs::LogInfo("trace_loaded")
       .U64("events", events.size())
@@ -523,59 +683,21 @@ bool Load(const Args& args, Workspace& ws) {
   return true;
 }
 
-Result<std::unique_ptr<SignatureScheme>> SchemeFor(const Args& args) {
-  SchemeOptions opts;
-  opts.k = args.GetPositiveInt("k", 10);
-  return CreateScheme(args.Get("scheme", "tt"), opts);
-}
-
-Result<DistanceKind> DistFor(const Args& args) {
-  return ParseDistanceName(args.Get("dist", "shel"));
-}
-
-int RunSignatures(const Args& args, Workspace& ws) {
-  size_t window = args.GetInt("window", 0);
-  if (window >= ws.windows.size()) {
-    obs::LogError("window_out_of_range")
-        .U64("window", window)
-        .U64("windows", ws.windows.size());
-    return 1;
-  }
-  auto scheme = SchemeFor(args);
-  if (!scheme.ok()) {
-    obs::LogError("bad_scheme").Str("error", scheme.status().ToString());
-    return 1;
-  }
-  auto sigs = ws.Signatures(**scheme, window);
+int RunSignatures(const Workspace& ws) {
   for (size_t i = 0; i < ws.focal.size(); ++i) {
-    if (sigs[i].empty()) continue;
+    if (ws.s0[i].empty()) continue;
     std::printf("%s\t%s\n", ws.interner.LabelOf(ws.focal[i]).c_str(),
-                sigs[i].ToString(ws.interner).c_str());
+                ws.s0[i].ToString(ws.interner).c_str());
   }
   return 0;
 }
 
-int RunSelfMatch(const Args& args, Workspace& ws) {
-  size_t w0 = args.GetInt("window", 0);
-  size_t w1 = args.GetInt("window2", 1);
-  if (w0 >= ws.windows.size() || w1 >= ws.windows.size()) {
-    obs::LogError("window_out_of_range").U64("windows", ws.windows.size());
-    return 1;
-  }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) {
-    obs::LogError("bad_scheme_or_distance");
-    return 1;
-  }
-  auto s0 = ws.Signatures(**scheme, w0);
-  auto s1 = ws.Signatures(**scheme, w1);
-  SignatureDistance d(*dist);
-  auto rocs = SelfMatchRoc(s0, s1, d);
-  PropertyEllipse e = SummarizeProperties(s0, s1, d, 50000);
-  std::printf("scheme=%s dist=%s windows=%zu->%zu\n",
-              (*scheme)->name().c_str(), std::string(DistanceName(*dist)).c_str(),
-              w0, w1);
+int RunSelfMatch(const Args& args, const Workspace& ws) {
+  const SignatureDistance d = DistFor(args);
+  auto rocs = SelfMatchRoc(ws.s0, ws.s1, d);
+  PropertyEllipse e = SummarizeProperties(ws.s0, ws.s1, d, 50000);
+  std::printf("scheme=%s dist=%s windows=%zu->%zu\n", ws.scheme->name().c_str(),
+              std::string(d.name()).c_str(), ws.w0, ws.w1);
   std::printf("self-match AUC  %.4f\n", MeanAuc(rocs));
   std::printf("persistence     %.4f +- %.4f\n", e.mean_persistence,
               e.std_persistence);
@@ -584,23 +706,11 @@ int RunSelfMatch(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunMultiusage(const Args& args, Workspace& ws) {
-  size_t window = args.GetInt("window", 0);
-  if (window >= ws.windows.size()) {
-    obs::LogError("window_out_of_range")
-        .U64("window", window)
-        .U64("windows", ws.windows.size());
-    return 1;
-  }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) return 1;
-  auto sigs = ws.Signatures(**scheme, window);
-  MultiusageDetector detector(
-      SignatureDistance(*dist),
-      {.threshold = args.GetDouble("threshold", 0.5),
-       .max_pairs = args.GetInt("max-pairs", 50)});
-  auto pairs = detector.Detect(ws.focal, sigs);
+int RunMultiusage(const Args& args, const Workspace& ws) {
+  MultiusageDetector detector(DistFor(args),
+                              {.threshold = args.Double("threshold"),
+                               .max_pairs = args.Uint("max-pairs")});
+  auto pairs = detector.Detect(ws.focal, ws.s0);
   std::printf("%zu candidate alias pair(s)\n", pairs.size());
   for (const auto& p : pairs) {
     std::printf("%.4f\t%s\t%s\n", p.distance,
@@ -610,23 +720,11 @@ int RunMultiusage(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunMasquerade(const Args& args, Workspace& ws) {
-  size_t w0 = args.GetInt("window", 0);
-  size_t w1 = args.GetInt("window2", 1);
-  if (w0 >= ws.windows.size() || w1 >= ws.windows.size()) {
-    obs::LogError("window_out_of_range").U64("windows", ws.windows.size());
-    return 1;
-  }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) return 1;
-  auto s0 = ws.Signatures(**scheme, w0);
-  auto s1 = ws.Signatures(**scheme, w1);
+int RunMasquerade(const Args& args, const Workspace& ws) {
   MasqueradeDetector detector(
-      SignatureDistance(*dist),
-      {.top_ell = args.GetInt("ell", 3),
-       .delta_divisor = args.GetDouble("delta-divisor", 5.0)});
-  auto detection = detector.Detect(ws.focal, s0, s1);
+      DistFor(args), {.top_ell = args.Uint("ell"),
+                      .delta_divisor = args.Double("delta-divisor")});
+  auto detection = detector.Detect(ws.focal, ws.s0, ws.s1);
   std::printf("delta=%.4f, cleared=%zu, suspected pairs=%zu\n",
               detection.delta, detection.non_suspects.size(),
               detection.detected.size());
@@ -638,23 +736,11 @@ int RunMasquerade(const Args& args, Workspace& ws) {
   return 0;
 }
 
-int RunAnomalies(const Args& args, Workspace& ws) {
-  size_t w0 = args.GetInt("window", 0);
-  size_t w1 = args.GetInt("window2", 1);
-  if (w0 >= ws.windows.size() || w1 >= ws.windows.size()) {
-    obs::LogError("window_out_of_range").U64("windows", ws.windows.size());
-    return 1;
-  }
-  auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) return 1;
-  auto s0 = ws.Signatures(**scheme, w0);
-  auto s1 = ws.Signatures(**scheme, w1);
-  auto anomalies =
-      DetectAnomalies(ws.focal, s0, s1, SignatureDistance(*dist),
-                      args.GetDouble("threshold", 2.0));
+int RunAnomalies(const Args& args, const Workspace& ws) {
+  auto anomalies = DetectAnomalies(ws.focal, ws.s0, ws.s1, DistFor(args),
+                                   args.Double("threshold"));
   std::printf("%zu anomalies between windows %zu and %zu\n",
-              anomalies.size(), w0, w1);
+              anomalies.size(), ws.w0, ws.w1);
   for (const Anomaly& a : anomalies) {
     std::printf("%s\tpersistence=%.4f\t%.1f sigma below mean\n",
                 ws.interner.LabelOf(a.node).c_str(), a.persistence,
@@ -663,10 +749,46 @@ int RunAnomalies(const Args& args, Workspace& ws) {
   return 0;
 }
 
-/// Writes the --metrics-out / --trace-out artifacts (defined after the
-/// subcommands; `stream` also calls it mid-run at the checkpoint cadence,
-/// under the retry policy — hence the Status).
-Status FlushTelemetry(const Args& args, bool final_export);
+/// Writes the requested observability artifacts. `final_export` is the
+/// end-of-command export (logged at info); the periodic in-run flushes
+/// during `stream` log at debug so they don't drown the event stream.
+/// Returns the first write failure so the supervisor's retry loop can
+/// re-drive a flush that hit a transient IO error.
+Status FlushTelemetry(const Args& args, bool final_export) {
+  Status first = failpoints::Inject("telemetry/flush");
+  const obs::LogLevel ok_level =
+      final_export ? obs::LogLevel::kInfo : obs::LogLevel::kDebug;
+  const std::string metrics_out = args.Str("metrics-out");
+  if (!metrics_out.empty() && first.ok()) {
+    Status s = obs::MetricsRegistry::Global().WriteJsonFile(metrics_out);
+    if (!s.ok()) {
+      obs::LogError("metrics_write_failed")
+          .Str("path", metrics_out)
+          .Str("status", s.ToString());
+      first = s;
+    } else {
+      obs::Log(ok_level, "metrics_written")
+          .Str("path", metrics_out)
+          .Bool("final", final_export);
+    }
+  }
+  const std::string trace_out = args.Str("trace-out");
+  if (!trace_out.empty() && first.ok()) {
+    Status s = obs::TraceCollector::Global().WriteChromeTraceFile(trace_out);
+    if (!s.ok()) {
+      obs::LogError("trace_write_failed")
+          .Str("path", trace_out)
+          .Str("status", s.ToString());
+      first = s;
+    } else {
+      obs::Log(ok_level, "trace_written")
+          .Str("path", trace_out)
+          .Str("viewer", "chrome://tracing or ui.perfetto.dev")
+          .Bool("final", final_export);
+    }
+  }
+  return first;
+}
 
 /// Nodes with outgoing traffic anywhere in the stream — the focal
 /// population whose signatures `stream` maintains.
@@ -683,29 +805,46 @@ std::vector<NodeId> FocalFromEvents(const Interner& interner,
   return focal;
 }
 
-/// Assembles the supervisor configuration shared by `stream` and
-/// `chaoscheck` from the flags.
+/// The `stream` output: one TT and one UT signature line per focal node.
+std::string StreamOutput(const StreamSupervisor& supervisor,
+                         const Interner& interner, size_t k) {
+  std::string out;
+  for (NodeId v : supervisor.focal()) {
+    const std::string& label = interner.LabelOf(v);
+    out += label + "\ttt\t" +
+           supervisor.builder()->TopTalkers(v, k).ToString(interner) + "\n";
+    out += label + "\tut\t" +
+           supervisor.builder()->UnexpectedTalkers(v, k).ToString(interner) +
+           "\n";
+  }
+  return out;
+}
+
+/// The supervisor configuration `stream` and `chaoscheck` share; each
+/// sets its own checkpoint directory and kill point.
 StreamSupervisor::Options SupervisorFromArgs(const Args& args,
-                                             const std::string& ckpt_dir,
                                              RecordErrorLog* dead_letters) {
   StreamSupervisor::Options opts;
-  opts.k = args.GetPositiveInt("k", 10);
-  opts.checkpoint_every = args.GetInt("checkpoint-every", 10000);
-  opts.emit_every = args.GetInt("emit-every", 0);
-  opts.kill_after = args.GetInt("kill-after", 0);
-  opts.replay_delay_us = args.GetInt("replay-delay-us", 0);
-  opts.replay_rate = args.GetDouble("replay-rate", 0.0);
-  opts.checkpoint_dir = ckpt_dir;
+  opts.k = args.Uint("k");
+  opts.checkpoint_every = args.Uint("checkpoint-every");
+  opts.emit_every = args.Uint("emit-every");
+  opts.replay_delay_us = args.Uint("replay-delay-us");
+  opts.replay_rate = args.Double("replay-rate");
   opts.max_epoch_attempts =
-      static_cast<uint32_t>(args.GetInt("max-epoch-attempts", 3));
-  opts.epoch_budget_us = args.GetInt("window-budget-ms", 0) * 1000;
+      static_cast<uint32_t>(args.Uint("max-epoch-attempts"));
+  opts.epoch_budget_us = args.Uint("window-budget-ms") * 1000;
   opts.retry = RetryFromArgs(args);
-  opts.degrade = DegradeFromArgs(args);
-  opts.builder.seed = args.GetInt("seed", 0xc0de);
+  opts.degrade.escalate_after =
+      static_cast<uint32_t>(args.Uint("degrade-escalate-after"));
+  opts.degrade.recover_after =
+      static_cast<uint32_t>(args.Uint("degrade-recover-after"));
+  opts.degrade.checkpoint_stretch = args.Uint("degrade-checkpoint-stretch");
+  // stream's --seed defaults to the builder's own seed; chaoscheck's seeds
+  // the sketches only when given.
+  if (args.Given("seed")) opts.builder.seed = args.Uint("seed");
   opts.dead_letters = dead_letters;
   opts.manage_tracing = true;
-  if (!args.Get("metrics-out", "").empty() ||
-      !args.Get("trace-out", "").empty()) {
+  if (!args.Str("metrics-out").empty() || !args.Str("trace-out").empty()) {
     opts.flush_telemetry = [&args]() {
       return FlushTelemetry(args, /*final_export=*/false);
     };
@@ -717,11 +856,10 @@ int RunStream(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  const size_t k = args.GetPositiveInt("k", 10);
-
   RecordErrorLog dead_letters;
-  StreamSupervisor::Options opts =
-      SupervisorFromArgs(args, args.Get("checkpoint-dir", ""), &dead_letters);
+  StreamSupervisor::Options opts = SupervisorFromArgs(args, &dead_letters);
+  opts.checkpoint_dir = args.Str("checkpoint-dir");
+  opts.kill_after = args.Uint("kill-after");
   StreamSupervisor supervisor(FocalFromEvents(interner, events),
                               std::move(opts));
   StreamRunReport report = supervisor.Run(events);
@@ -739,7 +877,7 @@ int RunStream(const Args& args) {
       .Bool("restored", report.restored_from_checkpoint)
       .Bool("fallback_restore", report.restored_from_fallback);
 
-  std::string dead_letter_out = args.Get("dead-letter-out", "");
+  const std::string dead_letter_out = args.Str("dead-letter-out");
   if (!dead_letter_out.empty() && dead_letters.total() > 0) {
     Status s = dead_letters.WriteCsv(dead_letter_out);
     if (!s.ok()) {
@@ -749,15 +887,8 @@ int RunStream(const Args& args) {
     }
   }
   if (report.killed) return 3;
-
-  for (NodeId v : supervisor.focal()) {
-    Signature tt = supervisor.builder()->TopTalkers(v, k);
-    Signature ut = supervisor.builder()->UnexpectedTalkers(v, k);
-    std::printf("%s\ttt\t%s\n", interner.LabelOf(v).c_str(),
-                tt.ToString(interner).c_str());
-    std::printf("%s\tut\t%s\n", interner.LabelOf(v).c_str(),
-                ut.ToString(interner).c_str());
-  }
+  std::fputs(StreamOutput(supervisor, interner, args.Uint("k")).c_str(),
+             stdout);
   return 0;
 }
 
@@ -791,13 +922,13 @@ int RunChaoscheck(const Args& args) {
     obs::LogError("chaoscheck_no_events");
     return 1;
   }
-  const size_t k = args.GetPositiveInt("k", 10);
-  const uint64_t trials = args.GetInt("trials", 3);
-  const uint64_t seed = args.GetInt("seed", 1);
+  const size_t k = args.Uint("k");
+  const uint64_t trials = args.Uint("trials");
+  const uint64_t seed = args.Uint("seed");
   const std::vector<NodeId> focal = FocalFromEvents(interner, events);
 
   namespace fs = std::filesystem;
-  std::string chaos_dir = args.Get("chaos-dir", "");
+  std::string chaos_dir = args.Str("chaos-dir");
   const bool own_dir = chaos_dir.empty();
   if (own_dir) {
     chaos_dir = (fs::temp_directory_path() /
@@ -808,26 +939,19 @@ int RunChaoscheck(const Args& args) {
   // Reference: one fault-free supervised run. Everything after it must
   // converge to these exact signature bytes.
   FailPointRegistry::Global().Reset();
-  std::vector<std::string> reference;
+  std::string reference;
   {
     RecordErrorLog dead_letters;
-    StreamSupervisor::Options opts =
-        SupervisorFromArgs(args, "", &dead_letters);
-    opts.kill_after = 0;
-    StreamSupervisor ref(focal, std::move(opts));
+    StreamSupervisor ref(focal, SupervisorFromArgs(args, &dead_letters));
     StreamRunReport report = ref.Run(events);
     if (report.killed || report.epochs_quarantined > 0) {
       obs::LogError("chaoscheck_reference_failed");
       return 1;
     }
-    for (NodeId v : focal) {
-      reference.push_back(ref.builder()->TopTalkers(v, k).ToString(interner));
-      reference.push_back(
-          ref.builder()->UnexpectedTalkers(v, k).ToString(interner));
-    }
+    reference = StreamOutput(ref, interner, k);
   }
 
-  Rng rng(seed != 0 ? seed : 1);
+  Rng rng(seed);
   int rc = 0;
   for (uint64_t trial = 0; trial < trials; ++trial) {
     std::error_code ec;
@@ -847,16 +971,8 @@ int RunChaoscheck(const Args& args) {
     while (true) {
       const ChaosScenario& scenario =
           kChaosScenarios[rng.UniformInt(std::size(kChaosScenarios))];
-      FailPointRegistry::Global().Reset();
-      if (scenario.spec[0] != '\0') {
-        Status armed = FailPointRegistry::Global().ArmFromSpec(scenario.spec);
-        if (!armed.ok()) {
-          obs::LogError("chaoscheck_bad_scenario")
-              .Str("scenario", scenario.name)
-              .Str("error", armed.ToString());
-          return 1;
-        }
-      }
+      const Status armed = ArmFailpoints(scenario.spec);
+      COMMSIG_CHECK(armed.ok(), armed.ToString());
       const uint64_t remaining = events.size() - position;
       // Kill somewhere inside the remaining stream on most segments; a
       // draw past the end lets the segment complete.
@@ -864,8 +980,8 @@ int RunChaoscheck(const Args& args) {
           1 + rng.UniformInt(remaining + remaining / 2 + 1);
 
       RecordErrorLog dead_letters;
-      StreamSupervisor::Options opts =
-          SupervisorFromArgs(args, chaos_dir, &dead_letters);
+      StreamSupervisor::Options opts = SupervisorFromArgs(args, &dead_letters);
+      opts.checkpoint_dir = chaos_dir;
       opts.kill_after = kill_after;
       StreamSupervisor supervisor(focal, std::move(opts));
       report = supervisor.Run(events);
@@ -889,19 +1005,8 @@ int RunChaoscheck(const Args& args) {
           // scenarios are all recoverable — reaching it means the
           // supervisor gave up on an epoch it should have healed.
           final_signatures_verdict = "quarantined";
-        } else {
-          size_t idx = 0;
-          for (NodeId v : focal) {
-            if (supervisor.builder()->TopTalkers(v, k).ToString(interner) !=
-                    reference[idx] ||
-                supervisor.builder()
-                        ->UnexpectedTalkers(v, k)
-                        .ToString(interner) != reference[idx + 1]) {
-              final_signatures_verdict = "diverged";
-              break;
-            }
-            idx += 2;
-          }
+        } else if (StreamOutput(supervisor, interner, k) != reference) {
+          final_signatures_verdict = "diverged";
         }
         break;
       }
@@ -909,16 +1014,11 @@ int RunChaoscheck(const Args& args) {
 
     const bool pass = final_signatures_verdict == "pass";
     if (!pass) rc = 1;
-    std::printf(
-        "trial %llu: %s  segments=%llu retries=%llu rebuilt=%llu "
-        "quarantined=%llu fallback_restores=%llu\n",
-        static_cast<unsigned long long>(trial),
-        final_signatures_verdict.c_str(),
-        static_cast<unsigned long long>(segments),
-        static_cast<unsigned long long>(retries),
-        static_cast<unsigned long long>(rebuilt),
-        static_cast<unsigned long long>(quarantined),
-        static_cast<unsigned long long>(fallback_restores));
+    std::printf("trial %" PRIu64 ": %s  segments=%" PRIu64 " retries=%" PRIu64
+                " rebuilt=%" PRIu64 " quarantined=%" PRIu64
+                " fallback_restores=%" PRIu64 "\n",
+                trial, final_signatures_verdict.c_str(), segments, retries,
+                rebuilt, quarantined, fallback_restores);
     obs::LogInfo("chaos_trial_done")
         .U64("trial", trial)
         .Str("verdict", final_signatures_verdict)
@@ -929,10 +1029,8 @@ int RunChaoscheck(const Args& args) {
     std::error_code ec;
     fs::remove_all(chaos_dir, ec);
   }
-  std::printf("chaoscheck: %s (%llu trial(s), seed %llu)\n",
-              rc == 0 ? "PASS" : "FAIL",
-              static_cast<unsigned long long>(trials),
-              static_cast<unsigned long long>(seed));
+  std::printf("chaoscheck: %s (%" PRIu64 " trial(s), seed %" PRIu64 ")\n",
+              rc == 0 ? "PASS" : "FAIL", trials, seed);
   return rc;
 }
 
@@ -940,24 +1038,21 @@ int RunFaultcheck(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  const double fraction = args.GetDouble("fraction", 0.01);
-  const double max_drift = args.GetDouble("max-drift", 0.25);
-  const size_t k = args.GetPositiveInt("k", 10);
-  const uint64_t window_length = args.GetPositiveInt("window-length", 86400);
+  const double fraction = args.Double("fraction");
+  const double max_drift = args.Double("max-drift");
+  const size_t k = args.Uint("k");
 
-  FaultInjector::Options fopts;
-  fopts.seed = args.GetInt("seed", 1);
-  fopts.p_drop = fraction;
-  fopts.p_duplicate = fraction;
-  fopts.p_corrupt_weight = fraction;
-  fopts.p_corrupt_time = fraction;
-  fopts.p_swap = fraction;
-  FaultInjector injector(fopts);
+  FaultInjector injector({.seed = args.Uint("seed"),
+                          .p_drop = fraction,
+                          .p_duplicate = fraction,
+                          .p_corrupt_weight = fraction,
+                          .p_corrupt_time = fraction,
+                          .p_swap = fraction});
   std::vector<TraceEvent> perturbed = injector.PerturbEvents(events);
   obs::LogInfo("faults_injected")
       .Str("report", injector.report().ToString());
 
-  TraceWindower windower(interner.size(), window_length);
+  TraceWindower windower(interner.size(), args.Uint("window-length"));
   std::vector<CommGraph> clean = windower.Split(events);
   std::vector<CommGraph> dirty = windower.Split(perturbed);
   if (clean.empty() || dirty.empty()) {
@@ -966,26 +1061,15 @@ int RunFaultcheck(const Args& args) {
   }
   const CommGraph& g0 = clean[0];
   const CommGraph& g1 = dirty[0];
-
-  std::vector<NodeId> focal;
-  for (NodeId v = 0; v < g0.NumNodes(); ++v) {
-    if (g0.OutDegree(v) > 0) focal.push_back(v);
-  }
+  const std::vector<NodeId> focal =
+      FocalFromWindows(interner.size(), std::span(clean).first(1));
 
   SignatureDistance jaccard(DistanceKind::kJaccard);
   int rc = 0;
   for (const char* spec : {"tt", "ut", "rwr(c=0.1,h=3)", "rwr(c=0.1)"}) {
-    SchemeOptions scheme_opts;
-    scheme_opts.k = k;
-    auto scheme = CreateScheme(spec, scheme_opts);
-    if (!scheme.ok()) {
-      obs::LogError("bad_scheme")
-          .Str("spec", spec)
-          .Str("status", scheme.status().ToString());
-      return 1;
-    }
-    const std::vector<Signature> before = (*scheme)->ComputeAll(g0, focal);
-    const std::vector<Signature> after = (*scheme)->ComputeAll(g1, focal);
+    const auto scheme = MakeScheme(spec, k);
+    const std::vector<Signature> before = scheme->ComputeAll(g0, focal);
+    const std::vector<Signature> after = scheme->ComputeAll(g1, focal);
     double sum = 0.0;
     size_t n = 0;
     for (size_t i = 0; i < focal.size(); ++i) {
@@ -995,10 +1079,10 @@ int RunFaultcheck(const Args& args) {
     }
     const double mean = n > 0 ? sum / static_cast<double>(n) : 0.0;
     std::printf("%-16s mean Dist_Jac drift over %zu focal node(s): %.4f\n",
-                (*scheme)->name().c_str(), n, mean);
+                scheme->name().c_str(), n, mean);
     if (mean > max_drift) {
       std::printf("%-16s drift %.4f exceeds --max-drift %.4f\n",
-                  (*scheme)->name().c_str(), mean, max_drift);
+                  scheme->name().c_str(), mean, max_drift);
       rc = 1;
     }
   }
@@ -1009,13 +1093,9 @@ int RunTimeline(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  const uint64_t window_length = args.GetPositiveInt("window-length", 86400);
-  const uint64_t stride = args.GetInt("stride", window_length);
-  if (stride == 0 || stride > window_length) {
-    obs::LogError("bad_flags")
-        .Str("detail", "--stride must be in [1, --window-length]");
-    return 1;
-  }
+  const uint64_t window_length = args.Uint("window-length");
+  const uint64_t stride =
+      args.Given("stride") ? args.Uint("stride") : window_length;
   TraceWindower windower(interner.size(), window_length);
   const uint64_t split_begin_us = NowMicros();
   std::vector<CommGraph> windows = windower.SplitSliding(events, stride);
@@ -1025,50 +1105,24 @@ int RunTimeline(const Args& args) {
     obs::LogError("no_windows").Str("detail", "trace produced no windows");
     return 1;
   }
-
-  std::vector<NodeId> focal;
-  {
-    std::vector<bool> has_out(interner.size(), false);
-    for (const auto& g : windows) {
-      for (NodeId v = 0; v < g.NumNodes(); ++v) {
-        if (g.OutDegree(v) > 0) has_out[v] = true;
-      }
-    }
-    for (NodeId v = 0; v < has_out.size(); ++v) {
-      if (has_out[v]) focal.push_back(v);
-    }
-  }
+  const std::vector<NodeId> focal =
+      FocalFromWindows(interner.size(), windows);
 
   auto scheme = SchemeFor(args);
-  auto dist = DistFor(args);
-  if (!scheme.ok() || !dist.ok()) {
-    obs::LogError("bad_scheme_or_distance")
-        .Str("scheme_status",
-             scheme.ok() ? "ok" : scheme.status().ToString())
-        .Str("dist_status", dist.ok() ? "ok" : dist.status().ToString());
-    return 1;
-  }
+  const SignatureDistance d = DistFor(args);
   SignatureTimelineOptions topts;
-  const std::string mode = args.Get("mode", "incremental");
-  if (mode == "incremental") {
-    topts.incremental = true;
-  } else if (mode == "scratch") {
-    topts.incremental = false;
-  } else {
-    DieInvalidFlag("mode", mode, "incremental | scratch");
-  }
+  const std::string mode = args.Str("mode");
+  topts.incremental = mode == "incremental";
 
-  auto per_window = ComputeSignatureTimeline(**scheme, windows, focal, topts);
+  auto per_window = ComputeSignatureTimeline(*scheme, windows, focal, topts);
   const double overlap =
       1.0 - static_cast<double>(stride) / static_cast<double>(window_length);
   std::printf("scheme=%s dist=%s windows=%zu stride=%llu overlap=%.2f "
               "mode=%s focal=%zu\n",
-              (*scheme)->name().c_str(),
-              std::string(DistanceName(*dist)).c_str(), windows.size(),
-              static_cast<unsigned long long>(stride), overlap, mode.c_str(),
-              focal.size());
+              scheme->name().c_str(), std::string(d.name()).c_str(),
+              windows.size(), static_cast<unsigned long long>(stride),
+              overlap, mode.c_str(), focal.size());
 
-  SignatureDistance d(*dist);
   const uint64_t persist_begin_us = NowMicros();
   for (const TransitionStats& t : PersistencePerTransition(per_window, d)) {
     std::printf("transition %zu->%zu  persistence %.4f +- %.4f\n",
@@ -1076,7 +1130,7 @@ int RunTimeline(const Args& args) {
                 t.std_persistence);
   }
   for (const LagStats& l :
-       PersistenceByLag(per_window, d, args.GetInt("max-lag", 5))) {
+       PersistenceByLag(per_window, d, args.Uint("max-lag"))) {
     std::printf("lag %zu  persistence %.4f +- %.4f  (%zu pair(s))\n", l.lag,
                 l.mean_persistence, l.std_persistence, l.samples);
   }
@@ -1087,62 +1141,15 @@ int RunTimeline(const Args& args) {
   return 0;
 }
 
-/// Writes the requested observability artifacts. `final_export` is the
-/// end-of-command export (logged at info); the periodic in-run flushes
-/// during `stream` log at debug so they don't drown the event stream.
-/// Returns the first write failure so the supervisor's retry loop can
-/// re-drive a flush that hit a transient IO error.
-Status FlushTelemetry(const Args& args, bool final_export) {
-  Status first = failpoints::Inject("telemetry/flush");
-  const obs::LogLevel ok_level =
-      final_export ? obs::LogLevel::kInfo : obs::LogLevel::kDebug;
-  std::string metrics_out = args.Get("metrics-out", "");
-  if (!metrics_out.empty() && first.ok()) {
-    Status s = obs::MetricsRegistry::Global().WriteJsonFile(metrics_out);
-    if (!s.ok()) {
-      obs::LogError("metrics_write_failed")
-          .Str("path", metrics_out)
-          .Str("status", s.ToString());
-      first = s;
-    } else {
-      obs::Log(ok_level, "metrics_written")
-          .Str("path", metrics_out)
-          .Bool("final", final_export);
-    }
-  }
-  std::string trace_out = args.Get("trace-out", "");
-  if (!trace_out.empty() && first.ok()) {
-    Status s = obs::TraceCollector::Global().WriteChromeTraceFile(trace_out);
-    if (!s.ok()) {
-      obs::LogError("trace_write_failed")
-          .Str("path", trace_out)
-          .Str("status", s.ToString());
-      first = s;
-    } else {
-      obs::Log(ok_level, "trace_written")
-          .Str("path", trace_out)
-          .Str("viewer", "chrome://tracing or ui.perfetto.dev")
-          .Bool("final", final_export);
-    }
-  }
-  return first;
-}
-
 /// Applies the logging flags before anything can emit a structured line.
-/// Returns false (after a raw-stderr diagnostic) on unusable flag values.
+/// Returns false (after a raw-stderr diagnostic) when the log file cannot
+/// be opened.
 bool ConfigureLogging(const Args& args) {
-  std::string level_name = args.Get("log-level", "");
-  if (!level_name.empty()) {
-    obs::LogLevel level = obs::LogLevel::kInfo;
-    if (!obs::ParseLogLevel(level_name, level)) {
-      std::fprintf(stderr, "invalid --log-level %s "
-                   "(expected debug | info | warn | error)\n",
-                   level_name.c_str());
-      return false;
-    }
+  obs::LogLevel level = obs::LogLevel::kInfo;
+  if (obs::ParseLogLevel(args.Str("log-level"), level)) {
     obs::LogSink::Global().SetMinLevel(level);
   }
-  std::string log_file = args.Get("log-file", "");
+  const std::string log_file = args.Str("log-file");
   if (!log_file.empty()) {
     // The log sink is itself retryable IO: a transient open failure (NFS
     // hiccup, slow mount) should not kill the whole run.
@@ -1162,45 +1169,34 @@ bool ConfigureLogging(const Args& args) {
 }
 
 int Main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; i += 2) {
-    std::string flag = argv[i];
-    if (flag.rfind("--", 0) != 0) return Usage();
-    if (i + 1 == argc) {
-      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-      return 2;
-    }
-    args.flags[flag.substr(2)] = argv[i + 1];
+  const CommandInfo* command = nullptr;
+  for (const CommandInfo& c : kCommands) {
+    if (argc >= 2 && std::strcmp(argv[1], c.name) == 0) command = &c;
   }
-
-  // Arm fail-points before anything does IO (including the log sink), so a
-  // spec can target every site in the process.
-  std::string failpoint_spec = args.Get("failpoints", "");
-  if (!failpoint_spec.empty()) {
-    if (!failpoints::Enabled()) {
-      std::fprintf(stderr,
-                   "--failpoints requires a build with -DCOMMSIG_FAILPOINTS "
-                   "(this binary was built without it)\n");
-      return 2;
-    }
-    Status armed = FailPointRegistry::Global().ArmFromSpec(failpoint_spec);
-    if (!armed.ok()) {
-      DieInvalidFlag("failpoints", failpoint_spec,
-                     "site=kind[@afterN][xM];... with kind one of eio | "
-                     "enospc | short_write | torn_rename | fsync_fail");
-    }
+  if (command == nullptr) return Usage();
+  Args args(*command);
+  if (!args.Parse(argc, argv)) return 2;
+  // The two relations between flags that no single row can state.
+  if (args.Str("trace").empty() == args.Str("netflow").empty()) {
+    obs::LogError("bad_flags")
+        .Str("error", "exactly one of --trace / --netflow is required");
+    return 2;
+  }
+  if (args.command() == kTimeline && args.Given("stride") &&
+      args.Uint("stride") > args.Uint("window-length")) {
+    obs::LogError("bad_flags")
+        .Str("detail", "--stride must be in [1, --window-length]");
+    return 2;
   }
 
   if (!ConfigureLogging(args)) return 1;
 
   // Stable snapshot keys even for paths this run never exercises.
   obs::PreRegisterCoreMetrics();
-  if (!args.Get("trace-out", "").empty()) {
+  if (!args.Str("trace-out").empty()) {
     obs::TraceCollector::Global().SetEnabled(true);
   }
-  const uint64_t budget_ms = args.GetInt("window-budget-ms", 0);
+  const uint64_t budget_ms = args.Uint("window-budget-ms");
   if (budget_ms > 0) {
     obs::WindowStatsAggregator::Global().SetLatencyBudgetUs(budget_ms * 1000);
   }
@@ -1209,10 +1205,10 @@ int Main(int argc, char** argv) {
   // /pipelinez for the lifetime of the command (plus an optional linger so
   // short runs stay probeable).
   std::unique_ptr<obs::StatsServer> stats_server;
-  if (args.flags.count("stats-port") > 0) {
+  if (args.Given("stats-port")) {
     obs::StatsServer::Options sopts;
-    sopts.port = static_cast<uint16_t>(args.GetInt("stats-port", 0));
-    sopts.stall_threshold_us = args.GetInt("stats-stall-ms", 30000) * 1000;
+    sopts.port = static_cast<uint16_t>(args.Uint("stats-port"));
+    sopts.stall_threshold_us = args.Uint("stats-stall-ms") * 1000;
     stats_server = std::make_unique<obs::StatsServer>(sopts);
     Status s = stats_server->Start();
     if (!s.ok()) {
@@ -1223,23 +1219,23 @@ int Main(int argc, char** argv) {
   }
 
   int rc;
-  // stream, faultcheck and timeline manage their own event loading (they
+  const Command c = args.command();
+  // stream, faultcheck, chaoscheck and timeline load their own events (they
   // need the raw stream or a sliding split, not the windowed Workspace).
-  if (args.command == "stream" || args.command == "faultcheck" ||
-      args.command == "timeline" || args.command == "chaoscheck") {
-    rc = args.command == "stream"       ? RunStream(args)
-         : args.command == "faultcheck" ? RunFaultcheck(args)
-         : args.command == "chaoscheck" ? RunChaoscheck(args)
-                                        : RunTimeline(args);
+  if ((c & kWorkspace) == 0) {
+    rc = c == kStream       ? RunStream(args)
+         : c == kFaultcheck ? RunFaultcheck(args)
+         : c == kChaoscheck ? RunChaoscheck(args)
+                            : RunTimeline(args);
   } else {
     Workspace ws;
     if (!Load(args, ws)) return 1;
-    if (args.command == "signatures") rc = RunSignatures(args, ws);
-    else if (args.command == "selfmatch") rc = RunSelfMatch(args, ws);
-    else if (args.command == "multiusage") rc = RunMultiusage(args, ws);
-    else if (args.command == "masquerade") rc = RunMasquerade(args, ws);
-    else if (args.command == "anomalies") rc = RunAnomalies(args, ws);
-    else return Usage();
+    rc = !ws.ComputeSignatures(args) ? 1
+         : c == kSignatures          ? RunSignatures(ws)
+         : c == kSelfmatch           ? RunSelfMatch(args, ws)
+         : c == kMultiusage          ? RunMultiusage(args, ws)
+         : c == kMasquerade          ? RunMasquerade(args, ws)
+                                     : RunAnomalies(args, ws);
   }
 
   // Final export failures are already logged inside; they don't override
@@ -1248,7 +1244,7 @@ int Main(int argc, char** argv) {
   (void)flushed;
 
   if (stats_server != nullptr) {
-    const uint64_t linger_ms = args.GetInt("stats-linger-ms", 0);
+    const uint64_t linger_ms = args.Uint("stats-linger-ms");
     if (linger_ms > 0) {
       obs::LogInfo("stats_server_lingering").U64("linger_ms", linger_ms);
       std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
