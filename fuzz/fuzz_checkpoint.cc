@@ -16,7 +16,6 @@
 #include <string_view>
 
 #include "common/bytes.h"
-#include "graph/windower.h"
 #include "robust/checkpoint.h"
 #include "sketch/count_min.h"
 #include "sketch/fm_sketch.h"
@@ -66,10 +65,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   {
     commsig::ByteReader in(bytes);
     (void)commsig::SpaceSaving::FromBytes(in);
-  }
-  {
-    commsig::ByteReader in(bytes);
-    (void)commsig::TraceWindower::FromBytes(in);
   }
   return 0;
 }

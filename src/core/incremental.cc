@@ -3,9 +3,7 @@
 #include <utility>
 
 #include "graph/graph_delta.h"
-#include "obs/log.h"
 #include "obs/obs.h"
-#include "obs/trace.h"
 #include "obs/window_stats.h"
 
 namespace commsig {
@@ -14,7 +12,7 @@ IncrementalSignatureEngine::IncrementalSignatureEngine(
     const SignatureScheme& scheme, std::vector<NodeId> nodes)
     : scheme_(&scheme), nodes_(std::move(nodes)) {}
 
-const std::vector<Signature>& IncrementalSignatureEngine::AdvanceImpl(
+const std::vector<Signature>& IncrementalSignatureEngine::AdvanceBorrowed(
     const CommGraph& g) {
   COMMSIG_SPAN("timeline/advance");
   obs::WindowRecord record;
@@ -33,9 +31,7 @@ const std::vector<Signature>& IncrementalSignatureEngine::AdvanceImpl(
   const uint64_t dirty_before = dirty_counter.Value();
   const uint64_t reused_before = reused_counter.Value();
 
-  const uint64_t begin_us = ClockNowUs();
-  if (windows_advanced_ == 0 || prev_graph_ == nullptr || force_prime_) {
-    force_prime_ = false;
+  if (prev_graph_ == nullptr) {
     obs::ScopedStageTimer timer(record, obs::PipelineStage::kDirtyRecompute);
     current_ = scheme_->IncrementalComputeAll(g, nodes_, nullptr, {}, state_);
     record.dirty_nodes = nodes_.size();  // a prime recomputes everyone
@@ -56,81 +52,15 @@ const std::vector<Signature>& IncrementalSignatureEngine::AdvanceImpl(
   }
   obs::WindowStatsAggregator::Global().Record(record);
   ++windows_advanced_;
-
-  // Poison-window budget: consecutive over-budget advances mean the
-  // incremental path itself has gone pathological — bypass it by dropping
-  // the warm state so the next window primes from scratch.
-  if (budget_us_ > 0) {
-    const uint64_t elapsed_us = ClockNowUs() - begin_us;
-    if (elapsed_us > budget_us_) {
-      ++strike_streak_;
-      ++budget_strikes_total_;
-      COMMSIG_COUNTER_ADD("core/incremental_budget_strikes", 1);
-      obs::LogWarn("incremental_budget_strike")
-          .U64("window_index", windows_advanced_ - 1)
-          .U64("elapsed_us", elapsed_us)
-          .U64("budget_us", budget_us_)
-          .U64("streak", strike_streak_);
-      if (strike_streak_ >= max_strikes_) {
-        strike_streak_ = 0;
-        ++scratch_rebuilds_;
-        COMMSIG_COUNTER_ADD("core/incremental_scratch_rebuilds", 1);
-        obs::LogWarn("incremental_scratch_fallback")
-            .U64("window_index", windows_advanced_ - 1)
-            .U64("strikes", max_strikes_);
-        DropWarmState();
-      }
-    } else {
-      strike_streak_ = 0;
-    }
-  }
+  prev_graph_ = &g;
   return current_;
 }
 
-uint64_t IncrementalSignatureEngine::ClockNowUs() const {
-  return clock_ ? clock_() : obs::TraceCollector::Global().NowMicros();
-}
-
-void IncrementalSignatureEngine::DropWarmState() {
-  state_.reset();
-  force_prime_ = true;
-}
-
-void IncrementalSignatureEngine::SetOverBudgetPolicy(uint64_t budget_us,
-                                                     uint32_t strikes) {
-  budget_us_ = budget_us;
-  max_strikes_ = strikes < 1 ? 1 : strikes;
-  strike_streak_ = 0;
-}
-
-void IncrementalSignatureEngine::SetClockForTest(
-    std::function<uint64_t()> clock) {
-  clock_ = std::move(clock);
-}
-
-const std::vector<Signature>& IncrementalSignatureEngine::Advance(CommGraph g) {
-  const std::vector<Signature>& out = AdvanceImpl(g);
-  prev_owned_ = std::move(g);
-  prev_graph_ = &prev_owned_;
-  return out;
-}
-
-const std::vector<Signature>& IncrementalSignatureEngine::AdvanceBorrowed(
-    const CommGraph& g) {
-  const std::vector<Signature>& out = AdvanceImpl(g);
-  prev_owned_ = CommGraph();  // release any previously owned window
-  prev_graph_ = &g;
-  return out;
-}
-
 void IncrementalSignatureEngine::Reset() {
-  prev_owned_ = CommGraph();
   prev_graph_ = nullptr;
   current_.clear();
   state_.reset();
   windows_advanced_ = 0;
-  strike_streak_ = 0;
-  force_prime_ = false;
 }
 
 }  // namespace commsig

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -19,7 +18,7 @@ namespace commsig {
 /// just feed windows in order and read signatures back.
 ///
 /// Determinism: an engine rebuilt mid-sequence (e.g. after a checkpoint
-/// restore) primes its first Advance with a full sweep, which equals the
+/// restore) primes its first advance with a full sweep, which equals the
 /// continuous run's signatures bit-for-bit for TT/UT (whose reuse is
 /// bit-identical by construction) and within the scheme's documented
 /// epsilon for RWR — engine state therefore never needs to be serialized.
@@ -27,80 +26,37 @@ namespace commsig {
 /// Not thread-safe; the scheme must outlive the engine.
 class IncrementalSignatureEngine {
  public:
-  /// `nodes` is the focal population every Advance computes, in a fixed
+  /// `nodes` is the focal population every advance computes, in a fixed
   /// order (signatures() is index-aligned with it).
   IncrementalSignatureEngine(const SignatureScheme& scheme,
                              std::vector<NodeId> nodes);
 
   /// Consumes the next window graph and returns its signatures. The first
   /// call after construction or Reset primes (full sweep); subsequent
-  /// calls diff against the retained previous window and go incremental.
-  /// This owning form copies (or, if the caller moves, adopts) the graph.
-  const std::vector<Signature>& Advance(CommGraph g);
-
-  /// Zero-copy form for callers that keep the window sequence alive
-  /// themselves (a materialized `std::vector<CommGraph>`): the engine
-  /// borrows `g` as the diff base for the *next* Advance instead of
-  /// copying it. `g` must stay valid and unmodified until the next
-  /// Advance/AdvanceBorrowed/Reset or engine destruction. The two forms
-  /// may be mixed freely.
+  /// calls diff against the previous window and go incremental. The engine
+  /// borrows `g` as the diff base for the next call instead of copying it,
+  /// so `g` must stay valid and unmodified until the next AdvanceBorrowed,
+  /// Reset or engine destruction — callers keep the window sequence alive
+  /// themselves (a materialized `std::vector<CommGraph>`).
   const std::vector<Signature>& AdvanceBorrowed(const CommGraph& g);
 
-  /// Signatures of the most recent window (empty before the first Advance).
+  /// Signatures of the most recent window (empty before the first advance).
   const std::vector<Signature>& signatures() const { return current_; }
 
   std::span<const NodeId> nodes() const { return nodes_; }
   size_t windows_advanced() const { return windows_advanced_; }
 
-  /// Arms the poison-window budget: an Advance whose wall time exceeds
-  /// `budget_us` is a strike, and `strikes` consecutive strikes drop every
-  /// piece of carried state (diff base, warm state, previous signatures)
-  /// so the next Advance primes from scratch — the self-healing answer to
-  /// an incremental path that has gone pathological (delta blow-up, warm
-  /// state grown degenerate) and keeps missing its budget. An in-budget
-  /// Advance clears the streak. budget_us = 0 disables (the default).
-  /// Each strike logs `incremental_budget_strike`; each fallback logs
-  /// `incremental_scratch_fallback` and bumps
-  /// `core/incremental_scratch_rebuilds`.
-  void SetOverBudgetPolicy(uint64_t budget_us, uint32_t strikes = 3);
-
-  /// Replaces the wall clock driving the budget (tests feed a scripted
-  /// sequence of microsecond readings; one reading is taken before and one
-  /// after each Advance's compute).
-  void SetClockForTest(std::function<uint64_t()> clock);
-
-  uint64_t budget_strikes() const { return budget_strikes_total_; }
-  uint64_t scratch_rebuilds() const { return scratch_rebuilds_; }
-
-  /// Drops all carried state; the next Advance primes from scratch.
+  /// Drops all carried state; the next advance primes from scratch.
   void Reset();
 
  private:
-  const std::vector<Signature>& AdvanceImpl(const CommGraph& g);
-  uint64_t ClockNowUs() const;
-  /// Drops the scheme warm state and forces the next Advance to prime
-  /// (counters and the budget policy survive).
-  void DropWarmState();
-
   const SignatureScheme* scheme_;
   std::vector<NodeId> nodes_;
-  /// Diff base for the next Advance: `prev_graph_` when owning, or the
-  /// caller's graph when borrowed (then `prev_owned_` stays empty).
-  CommGraph prev_owned_;
+  /// Diff base for the next advance: the caller's previous window.
   const CommGraph* prev_graph_ = nullptr;
   std::vector<Signature> current_;
   std::unique_ptr<IncrementalState> state_;
   size_t windows_advanced_ = 0;
-
-  uint64_t budget_us_ = 0;
-  uint32_t max_strikes_ = 3;
-  uint32_t strike_streak_ = 0;
-  /// Set by DropWarmState: the next Advance primes even though the caller
-  /// re-installs a diff base after every AdvanceImpl.
-  bool force_prime_ = false;
-  uint64_t budget_strikes_total_ = 0;
-  uint64_t scratch_rebuilds_ = 0;
-  std::function<uint64_t()> clock_;
 };
 
 }  // namespace commsig

@@ -88,26 +88,4 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
   return graphs;
 }
 
-void TraceWindower::AppendTo(ByteWriter& out) const {
-  out.PutU64(num_nodes_);
-  out.PutU64(window_length_);
-  out.PutU64(start_time_);
-  out.PutU32(bipartite_left_size_);
-}
-
-Result<TraceWindower> TraceWindower::FromBytes(ByteReader& in) {
-  Result<uint64_t> num_nodes = in.U64();
-  if (!num_nodes.ok()) return num_nodes.status();
-  Result<uint64_t> window_length = in.U64();
-  if (!window_length.ok()) return window_length.status();
-  Result<uint64_t> start_time = in.U64();
-  if (!start_time.ok()) return start_time.status();
-  Result<uint32_t> left = in.U32();
-  if (!left.ok()) return left.status();
-  if (*window_length == 0) {
-    return Status::Corruption("zero window length in TraceWindower bytes");
-  }
-  return TraceWindower(*num_nodes, *window_length, *start_time, *left);
-}
-
 }  // namespace commsig

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/interner.h"
 #include "graph/comm_graph.h"
 
@@ -31,9 +30,8 @@ struct TraceEvent {
 class TraceWindower {
  public:
   /// `num_nodes`: size of the shared node universe.
-  /// `window_length`: window extent; 0 (meaningless) is clamped to 1 —
-  /// window configuration can come from untrusted flags or checkpoints, so
-  /// a bad value must not be UB (division by zero in WindowOf).
+  /// `window_length`: window extent; 0 (meaningless) is clamped to 1, so
+  /// a bad value from a caller cannot divide by zero in WindowOf.
   /// `start_time`: timestamp where window 0 begins.
   /// `bipartite_left_size`: forwarded to every window graph (0 = general).
   TraceWindower(size_t num_nodes, uint64_t window_length,
@@ -60,12 +58,6 @@ class TraceWindower {
 
   /// Window index for a timestamp, or SIZE_MAX if before start.
   size_t WindowOf(uint64_t time) const;
-
-  /// Serializes the windower configuration (checkpoint wire format).
-  void AppendTo(ByteWriter& out) const;
-
-  /// Inverse of AppendTo. Corruption on malformed bytes.
-  static Result<TraceWindower> FromBytes(ByteReader& in);
 
   size_t num_nodes() const { return num_nodes_; }
   uint64_t window_length() const { return window_length_; }

@@ -402,7 +402,7 @@ struct WorkerLane {
 /// k-way minimum over lane heads — no reorder buffer. The merge thread is
 /// the only one touching the interner, the error policy, budgets and the
 /// sink; workers only decode into private batches. That split is what
-/// makes the result identical at every worker count (under kBlock).
+/// makes the result identical at every worker count.
 template <typename Sink>
 Status RunPipeline(const std::string& path, RowFormat format,
                    Interner& interner, const PipelineOptions& options,
@@ -441,8 +441,6 @@ Status RunPipeline(const std::string& path, RowFormat format,
   std::atomic<bool> abort{false};
   Status framer_status;  // written by the framer thread, read after join
   uint64_t chunks_framed = 0;
-  uint64_t chunks_shed = 0;
-  const bool shed = options.backpressure == BackpressurePolicy::kShed;
 
   std::thread framer([&] {
     RawChunk scratch;
@@ -454,37 +452,11 @@ Status RunPipeline(const std::string& path, RowFormat format,
       }
       if (!*framed) break;
       WorkerLane& lane = lanes[scratch.seq % workers];
-      if (!shed) {
-        RawChunk* slot = nullptr;
-        if (!lane.free_chunk_q->Pop(slot)) break;  // closed: aborting
-        std::swap(*slot, scratch);
-        if (!lane.chunk_q->Push(slot)) break;
-        ++chunks_framed;
-        continue;
-      }
-      // Shed policy: never block the IO stage. A full lane drops the whole
-      // chunk (counted, reported as overload) — the stream stays live at
-      // the cost of a scheduling-dependent result.
       RawChunk* slot = nullptr;
-      bool delivered = false;
-      if (lane.free_chunk_q->TryPop(slot)) {
-        std::swap(*slot, scratch);
-        if (lane.chunk_q->TryPush(slot)) {
-          delivered = true;
-        } else {
-          // Lane full: reclaim the buffer (the free queue always has room
-          // for every pooled chunk) and drop the payload.
-          lane.free_chunk_q->Push(slot);
-        }
-      }
-      if (delivered) {
-        ++chunks_framed;
-      } else {
-        ++chunks_shed;
-        if (options.degradation != nullptr) {
-          options.degradation->ReportOverload("ingest queue full");
-        }
-      }
+      if (!lane.free_chunk_q->Pop(slot)) break;  // closed: aborting
+      std::swap(*slot, scratch);
+      if (!lane.chunk_q->Push(slot)) break;
+      ++chunks_framed;
     }
     for (WorkerLane& lane : lanes) lane.chunk_q->Close();
   });
@@ -516,8 +488,7 @@ Status RunPipeline(const std::string& path, RowFormat format,
 
   // Merge on the calling thread: k-way minimum-seq over lane heads. Each
   // lane yields a monotonically increasing subsequence of seqs, so the
-  // smallest head is always the globally next batch (shed chunks leave
-  // holes, which this handles for free).
+  // smallest head is always the globally next batch.
   MergeContext ctx{interner, options.ingest};
   ctx.absolute_positions = netflow;
   ctx.monotonic = monotonic_merge;
@@ -566,7 +537,6 @@ Status RunPipeline(const std::string& path, RowFormat format,
 
   PipelineStats stats;
   stats.chunks_framed = chunks_framed;
-  stats.chunks_shed = chunks_shed;
   stats.batches_merged = batches_merged;
   stats.records_parsed = records_parsed;
   for (WorkerLane& lane : lanes) {
@@ -576,9 +546,6 @@ Status RunPipeline(const std::string& path, RowFormat format,
         lane.chunk_q->consumer_stalls() + lane.batch_q->consumer_stalls();
   }
   COMMSIG_COUNTER_ADD("ingest/chunks_framed", stats.chunks_framed);
-  if (stats.chunks_shed > 0) {
-    COMMSIG_COUNTER_ADD("ingest/chunks_shed", stats.chunks_shed);
-  }
   COMMSIG_COUNTER_ADD("ingest/batches_merged", stats.batches_merged);
   COMMSIG_COUNTER_ADD("ingest/records_parsed", stats.records_parsed);
   if (stats.producer_stalls > 0) {
@@ -591,7 +558,6 @@ Status RunPipeline(const std::string& path, RowFormat format,
   obs::WindowStatsAggregator::IngestRunStats run;
   run.parse_workers = workers;
   run.chunks_framed = stats.chunks_framed;
-  run.chunks_shed = stats.chunks_shed;
   run.batches_merged = stats.batches_merged;
   run.records_parsed = stats.records_parsed;
   run.producer_stalls = stats.producer_stalls;

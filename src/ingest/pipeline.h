@@ -11,21 +11,9 @@
 #include "data/netflow.h"
 #include "graph/comm_graph.h"
 #include "graph/windower.h"
-#include "robust/degradation.h"
 #include "robust/record_errors.h"
 
 namespace commsig::ingest {
-
-/// What the framer does when a parse worker's input queue is full.
-enum class BackpressurePolicy {
-  /// Block the IO stage until the worker catches up (lossless; default).
-  kBlock,
-  /// Drop the framed chunk, count it under ingest/chunks_shed and report
-  /// overload to the degradation controller. Sheds whole chunks, so the
-  /// output depends on scheduling — reserved for live sources where
-  /// falling behind is worse than sampling.
-  kShed,
-};
 
 /// Input format for the event-producing entry points.
 enum class PipelineFormat {
@@ -40,22 +28,19 @@ struct PipelineOptions {
   /// Target raw bytes per framed chunk.
   size_t chunk_bytes = 256 * 1024;
   /// Bounded queue capacity (in chunks/batches) between each stage pair.
+  /// A full queue blocks the stage that feeds it, so no chunk is dropped.
   size_t queue_capacity = 8;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Error policy / budgets / quarantine sink, applied by the merge stage
   /// in exact stream order.
   IngestOptions ingest;
   /// Record filtering/weighting for kNetflowV5.
   NetflowReadOptions netflow;
-  /// Optional: kShed drops report overload here (not owned; may be null).
-  DegradationController* degradation = nullptr;
 };
 
 /// Counters for one pipeline run, also published to the obs registry under
 /// ingest/*.
 struct PipelineStats {
   uint64_t chunks_framed = 0;
-  uint64_t chunks_shed = 0;
   uint64_t batches_merged = 0;
   uint64_t records_parsed = 0;  // accepted records entering the merge
   uint64_t producer_stalls = 0;
@@ -63,15 +48,15 @@ struct PipelineStats {
 };
 
 // The readers below are the only readers of commsig's input formats. Each
-// runs framer -> parse workers -> in-order merge and, under kBlock
-// back-pressure, returns exactly what a single-threaded pass over the file
-// in stream order would: the same events/graph/signatures, interner
-// contents and id assignment (labels interned in first-reference order,
-// never for a rejected row), error-log entries and positions (CSV data-line
-// numbers, NetFlow byte offsets), budget charges and failure status, at
-// every worker count and chunk size. The test-only reference readers in
-// tests/ref/ are that single-threaded pass; tests/ingest/pipeline_test.cc
-// holds the golden-hash equivalence tests against them.
+// runs framer -> parse workers -> in-order merge and returns exactly what
+// a single-threaded pass over the file in stream order would: the same
+// events/graph/signatures, interner contents and id assignment (labels
+// interned in first-reference order, never for a rejected row), error-log
+// entries and positions (CSV data-line numbers, NetFlow byte offsets),
+// budget charges and failure status, at every worker count and chunk size.
+// The test-only reference readers in tests/ref/ are that single-threaded
+// pass; tests/ingest/pipeline_test.cc holds the golden-hash equivalence
+// tests against them.
 //
 // CSV rows: split on '\n' with one trailing '\r' stripped; blank lines
 // and '#' comments are skipped and not counted; a final line without a

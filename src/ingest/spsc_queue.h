@@ -12,8 +12,7 @@
 namespace commsig::ingest {
 
 /// Bounded single-producer/single-consumer queue connecting two pipeline
-/// stages, with blocking back-pressure as the default and a non-blocking
-/// TryPush for the shed policy.
+/// stages, with blocking back-pressure: a full queue stalls the producer.
 ///
 /// Items flow at batch granularity (a framed chunk or a decoded record
 /// batch, thousands of records each), so a Mutex/CondVar ring is the right
@@ -55,18 +54,6 @@ class BoundedSpscQueue {
     return true;
   }
 
-  /// Non-blocking push for the shed policy. On a full (or closed) queue
-  /// returns false and leaves `item` untouched, so the caller can count and
-  /// recycle the dropped payload.
-  bool TryPush(T& item) COMMSIG_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (closed_ || size_ == capacity_) return false;
-    ring_[(head_ + size_) % capacity_] = std::move(item);
-    ++size_;
-    not_empty_.NotifyOne();
-    return true;
-  }
-
   /// Blocks until an item is available or the queue is closed AND drained.
   /// Every item pushed before Close() is still delivered.
   bool Pop(T& out) COMMSIG_EXCLUDES(mu_) {
@@ -77,17 +64,6 @@ class BoundedSpscQueue {
           mu_, [this]() COMMSIG_REQUIRES(mu_) { return size_ > 0 || closed_; });
     }
     if (size_ == 0) return false;  // closed and drained
-    out = std::move(ring_[head_]);
-    head_ = (head_ + 1) % capacity_;
-    --size_;
-    not_full_.NotifyOne();
-    return true;
-  }
-
-  /// Non-blocking pop; false when empty (even if more items are coming).
-  bool TryPop(T& out) COMMSIG_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (size_ == 0) return false;
     out = std::move(ring_[head_]);
     head_ = (head_ + 1) % capacity_;
     --size_;

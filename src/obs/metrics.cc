@@ -309,10 +309,8 @@ void PreRegisterCoreMetrics() {
         "robust/epoch_rebuilds", "robust/epochs_quarantined",
         "robust/checkpoint_restores", "robust/degradation_transitions",
         "robust/degradation_bad_signals", "robust/global_budget_exhausted",
-        "core/incremental_budget_strikes",
-        "core/incremental_scratch_rebuilds",
-        "ingest/chunks_framed", "ingest/chunks_shed",
-        "ingest/batches_merged", "ingest/records_parsed",
+        "ingest/chunks_framed", "ingest/batches_merged",
+        "ingest/records_parsed",
         "ingest/producer_stalls", "ingest/consumer_stalls"}) {
     reg.GetCounter(name);
   }

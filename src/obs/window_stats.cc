@@ -125,7 +125,6 @@ void WindowStatsAggregator::RecordIngestRun(const IngestRunStats& run) {
   ingest_parse_workers_.store(run.parse_workers, std::memory_order_relaxed);
   ingest_chunks_framed_.fetch_add(run.chunks_framed,
                                   std::memory_order_relaxed);
-  ingest_chunks_shed_.fetch_add(run.chunks_shed, std::memory_order_relaxed);
   ingest_batches_merged_.fetch_add(run.batches_merged,
                                    std::memory_order_relaxed);
   ingest_records_parsed_.fetch_add(run.records_parsed,
@@ -190,8 +189,6 @@ std::string WindowStatsAggregator::ToJson(size_t max_windows) const {
   out += ", \"chunks_framed\": ";
   out +=
       std::to_string(ingest_chunks_framed_.load(std::memory_order_relaxed));
-  out += ", \"chunks_shed\": ";
-  out += std::to_string(ingest_chunks_shed_.load(std::memory_order_relaxed));
   out += ", \"batches_merged\": ";
   out +=
       std::to_string(ingest_batches_merged_.load(std::memory_order_relaxed));
@@ -251,7 +248,6 @@ void WindowStatsAggregator::Reset() {
   ingest_runs_.store(0, std::memory_order_relaxed);
   ingest_parse_workers_.store(0, std::memory_order_relaxed);
   ingest_chunks_framed_.store(0, std::memory_order_relaxed);
-  ingest_chunks_shed_.store(0, std::memory_order_relaxed);
   ingest_batches_merged_.store(0, std::memory_order_relaxed);
   ingest_records_parsed_.store(0, std::memory_order_relaxed);
   ingest_producer_stalls_.store(0, std::memory_order_relaxed);

@@ -90,7 +90,6 @@ class WindowStatsAggregator {
   struct IngestRunStats {
     uint64_t parse_workers = 0;
     uint64_t chunks_framed = 0;
-    uint64_t chunks_shed = 0;
     uint64_t batches_merged = 0;
     uint64_t records_parsed = 0;
     uint64_t producer_stalls = 0;
@@ -135,7 +134,6 @@ class WindowStatsAggregator {
   std::atomic<uint64_t> ingest_runs_{0};
   std::atomic<uint64_t> ingest_parse_workers_{0};
   std::atomic<uint64_t> ingest_chunks_framed_{0};
-  std::atomic<uint64_t> ingest_chunks_shed_{0};
   std::atomic<uint64_t> ingest_batches_merged_{0};
   std::atomic<uint64_t> ingest_records_parsed_{0};
   std::atomic<uint64_t> ingest_producer_stalls_{0};

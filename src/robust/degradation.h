@@ -60,7 +60,7 @@ class DegradationController {
 
   /// A hard failure signal (failed epoch, exhausted IO retries).
   void ReportFailure(std::string_view reason);
-  /// An overload signal (window budget blown, queue saturated).
+  /// An overload signal (epoch budget blown).
   void ReportOverload(std::string_view reason);
   /// A clean epoch.
   void ReportHealthy();

@@ -144,8 +144,13 @@ void StreamSupervisor::PaceReplay(uint64_t event_time) {
   const double offset_us =
       static_cast<double>(event_time - replay_time_base_) * 1e6 /
       options_.replay_rate;
+  // A tiny replay_rate over a long trace puts the offset past uint64_t,
+  // where the cast is undefined. Saturate it first: 2^62 us is far beyond
+  // any real run, so such an event just waits its capped sleep.
+  constexpr double kMaxOffsetUs = 0x1p62;
   const uint64_t due_us =
-      replay_wall_start_us_ + static_cast<uint64_t>(offset_us);
+      replay_wall_start_us_ +
+      static_cast<uint64_t>(std::min(offset_us, kMaxOffsetUs));
   if (due_us <= now_us) return;
   // Cap each sleep so kill-after crashes, epoch faults and test shutdowns
   // stay responsive even at very slow replay rates; the schedule is
@@ -358,8 +363,11 @@ StreamRunReport StreamSupervisor::Run(const std::vector<TraceEvent>& events) {
     // crash position, and end of stream. Cadences are keyed to the
     // absolute stream position, so a restored run checkpoints and emits at
     // the same offsets as an uninterrupted one.
+    const uint64_t stretch = degradation_.checkpoint_stretch();  // >= 1
     const uint64_t every_eff =
-        options_.checkpoint_every * degradation_.checkpoint_stretch();
+        options_.checkpoint_every > UINT64_MAX / stretch
+            ? UINT64_MAX  // saturate: a wrapped product would be tiny
+            : options_.checkpoint_every * stretch;
     uint64_t end = n;
     auto align = [&](uint64_t cadence) {
       if (cadence == 0) return;

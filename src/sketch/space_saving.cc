@@ -28,10 +28,15 @@ void SpaceSaving::Add(uint64_t key, double weight) {
     return;
   }
   // Evict the minimum-count key; the newcomer inherits its count as error.
-  // Linear scan is fine at signature-sized capacities (tens of entries).
+  // Ties go to the smallest key, not to hash-map order, which a restored
+  // checkpoint does not reproduce. Linear scan is fine at signature-sized
+  // capacities (tens of entries).
   auto min_it = counters_.begin();
   for (auto i = counters_.begin(); i != counters_.end(); ++i) {
-    if (i->second.count < min_it->second.count) min_it = i;
+    if (i->second.count < min_it->second.count ||
+        (i->second.count == min_it->second.count && i->first < min_it->first)) {
+      min_it = i;
+    }
   }
   COMMSIG_COUNTER_ADD("sketch/ss_evictions", 1);
   Counter evicted = min_it->second;

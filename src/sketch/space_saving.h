@@ -12,7 +12,8 @@ namespace commsig {
 
 /// SpaceSaving heavy-hitters summary [Metwally et al.]: tracks at most
 /// `capacity` keys; when a new key arrives at a full summary it evicts the
-/// key with the smallest count and inherits that count as its error bound.
+/// key with the smallest count (the smallest key among ties) and inherits
+/// that count as its error bound.
 /// Guarantees: every key with true count > TotalWeight()/capacity is
 /// retained, and for every tracked key
 ///   true count <= EstimatedCount <= true count + MaxError(key).

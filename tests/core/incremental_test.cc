@@ -197,21 +197,6 @@ TEST(IncrementalEngineTest, RwrPushMatchesScratch) {
   }
 }
 
-TEST(IncrementalEngineTest, OwningAndBorrowedAdvanceAgree) {
-  auto scheme = MakeTopTalkers({.k = 4});
-  auto windows = SlidingWindows(BurstyEvents(15));
-  auto focal = AllFocal();
-  IncrementalSignatureEngine borrowed(*scheme, focal);
-  IncrementalSignatureEngine owning(*scheme, focal);
-  for (size_t w = 0; w < windows.size(); ++w) {
-    const auto& a = borrowed.AdvanceBorrowed(windows[w]);
-    // Mix the two forms on the owning engine to exercise the hand-over.
-    const auto& b = (w % 2 == 0) ? owning.Advance(windows[w])
-                                 : owning.AdvanceBorrowed(windows[w]);
-    EXPECT_EQ(a, b);
-  }
-}
-
 TEST(IncrementalEngineTest, RebuildMidSequenceIsDeterministic) {
   // Checkpoint/restore drops the engine's carried state by design: a
   // restored pipeline rebuilds the engine and re-primes. For exact schemes
@@ -280,79 +265,6 @@ TEST(IncrementalEngineTest, SignatureAccessorTracksLatestWindow) {
   for (const CommGraph& g : windows) engine.AdvanceBorrowed(g);
   EXPECT_EQ(engine.signatures(),
             scheme->ComputeAll(windows.back(), focal));
-}
-
-/// Scripts the engine's budget clock: each Advance takes two readings
-/// (begin, end), so pushing `elapsed` queues one advance's wall time.
-class ScriptedClock {
- public:
-  explicit ScriptedClock(IncrementalSignatureEngine& engine) {
-    engine.SetClockForTest([this]() {
-      EXPECT_LT(next_, readings_.size()) << "unscripted clock reading";
-      return next_ < readings_.size() ? readings_[next_++] : 0;
-    });
-  }
-  void PushAdvance(uint64_t elapsed_us) {
-    const uint64_t begin =
-        readings_.empty() ? 0 : readings_.back() + 1;
-    readings_.push_back(begin);
-    readings_.push_back(begin + elapsed_us);
-  }
-
- private:
-  std::vector<uint64_t> readings_;
-  size_t next_ = 0;
-};
-
-TEST(IncrementalEngineTest, OverBudgetStreakDropsWarmStateAndPrimes) {
-  auto scheme = MakeTopTalkers({.k = 5});
-  auto windows = SlidingWindows(BurstyEvents(23));
-  auto focal = AllFocal();
-  ASSERT_GE(windows.size(), 5u);
-  IncrementalSignatureEngine engine(*scheme, focal);
-  engine.SetOverBudgetPolicy(/*budget_us=*/100, /*strikes=*/2);
-  ScriptedClock clock(engine);
-
-  // Two consecutive blown budgets exhaust the streak and drop the warm
-  // state; the third window primes from scratch; the fourth strikes once
-  // but the fifth, back in budget, clears the streak.
-  const uint64_t elapsed[] = {1000, 1000, 50, 1000, 50};
-  for (size_t i = 0; i < 5; ++i) {
-    clock.PushAdvance(elapsed[i]);
-    const auto& incr = engine.AdvanceBorrowed(windows[i]);
-    // Self-healing must not cost correctness: every window — striking,
-    // freshly primed, or healthy — still matches scratch bit-for-bit.
-    EXPECT_EQ(incr, scheme->ComputeAll(windows[i], focal)) << "window " << i;
-  }
-  EXPECT_EQ(engine.budget_strikes(), 3u);
-  EXPECT_EQ(engine.scratch_rebuilds(), 1u);
-}
-
-TEST(IncrementalEngineTest, NonConsecutiveStrikesNeverRebuild) {
-  auto scheme = MakeTopTalkers({.k = 5});
-  auto windows = SlidingWindows(BurstyEvents(29));
-  auto focal = AllFocal();
-  ASSERT_GE(windows.size(), 6u);
-  IncrementalSignatureEngine engine(*scheme, focal);
-  engine.SetOverBudgetPolicy(/*budget_us=*/100, /*strikes=*/2);
-  ScriptedClock clock(engine);
-  for (size_t i = 0; i < 6; ++i) {
-    clock.PushAdvance(i % 2 == 0 ? 1000 : 50);  // over, under, over, ...
-    engine.AdvanceBorrowed(windows[i]);
-  }
-  EXPECT_EQ(engine.budget_strikes(), 3u);
-  EXPECT_EQ(engine.scratch_rebuilds(), 0u);  // streak never reaches 2
-}
-
-TEST(IncrementalEngineTest, ZeroBudgetDisablesThePolicy) {
-  auto scheme = MakeTopTalkers({.k = 5});
-  auto windows = SlidingWindows(BurstyEvents(31));
-  auto focal = AllFocal();
-  IncrementalSignatureEngine engine(*scheme, focal);
-  engine.SetOverBudgetPolicy(/*budget_us=*/0);
-  for (const CommGraph& g : windows) engine.AdvanceBorrowed(g);
-  EXPECT_EQ(engine.budget_strikes(), 0u);
-  EXPECT_EQ(engine.scratch_rebuilds(), 0u);
 }
 
 }  // namespace

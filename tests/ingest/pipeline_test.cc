@@ -560,29 +560,5 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Back-pressure policies.
-// ---------------------------------------------------------------------------
-
-TEST_F(PipelineTest, ShedModeCompletesAndAccountsChunks) {
-  WriteFile(CleanTraceCorpus(4000));
-
-  Interner interner;
-  PipelineOptions options;
-  options.parse_workers = 2;
-  options.chunk_bytes = 128;
-  options.queue_capacity = 1;
-  options.backpressure = BackpressurePolicy::kShed;
-  PipelineStats stats;
-  auto got = ReadTraceEventsPipelined(PathStr(), PipelineFormat::kTraceCsv,
-                                      interner, options, &stats);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  // Shedding may or may not trigger depending on scheduling, but every
-  // framed chunk is either delivered or counted as shed, never lost.
-  EXPECT_GT(stats.chunks_framed + stats.chunks_shed, 0u);
-  EXPECT_EQ(stats.batches_merged, stats.chunks_framed);
-  EXPECT_EQ(stats.records_parsed, got->size());
-}
-
 }  // namespace
 }  // namespace commsig::ingest

@@ -1,7 +1,6 @@
 #include "ingest/spsc_queue.h"
 
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,29 +22,6 @@ TEST(BoundedSpscQueueTest, FifoWithinCapacity) {
   EXPECT_TRUE(q.Pop(v));
   EXPECT_EQ(v, 3);
   EXPECT_EQ(q.ApproxSize(), 0u);
-}
-
-TEST(BoundedSpscQueueTest, TryPushFailsWhenFullAndKeepsItem) {
-  BoundedSpscQueue<std::string> q(2);
-  std::string a = "a";
-  std::string b = "b";
-  std::string c = "keep me";
-  EXPECT_TRUE(q.TryPush(a));
-  EXPECT_TRUE(q.TryPush(b));
-  EXPECT_FALSE(q.TryPush(c));
-  EXPECT_EQ(c, "keep me");  // not moved-from on failure
-  std::string out;
-  EXPECT_TRUE(q.Pop(out));
-  EXPECT_TRUE(q.TryPush(c));
-}
-
-TEST(BoundedSpscQueueTest, TryPopFailsWhenEmpty) {
-  BoundedSpscQueue<int> q(2);
-  int v = 0;
-  EXPECT_FALSE(q.TryPop(v));
-  ASSERT_TRUE(q.Push(7));
-  EXPECT_TRUE(q.TryPop(v));
-  EXPECT_EQ(v, 7);
 }
 
 TEST(BoundedSpscQueueTest, CloseDrainsPendingItemsThenFails) {
@@ -87,9 +63,9 @@ TEST(BoundedSpscQueueTest, BackpressureBlocksThenResumes) {
   BoundedSpscQueue<int> q(1);
   ASSERT_TRUE(q.Push(1));
   std::thread producer([&q] { EXPECT_TRUE(q.Push(2)); });
-  // Give the producer a chance to block on the full queue, then drain.
+  // Drain the full queue; the producer, blocked or not, then completes.
   int v = 0;
-  while (!q.TryPop(v)) std::this_thread::yield();
+  EXPECT_TRUE(q.Pop(v));
   EXPECT_EQ(v, 1);
   producer.join();
   ASSERT_TRUE(q.Pop(v));

@@ -366,6 +366,26 @@ TEST_F(SupervisorFaultTest, WidenedCadenceCheckpointsLessOften) {
   EXPECT_EQ(report.events_processed, 1200u);
 }
 
+TEST_F(SupervisorFaultTest, StretchedCadenceSaturatesInsteadOfWrapping) {
+  auto events = MakeEvents(400);
+  // The first epoch fails twice, which escalates to widen_checkpoints, and
+  // its third attempt succeeds. (2^63 + 1) * 2 wraps to 2 in uint64_t, so
+  // an unsaturated cadence would checkpoint every 2 events from then on.
+  ASSERT_TRUE(
+      FailPointRegistry::Global().ArmFromSpec("stream/epoch=eio@0x2").ok());
+  auto opts = BaseOptions(dir_.string());
+  opts.checkpoint_every = (uint64_t{1} << 63) + 1;
+  opts.emit_every = 100;
+  opts.degrade.escalate_after = 1;
+  opts.degrade.checkpoint_stretch = 2;
+  StreamSupervisor supervisor(Focal(), std::move(opts));
+  StreamRunReport report = supervisor.Run(events);
+  EXPECT_EQ(report.final_tier, DegradationTier::kWidenCheckpoints);
+  EXPECT_EQ(report.events_processed, 400u);
+  EXPECT_EQ(report.epochs, 4u);
+  EXPECT_EQ(report.checkpoints_saved, 1u);  // the end-of-run save only
+}
+
 TEST_F(SupervisorFaultTest, TelemetryFlushRunsUnderRetryPolicy) {
   auto events = MakeEvents(400);
   ASSERT_TRUE(FailPointRegistry::Global()

@@ -50,7 +50,7 @@ WINDOW_COMMANDS = ["signatures", "selfmatch", "multiusage", "masquerade",
 # Every flag name the CLI accepts; adding, removing or renaming one is a
 # deliberate interface change.
 FLAG_NAMES = {
-    "backpressure", "chaos-dir", "checkpoint-dir", "checkpoint-every",
+    "chaos-dir", "checkpoint-dir", "checkpoint-every",
     "dead-letter-out", "decay", "degrade-checkpoint-stretch",
     "degrade-escalate-after", "degrade-recover-after", "delta-divisor",
     "dist", "ell", "emit-every", "error-budget", "failpoints", "fraction",
@@ -191,10 +191,15 @@ class ZeroFlagsTest(unittest.TestCase):
         self.assertGreater(checked, 40)
 
     def test_unknown_flag_rejected(self):
-        proc = self.run_cli("signatures", "--windw-length", "200")
-        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
-        self.assertIn("unknown flag --windw-length", proc.stderr)
-        self.assertEqual(proc.stdout, "")
+        # --backpressure must stay unknown: the ingest queues always block.
+        for flag, value in (("--windw-length", "200"),
+                            ("--backpressure", "block")):
+            with self.subTest(flag=flag):
+                proc = self.run_cli("signatures", flag, value)
+                self.assertEqual(proc.returncode, 2,
+                                 proc.stdout + proc.stderr)
+                self.assertIn(f"unknown flag {flag}", proc.stderr)
+                self.assertEqual(proc.stdout, "")
 
     def test_flags_a_command_does_not_read_rejected(self):
         for command, flag, value in (("signatures", "--stride", "7"),

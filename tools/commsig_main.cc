@@ -165,13 +165,11 @@ constexpr Flag kFlags[] = {
     Uint("protocol", kAll, "6", 0, 255,
          "IP protocol kept from --netflow records (6 = TCP, 0 = all)"),
     Uint("parse-workers", kAll, "1", 0, kMaxThreads,
-         "parse workers (0 = 1); output is the same at any N under block"),
+         "parse workers (0 = 1); output is the same at any N"),
     // Chunk buffers and queue slots are allocated up front; keep them small.
     Uint("io-chunk-kb", kAll, "256", 1, 1 << 20, "ingest chunk size in KiB"),
     Uint("ingest-queue", kAll, "8", 1, 1 << 16,
          "capacity of the queues between ingest stages, in chunks/batches"),
-    Choice("backpressure", kAll, "block", "block | shed",
-           "on a full queue: stall the reader, or drop the whole chunk"),
     Choice("on-error", kAll, "fail", "fail | skip | quarantine",
            "what a reader does with a malformed record"),
     Uint("error-budget", kAll, "100000", 0, UINT64_MAX,
@@ -443,9 +441,6 @@ ingest::PipelineOptions PipelineFromArgs(const Args& args,
   opts.parse_workers = static_cast<int>(args.Uint("parse-workers"));
   opts.chunk_bytes = static_cast<size_t>(args.Uint("io-chunk-kb")) * 1024;
   opts.queue_capacity = args.Uint("ingest-queue");
-  if (args.Str("backpressure") == "shed") {
-    opts.backpressure = ingest::BackpressurePolicy::kShed;
-  }
   const std::string policy = args.Str("on-error");
   opts.ingest.policy = policy == "skip"         ? ErrorPolicy::kSkip
                        : policy == "quarantine" ? ErrorPolicy::kQuarantine
