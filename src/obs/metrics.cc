@@ -296,7 +296,6 @@ void PreRegisterCoreMetrics() {
         "robust/quarantined_bad_record_count",
         "robust/quarantined_non_finite_weight",
         "robust/quarantined_non_positive_weight",
-        "robust/quarantined_poison_window",
         "robust/quarantined_timestamp_regression",
         "robust/quarantined_truncated", "robust/quarantined_zero_node",
         "timeline/nodes_dirty", "timeline/nodes_reused",
@@ -305,8 +304,6 @@ void PreRegisterCoreMetrics() {
         "pipeline/slow_windows", "stats_server/requests",
         "stats_server/not_found", "robust/failpoints_fired",
         "robust/io_retries", "robust/io_retries_exhausted",
-        "robust/epoch_failures",
-        "robust/epoch_rebuilds", "robust/epochs_quarantined",
         "robust/checkpoint_restores", "robust/degradation_transitions",
         "robust/degradation_bad_signals", "robust/global_budget_exhausted",
         "ingest/chunks_framed", "ingest/batches_merged",

@@ -29,8 +29,8 @@ enum class DegradationTier : int {
 std::string_view DegradationTierName(DegradationTier tier);
 
 /// Overload/fault controller for the stream runtime. Consumers report a
-/// signal per epoch — failure (epoch retry, IO retry exhaustion), overload
-/// (window budget blown), or healthy — and the controller walks the tier
+/// signal per epoch — failure (IO retry exhaustion), overload (epoch
+/// budget blown), or healthy — and the controller walks the tier
 /// ladder: `escalate_after` consecutive bad signals step one tier up,
 /// `recover_after` consecutive healthy signals step one tier down. Every
 /// transition emits a structured `degradation_transition` log event, sets
@@ -58,7 +58,7 @@ class DegradationController {
   DegradationController();
   explicit DegradationController(Options options);
 
-  /// A hard failure signal (failed epoch, exhausted IO retries).
+  /// A hard failure signal (exhausted IO retries).
   void ReportFailure(std::string_view reason);
   /// An overload signal (epoch budget blown).
   void ReportOverload(std::string_view reason);

@@ -19,10 +19,10 @@ namespace commsig {
 /// Deterministic IO fail-points: the filesystem-level counterpart of
 /// FaultInjector's record corruption. Every fallible IO site in the
 /// runtime (checkpoint write/fsync/rename, telemetry flush, log-file sink,
-/// reader open, the stream epoch itself) evaluates a named fail-point
-/// before doing real work; an armed site injects the configured fault on a
-/// chosen hit, so every recovery path — retry, checkpoint fallback, epoch
-/// quarantine — is exactly reproducible in tests and `commsig chaoscheck`.
+/// reader open) evaluates a named fail-point before doing real work; an
+/// armed site injects the configured fault on a chosen hit, so every
+/// recovery path — retry, checkpoint fallback, kill and restore — is
+/// exactly reproducible in tests and `commsig chaoscheck`.
 ///
 /// The hooks are compiled in only under -DCOMMSIG_FAILPOINTS (a CMake
 /// option, default ON; production embedders turn it off and every
@@ -58,7 +58,7 @@ struct FailPointStats {
 };
 
 /// Process-wide registry of armed fail-points, keyed by site name
-/// ("checkpoint/write", "stream/epoch", ...). Thread-safe; sites are
+/// ("checkpoint/write", "telemetry/flush", ...). Thread-safe; sites are
 /// armed by tests / the --failpoints flag and evaluated by the IO helpers
 /// below. Unarmed sites cost one mutex-free atomic load.
 class FailPointRegistry {
@@ -76,7 +76,7 @@ class FailPointRegistry {
   ///   site=kind[@after][xcount][;site=kind...]
   ///
   /// e.g. "checkpoint/write=enospc@2" (fail the 3rd write),
-  /// "stream/epoch=eio@1x2;checkpoint/fsync=fsync_fail" — the format the
+  /// "telemetry/flush=eio@1x2;checkpoint/fsync=fsync_fail" — the format the
   /// CLI's --failpoints flag and the chaos harness share.
   Status ArmFromSpec(std::string_view spec);
 
@@ -88,7 +88,6 @@ class FailPointRegistry {
   FailPointStats stats(const std::string& site) const
       COMMSIG_EXCLUDES(mutex_);
   std::vector<std::string> ArmedSites() const COMMSIG_EXCLUDES(mutex_);
-  bool any_armed() const { return armed_count_.load() > 0; }
 
  private:
   struct Entry {

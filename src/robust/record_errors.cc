@@ -24,8 +24,6 @@ std::string_view RecordErrorReasonName(RecordErrorReason reason) {
       return "non_finite_weight";
     case RecordErrorReason::kTimestampRegression:
       return "timestamp_regression";
-    case RecordErrorReason::kPoisonWindow:
-      return "poison_window";
   }
   return "unknown";
 }
@@ -59,9 +57,6 @@ void BumpReasonCounter(RecordErrorReason reason) {
       break;
     case RecordErrorReason::kTimestampRegression:
       COMMSIG_COUNTER_ADD("robust/quarantined_timestamp_regression", 1);
-      break;
-    case RecordErrorReason::kPoisonWindow:
-      COMMSIG_COUNTER_ADD("robust/quarantined_poison_window", 1);
       break;
   }
 }

@@ -37,8 +37,6 @@ enum class RecordErrorReason {
   kNonPositiveWeight,    // weight <= 0
   kNonFiniteWeight,      // NaN / Inf weight
   kTimestampRegression,  // time ran backwards under require_monotonic_time
-  kPoisonWindow,         // a stream epoch was quarantined by the supervisor
-                         // after exhausting its retry + rebuild budget
 };
 
 /// Short stable name for a reason ("truncated", "bad_field", ...). Used in
@@ -81,7 +79,7 @@ class RecordErrorLog {
   void Clear();
 
  private:
-  static constexpr size_t kNumReasons = 9;
+  static constexpr size_t kNumReasons = 8;
 
   size_t max_retained_;
   uint64_t total_ = 0;

@@ -11,21 +11,8 @@
 #include "obs/log.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "robust/failpoints.h"
 
 namespace commsig {
-
-namespace {
-
-/// Serialized builder state — the in-memory "last good checkpoint" the
-/// epoch transaction rolls back to.
-std::string SnapshotBuilder(const StreamingSignatureBuilder& builder) {
-  ByteWriter out;
-  builder.AppendTo(out);
-  return std::move(out).Take();
-}
-
-}  // namespace
 
 uint64_t StreamSupervisor::FingerprintEvents(
     const std::vector<TraceEvent>& events) {
@@ -46,8 +33,6 @@ StreamSupervisor::StreamSupervisor(std::vector<NodeId> focal, Options options)
       options_(std::move(options)),
       retrier_(options_.retry),
       degradation_(options_.degrade) {
-  options_.max_epoch_attempts =
-      std::max<uint32_t>(options_.max_epoch_attempts, 1);
   if (!options_.checkpoint_dir.empty()) {
     manager_ = std::make_unique<CheckpointManager>(options_.checkpoint_dir);
   }
@@ -109,27 +94,17 @@ uint64_t StreamSupervisor::RestoreOrFresh(uint64_t fingerprint,
   return start;
 }
 
-Status StreamSupervisor::ObserveSlice(const std::vector<TraceEvent>& events,
-                                      uint64_t begin, uint64_t end,
-                                      obs::WindowRecord& epoch,
-                                      std::string_view site) {
+void StreamSupervisor::ObserveSlice(const std::vector<TraceEvent>& events,
+                                    uint64_t begin, uint64_t end,
+                                    obs::WindowRecord& epoch) {
   for (uint64_t i = begin; i < end; ++i) {
     {
       obs::ScopedStageTimer timer(epoch, obs::PipelineStage::kWindowBuild);
       builder_->Observe(events[i]);
     }
     ++epoch.events;
-    // Replay pacing for demos and smoke tests: stretches the run so the
-    // introspection endpoints can be probed while the stream is live.
-    if (options_.replay_delay_us > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.replay_delay_us));
-    }
     if (options_.replay_rate > 0.0) PaceReplay(events[i].time);
   }
-  // Evaluated after the observes so a firing epoch fault always exercises
-  // the rollback path against genuinely mutated state.
-  return failpoints::Inject(site);
 }
 
 void StreamSupervisor::PaceReplay(uint64_t event_time) {
@@ -152,9 +127,9 @@ void StreamSupervisor::PaceReplay(uint64_t event_time) {
       replay_wall_start_us_ +
       static_cast<uint64_t>(std::min(offset_us, kMaxOffsetUs));
   if (due_us <= now_us) return;
-  // Cap each sleep so kill-after crashes, epoch faults and test shutdowns
-  // stay responsive even at very slow replay rates; the schedule is
-  // absolute, so successive events resume the wait where this one left it.
+  // Cap each sleep so kill-after crashes and test shutdowns stay responsive
+  // even at very slow replay rates; the schedule is absolute, so successive
+  // events resume the wait where this one left it.
   constexpr uint64_t kMaxSleepUs = 50000;
   const uint64_t wait_us = std::min<uint64_t>(due_us - now_us, kMaxSleepUs);
   std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
@@ -164,109 +139,19 @@ void StreamSupervisor::RunEpoch(const std::vector<TraceEvent>& events,
                                 uint64_t begin, uint64_t end,
                                 obs::WindowRecord& epoch,
                                 StreamRunReport& report) {
-  // Faults can only originate from armed fail-points (Observe does no IO),
-  // so the fault-free fast path skips the snapshot entirely.
-  const bool transactional =
-      failpoints::Enabled() && FailPointRegistry::Global().any_armed();
-  const uint64_t begin_us = obs::TraceCollector::Global().NowMicros();
-  if (!transactional) {
-    // No armed fail-points: the slice cannot fail.
-    Status s = ObserveSlice(events, begin, end, epoch, "stream/epoch");
-    (void)s;
-    report.events_processed += end - begin;
+  // A window can span several epochs, so the budget checks this epoch's
+  // share of the window_build stage, the same timers slow_window sums.
+  uint64_t& observe_us =
+      epoch.stage_us[static_cast<size_t>(obs::PipelineStage::kWindowBuild)];
+  const uint64_t observe_before_us = observe_us;
+  ObserveSlice(events, begin, end, epoch);
+  report.events_processed += end - begin;
+  if (options_.epoch_budget_us > 0 &&
+      observe_us - observe_before_us > options_.epoch_budget_us) {
+    degradation_.ReportOverload("epoch_budget");
+  } else {
     degradation_.ReportHealthy();
-    ApplyTierEffects();
-    return;
   }
-
-  const std::string snapshot = SnapshotBuilder(*builder_);
-  const obs::WindowRecord epoch_snapshot = epoch;
-  auto rollback = [&]() {
-    ByteReader in(snapshot);
-    auto restored = StreamingSignatureBuilder::FromBytes(in);
-    // The snapshot is bytes we just serialized ourselves; a decode failure
-    // here would be a programming error, not an input fault.
-    builder_ = std::make_unique<StreamingSignatureBuilder>(
-        *std::move(restored));
-    epoch = epoch_snapshot;
-  };
-
-  for (uint32_t attempt = 1;; ++attempt) {
-    Status s = ObserveSlice(events, begin, end, epoch, "stream/epoch");
-    if (s.ok()) {
-      report.events_processed += end - begin;
-      if (options_.epoch_budget_us > 0 &&
-          obs::TraceCollector::Global().NowMicros() - begin_us >
-              options_.epoch_budget_us) {
-        degradation_.ReportOverload("epoch_budget");
-      } else {
-        degradation_.ReportHealthy();
-      }
-      ApplyTierEffects();
-      return;
-    }
-    rollback();
-    ++report.epoch_retries;
-    COMMSIG_COUNTER_ADD("robust/epoch_failures", 1);
-    obs::LogWarn("epoch_failed")
-        .U64("begin", begin)
-        .U64("end", end)
-        .U64("attempt", attempt)
-        .Str("status", s.ToString());
-    degradation_.ReportFailure("epoch_failed");
-    ApplyTierEffects();
-    if (attempt >= options_.max_epoch_attempts) break;
-  }
-
-  // In-place retries exhausted: rebuild from scratch, bypassing the
-  // incremental resume path (and with it the "stream/epoch" fault site) —
-  // a fresh builder replaying the stream from event zero is bit-identical
-  // to the incremental state when it succeeds.
-  auto fresh = std::make_unique<StreamingSignatureBuilder>(focal_,
-                                                           options_.builder);
-  obs::WindowRecord rebuild_epoch = epoch_snapshot;
-  std::swap(builder_, fresh);
-  for (uint64_t i = 0; i < begin; ++i) {
-    builder_->Observe(events[i]);
-  }
-  Status rebuilt =
-      ObserveSlice(events, begin, end, rebuild_epoch, "stream/rebuild");
-  if (rebuilt.ok()) {
-    epoch = rebuild_epoch;
-    ++report.epochs_rebuilt;
-    report.events_processed += end - begin;
-    COMMSIG_COUNTER_ADD("robust/epoch_rebuilds", 1);
-    obs::LogWarn("epoch_rebuilt_from_scratch")
-        .U64("begin", begin)
-        .U64("end", end)
-        .U64("replayed_events", end);
-    degradation_.ReportHealthy();
-    ApplyTierEffects();
-    return;
-  }
-
-  // Scratch rebuild failed too: this epoch is poison. Skip its events and
-  // leave a typed dead-letter record so the operator can replay them. The
-  // old builder is already at the pre-epoch snapshot state from the last
-  // rollback, so swapping it back is the whole recovery.
-  std::swap(builder_, fresh);
-  ++report.epochs_quarantined;
-  report.events_quarantined += end - begin;
-  COMMSIG_COUNTER_ADD("robust/epochs_quarantined", 1);
-  obs::LogError("epoch_quarantined")
-      .U64("begin", begin)
-      .U64("end", end)
-      .U64("events_skipped", end - begin)
-      .U64("attempts", options_.max_epoch_attempts)
-      .Str("status", rebuilt.ToString());
-  if (options_.dead_letters != nullptr) {
-    options_.dead_letters->Record(
-        RecordErrorReason::kPoisonWindow, begin,
-        "epoch [" + std::to_string(begin) + ", " + std::to_string(end) +
-            ") skipped after " + std::to_string(options_.max_epoch_attempts) +
-            " attempts + scratch rebuild: " + rebuilt.ToString());
-  }
-  degradation_.ReportFailure("epoch_quarantined");
   ApplyTierEffects();
 }
 

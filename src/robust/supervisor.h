@@ -12,7 +12,6 @@
 #include "obs/window_stats.h"
 #include "robust/checkpoint.h"
 #include "robust/degradation.h"
-#include "robust/record_errors.h"
 #include "robust/retry.h"
 #include "sketch/streaming_signatures.h"
 
@@ -26,20 +25,11 @@ struct StreamRunReport {
   bool killed = false;
   /// Resume position chosen at startup (0 = fresh start).
   uint64_t start_event = 0;
-  /// Events observed by the builder this run (excludes quarantined ones).
+  /// Events observed by the builder this run.
   uint64_t events_processed = 0;
   /// Stream cursor when the run ended (== total events unless killed).
   uint64_t final_position = 0;
   uint64_t epochs = 0;
-  /// Failed epoch attempts that were rolled back and retried in place.
-  uint64_t epoch_retries = 0;
-  /// Epochs recovered by a from-scratch rebuild after in-place retries
-  /// were exhausted.
-  uint64_t epochs_rebuilt = 0;
-  /// Poison epochs skipped with a dead-letter record. Their events are
-  /// counted in `events_quarantined`, not `events_processed`.
-  uint64_t epochs_quarantined = 0;
-  uint64_t events_quarantined = 0;
   uint64_t checkpoints_saved = 0;
   /// Saves that still failed after the retry policy was exhausted.
   uint64_t checkpoint_save_failures = 0;
@@ -56,20 +46,15 @@ struct StreamRunReport {
 /// Owns the `commsig stream` epoch loop and keeps it alive through faults.
 ///
 /// The stream is processed in epochs (the emit cadence when set, else the
-/// checkpoint cadence). Each epoch is transactional: when fail-points are
-/// armed, the supervisor snapshots the builder before the epoch and, on a
-/// failed attempt, rolls back to that snapshot and retries in place. An
-/// epoch that fails `max_epoch_attempts` times is rebuilt from scratch —
-/// a fresh builder replaying the stream from event zero, bypassing the
-/// incremental resume path entirely — and if even that fails, the epoch is
-/// quarantined: its events are skipped and a typed kPoisonWindow
-/// dead-letter record lands in `dead_letters`.
+/// checkpoint cadence). An epoch only updates in-memory sketches, so it
+/// cannot fail; its observe time is checked against `epoch_budget_us`.
 ///
 /// All durable IO (checkpoint saves, telemetry flushes) runs under one
-/// RetryPolicy with exponential backoff + jitter. Epoch outcomes feed a
-/// DegradationController whose tier ladder sheds load under sustained
-/// faults (drop tracing spans, stretch the checkpoint cadence, drop the
-/// expensive UT extraction) and surfaces through /healthz.
+/// RetryPolicy with exponential backoff + jitter. Epoch budgets and
+/// exhausted saves feed a DegradationController whose tier ladder sheds
+/// load under sustained overload or faults (drop tracing spans, stretch
+/// the checkpoint cadence, drop the expensive UT extraction) and surfaces
+/// through /healthz.
 ///
 /// Startup restores the newest valid checkpoint when `checkpoint_dir` is
 /// set, with the input-fingerprint staleness check and corrupt-newest
@@ -86,27 +71,21 @@ class StreamSupervisor {
     uint64_t emit_every = 0;
     /// Simulated crash after this many events processed this run (0 = off).
     uint64_t kill_after = 0;
-    /// Per-event pacing for demos/smoke tests.
-    uint64_t replay_delay_us = 0;
     /// Timestamp-paced replay speed: trace-time seconds elapse
     /// `replay_rate` times faster than wall-clock (1.0 = real time,
     /// 100.0 = 100x). Sleeps are scheduled against the stream's first
     /// timestamp so pacing never drifts with per-event processing cost.
-    /// 0 disables; composes with replay_delay_us (both sleeps apply).
+    /// 0 disables.
     double replay_rate = 0.0;
     /// Durable checkpoint directory (empty = no checkpoints).
     std::string checkpoint_dir;
-    /// Attempts per epoch before the from-scratch rebuild (minimum 1).
-    uint32_t max_epoch_attempts = 3;
-    /// Soft wall-clock budget per epoch; exceeding it reports an overload
+    /// Soft budget on one epoch's observe time (the window_build stage;
+    /// replay pacing is not counted). Exceeding it reports an overload
     /// signal to the degradation ladder (0 = off).
     uint64_t epoch_budget_us = 0;
     RetryPolicy retry;
     DegradationController::Options degrade;
     StreamingSignatureBuilder::Options builder;
-    /// Dead-letter sink for quarantined poison epochs (not owned; may be
-    /// null, in which case quarantine only logs and counts).
-    RecordErrorLog* dead_letters = nullptr;
     /// In-run telemetry flush (the CLI's --metrics-out/--trace-out write),
     /// invoked at the checkpoint cadence under the retry policy. Null
     /// disables in-run flushes.
@@ -140,14 +119,12 @@ class StreamSupervisor {
   /// `fingerprint`) or builds fresh state. Returns the resume position.
   uint64_t RestoreOrFresh(uint64_t fingerprint, size_t total_events,
                           StreamRunReport& report);
-  /// Observes events [begin, end) and evaluates the epoch fail-point
-  /// `site`. On failure the builder is NOT rolled back — the caller owns
-  /// the snapshot.
-  Status ObserveSlice(const std::vector<TraceEvent>& events, uint64_t begin,
-                      uint64_t end, obs::WindowRecord& epoch,
-                      std::string_view site);
-  /// One transactional epoch [begin, end): snapshot, attempt loop, scratch
-  /// rebuild, quarantine. Updates `report` and the degradation ladder.
+  /// Observes events [begin, end), timing each Observe into `epoch`'s
+  /// window_build stage and pacing the replay between them.
+  void ObserveSlice(const std::vector<TraceEvent>& events, uint64_t begin,
+                    uint64_t end, obs::WindowRecord& epoch);
+  /// One epoch [begin, end): observes it, then reports it to the
+  /// degradation ladder as healthy or over budget. Updates `report`.
   void RunEpoch(const std::vector<TraceEvent>& events, uint64_t begin,
                 uint64_t end, obs::WindowRecord& epoch,
                 StreamRunReport& report);

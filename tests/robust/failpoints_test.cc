@@ -30,13 +30,13 @@ TEST_F(FailPointTest, UnarmedSiteNeverFires) {
   EXPECT_EQ(FailPointRegistry::Global().Evaluate("nowhere"),
             FailPointKind::kOff);
   EXPECT_TRUE(failpoints::Inject("nowhere").ok());
-  EXPECT_FALSE(FailPointRegistry::Global().any_armed());
+  EXPECT_TRUE(FailPointRegistry::Global().ArmedSites().empty());
 }
 
 TEST_F(FailPointTest, FiresOnConfiguredHitWindow) {
   auto& reg = FailPointRegistry::Global();
   reg.Arm("io/site", {FailPointKind::kEio, /*after=*/2, /*count=*/2});
-  EXPECT_TRUE(reg.any_armed());
+  EXPECT_FALSE(reg.ArmedSites().empty());
   EXPECT_EQ(reg.Evaluate("io/site"), FailPointKind::kOff);   // hit 1
   EXPECT_EQ(reg.Evaluate("io/site"), FailPointKind::kOff);   // hit 2
   EXPECT_EQ(reg.Evaluate("io/site"), FailPointKind::kEio);   // hit 3
@@ -61,14 +61,14 @@ TEST_F(FailPointTest, DisarmStopsFiring) {
   EXPECT_EQ(reg.Evaluate("io/site"), FailPointKind::kEio);
   reg.Disarm("io/site");
   EXPECT_EQ(reg.Evaluate("io/site"), FailPointKind::kOff);
-  EXPECT_FALSE(reg.any_armed());
+  EXPECT_TRUE(reg.ArmedSites().empty());
 }
 
 TEST_F(FailPointTest, ArmFromSpecParsesSitesAndModifiers) {
   auto& reg = FailPointRegistry::Global();
   ASSERT_TRUE(reg
                   .ArmFromSpec(
-                      "checkpoint/write=enospc@2;stream/epoch=eio@1x2;"
+                      "checkpoint/write=enospc@2;telemetry/flush=eio@1x2;"
                       "checkpoint/fsync=fsync_fail")
                   .ok());
   auto sites = reg.ArmedSites();
@@ -78,11 +78,11 @@ TEST_F(FailPointTest, ArmFromSpecParsesSitesAndModifiers) {
   EXPECT_EQ(reg.Evaluate("checkpoint/write"), FailPointKind::kOff);
   EXPECT_EQ(reg.Evaluate("checkpoint/write"), FailPointKind::kEnospc);
   EXPECT_EQ(reg.Evaluate("checkpoint/write"), FailPointKind::kOff);
-  // stream/epoch=eio@1x2: skips one, fires twice.
-  EXPECT_EQ(reg.Evaluate("stream/epoch"), FailPointKind::kOff);
-  EXPECT_EQ(reg.Evaluate("stream/epoch"), FailPointKind::kEio);
-  EXPECT_EQ(reg.Evaluate("stream/epoch"), FailPointKind::kEio);
-  EXPECT_EQ(reg.Evaluate("stream/epoch"), FailPointKind::kOff);
+  // telemetry/flush=eio@1x2: skips one, fires twice.
+  EXPECT_EQ(reg.Evaluate("telemetry/flush"), FailPointKind::kOff);
+  EXPECT_EQ(reg.Evaluate("telemetry/flush"), FailPointKind::kEio);
+  EXPECT_EQ(reg.Evaluate("telemetry/flush"), FailPointKind::kEio);
+  EXPECT_EQ(reg.Evaluate("telemetry/flush"), FailPointKind::kOff);
   // bare kind: fires on the first hit.
   EXPECT_EQ(reg.Evaluate("checkpoint/fsync"), FailPointKind::kFsyncFail);
 }
@@ -93,7 +93,7 @@ TEST_F(FailPointTest, ArmFromSpecRejectsGarbage) {
   EXPECT_FALSE(reg.ArmFromSpec("site=notakind").ok());
   EXPECT_FALSE(reg.ArmFromSpec("=eio").ok());
   EXPECT_FALSE(reg.ArmFromSpec("site=eio@notanumber").ok());
-  EXPECT_FALSE(reg.any_armed());
+  EXPECT_TRUE(reg.ArmedSites().empty());
 }
 
 TEST_F(FailPointTest, KindNamesRoundTrip) {

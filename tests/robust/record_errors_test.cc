@@ -190,17 +190,5 @@ TEST(GlobalErrorBudgetTest, KFailStillFailsFirstWithoutCharging) {
   EXPECT_EQ(budget.total, 0u);  // kFail aborts before the budget is charged
 }
 
-TEST(PoisonWindowReasonTest, HasAStableNameAndQuarantines) {
-  // The supervisor's epoch quarantine dead-letters through the same sink
-  // as reader rejections, under its own stable reason code.
-  EXPECT_EQ(RecordErrorReasonName(RecordErrorReason::kPoisonWindow),
-            "poison_window");
-  RecordErrorLog log;
-  log.Record(RecordErrorReason::kPoisonWindow, 400,
-             "epoch [400, 600) skipped after 3 attempts");
-  EXPECT_EQ(log.count(RecordErrorReason::kPoisonWindow), 1u);
-  EXPECT_EQ(log.entries()[0].position, 400u);
-}
-
 }  // namespace
 }  // namespace commsig

@@ -1,8 +1,7 @@
-// StreamSupervisor recovery semantics: transactional epochs with rollback
-// and retry, from-scratch rebuild, poison-window quarantine, checkpoint
-// restore (including the corrupt-newest fallback) and the degradation
-// ladder's tier effects — all driven deterministically through the IO
-// fail-point registry.
+// StreamSupervisor recovery semantics: checkpoint restore (including the
+// corrupt-newest fallback), IO retries, the epoch budget and the
+// degradation ladder's tier effects. IO faults are driven
+// deterministically through the fail-point registry.
 
 #include "robust/supervisor.h"
 
@@ -112,8 +111,6 @@ TEST_F(SupervisorTest, FaultFreeRunProcessesEverything) {
   EXPECT_EQ(report.start_event, 0u);
   EXPECT_EQ(report.events_processed, 1000u);
   EXPECT_EQ(report.final_position, 1000u);
-  EXPECT_EQ(report.epoch_retries, 0u);
-  EXPECT_EQ(report.epochs_quarantined, 0u);
   // 200..1000 in-loop plus the end-of-run save (which rewrites seq 1000).
   EXPECT_EQ(report.checkpoints_saved, 6u);
   EXPECT_EQ(report.final_tier, DegradationTier::kOk);
@@ -138,6 +135,56 @@ TEST_F(SupervisorTest, ReplayRatePacesAgainstTheStreamTimestamps) {
   EXPECT_GE(elapsed.count(), 60);
   // Pacing must not change the computed state.
   EXPECT_EQ(BuilderBytes(supervisor), ReferenceBytes(events));
+}
+
+TEST_F(SupervisorTest, OverBudgetEpochsDegradeWithNoFailPointArmed) {
+  // Two 2000-event epochs, each observed in well over 1 us: the budget
+  // alone must step the ladder twice, with nothing armed.
+  auto events = MakeEvents(4000);
+  StreamSupervisor::Options opts = BaseOptions("");
+  opts.checkpoint_every = 2000;
+  opts.epoch_budget_us = 1;
+  opts.degrade.escalate_after = 1;
+  StreamSupervisor supervisor(Focal(), opts);
+  StreamRunReport report = supervisor.Run(events);
+  EXPECT_EQ(report.epochs, 2u);
+  EXPECT_EQ(report.final_tier, DegradationTier::kWidenCheckpoints);
+  // Degrading sheds overhead, never results.
+  EXPECT_EQ(BuilderBytes(supervisor), ReferenceBytes(events));
+}
+
+TEST_F(SupervisorTest, ReplayPacingDoesNotCountAgainstTheBudget) {
+  // ~100 ms of pacing sleeps over two epochs, each far over a 20 ms budget
+  // by wall clock. The budget counts observe time only, so both epochs
+  // are healthy.
+  auto events = MakeEvents(300);
+  StreamSupervisor::Options opts = BaseOptions("");
+  opts.replay_rate = 3000.0;
+  opts.epoch_budget_us = 20000;
+  opts.degrade.escalate_after = 1;
+  StreamSupervisor supervisor(Focal(), opts);
+  StreamRunReport report = supervisor.Run(events);
+  EXPECT_EQ(report.events_processed, events.size());
+  EXPECT_EQ(report.final_tier, DegradationTier::kOk);
+}
+
+TEST_F(SupervisorTest, StretchedCadenceSaturatesInsteadOfWrapping) {
+  auto events = MakeEvents(400);
+  // Every 100-event epoch is over a 1 us budget, so the first two escalate
+  // to widen_checkpoints. (2^63 + 1) * 2 wraps to 2 in uint64_t, so an
+  // unsaturated cadence would checkpoint every 2 events from then on.
+  auto opts = BaseOptions(dir_.string());
+  opts.checkpoint_every = (uint64_t{1} << 63) + 1;
+  opts.emit_every = 100;
+  opts.epoch_budget_us = 1;
+  opts.degrade.escalate_after = 1;
+  opts.degrade.checkpoint_stretch = 2;
+  StreamSupervisor supervisor(Focal(), std::move(opts));
+  StreamRunReport report = supervisor.Run(events);
+  EXPECT_GE(report.final_tier, DegradationTier::kWidenCheckpoints);
+  EXPECT_EQ(report.events_processed, 400u);
+  EXPECT_EQ(report.epochs, 4u);
+  EXPECT_EQ(report.checkpoints_saved, 1u);  // the end-of-run save only
 }
 
 TEST_F(SupervisorTest, KillAndResumeConvergesToFaultFreeState) {
@@ -247,71 +294,6 @@ class SupervisorFaultTest : public SupervisorTest {
   }
 };
 
-TEST_F(SupervisorFaultTest, TransientEpochFaultIsRolledBackAndRetried) {
-  auto events = MakeEvents(1000);
-  ASSERT_TRUE(
-      FailPointRegistry::Global().ArmFromSpec("stream/epoch=eio@1x2").ok());
-  StreamSupervisor supervisor(Focal(), BaseOptions(dir_.string()));
-  StreamRunReport report = supervisor.Run(events);
-  EXPECT_FALSE(report.killed);
-  EXPECT_EQ(report.epoch_retries, 2u);
-  EXPECT_EQ(report.epochs_rebuilt, 0u);
-  EXPECT_EQ(report.epochs_quarantined, 0u);
-  EXPECT_EQ(report.events_processed, 1000u);
-  FailPointRegistry::Global().Reset();
-  EXPECT_EQ(BuilderBytes(supervisor), ReferenceBytes(events));
-}
-
-TEST_F(SupervisorFaultTest, PersistentEpochFaultRecoversViaScratchRebuild) {
-  auto events = MakeEvents(600);
-  // Every incremental attempt fails (x0 = fire forever); the rebuild path
-  // (its own fail-point site) stays healthy, so every epoch must recover
-  // via scratch replay.
-  ASSERT_TRUE(
-      FailPointRegistry::Global().ArmFromSpec("stream/epoch=eiox0").ok());
-  auto opts = BaseOptions(dir_.string());
-  opts.max_epoch_attempts = 2;
-  StreamSupervisor supervisor(Focal(), std::move(opts));
-  StreamRunReport report = supervisor.Run(events);
-  EXPECT_FALSE(report.killed);
-  EXPECT_EQ(report.epochs, 3u);
-  EXPECT_EQ(report.epoch_retries, 6u);   // 2 failed attempts per epoch
-  EXPECT_EQ(report.epochs_rebuilt, 3u);  // every epoch rebuilt from scratch
-  EXPECT_EQ(report.epochs_quarantined, 0u);
-  EXPECT_EQ(report.events_processed, 600u);
-  FailPointRegistry::Global().Reset();
-  EXPECT_EQ(BuilderBytes(supervisor), ReferenceBytes(events));
-}
-
-TEST_F(SupervisorFaultTest, PoisonEpochIsQuarantinedWithDeadLetter) {
-  auto events = MakeEvents(500);
-  // Both the incremental path and the scratch rebuild fail for the first
-  // epoch only: it is poison and must be skipped, not retried forever.
-  ASSERT_TRUE(FailPointRegistry::Global()
-                  .ArmFromSpec("stream/epoch=eio@0x2;stream/rebuild=eio@0x1")
-                  .ok());
-  RecordErrorLog dead_letters;
-  auto opts = BaseOptions(dir_.string());
-  opts.max_epoch_attempts = 2;
-  opts.dead_letters = &dead_letters;
-  StreamSupervisor supervisor(Focal(), std::move(opts));
-  StreamRunReport report = supervisor.Run(events);
-
-  EXPECT_FALSE(report.killed);
-  EXPECT_EQ(report.epochs_quarantined, 1u);
-  EXPECT_EQ(report.events_quarantined, 200u);
-  EXPECT_EQ(report.events_processed, 300u);
-  EXPECT_EQ(report.final_position, 500u);  // the stream kept going
-
-  ASSERT_EQ(dead_letters.total(), 1u);
-  EXPECT_EQ(dead_letters.entries()[0].reason,
-            RecordErrorReason::kPoisonWindow);
-  EXPECT_EQ(dead_letters.entries()[0].position, 0u);
-  EXPECT_NE(dead_letters.entries()[0].detail.find("epoch [0, 200)"),
-            std::string::npos)
-      << dead_letters.entries()[0].detail;
-}
-
 TEST_F(SupervisorFaultTest, CheckpointSaveFailureIsRetriedThroughPolicy) {
   auto events = MakeEvents(600);
   // First two fsyncs fail; the retry policy must absorb both and still
@@ -364,26 +346,6 @@ TEST_F(SupervisorFaultTest, WidenedCadenceCheckpointsLessOften) {
   EXPECT_EQ(report.checkpoints_saved, 3u);
   EXPECT_EQ(report.final_tier, DegradationTier::kWidenCheckpoints);
   EXPECT_EQ(report.events_processed, 1200u);
-}
-
-TEST_F(SupervisorFaultTest, StretchedCadenceSaturatesInsteadOfWrapping) {
-  auto events = MakeEvents(400);
-  // The first epoch fails twice, which escalates to widen_checkpoints, and
-  // its third attempt succeeds. (2^63 + 1) * 2 wraps to 2 in uint64_t, so
-  // an unsaturated cadence would checkpoint every 2 events from then on.
-  ASSERT_TRUE(
-      FailPointRegistry::Global().ArmFromSpec("stream/epoch=eio@0x2").ok());
-  auto opts = BaseOptions(dir_.string());
-  opts.checkpoint_every = (uint64_t{1} << 63) + 1;
-  opts.emit_every = 100;
-  opts.degrade.escalate_after = 1;
-  opts.degrade.checkpoint_stretch = 2;
-  StreamSupervisor supervisor(Focal(), std::move(opts));
-  StreamRunReport report = supervisor.Run(events);
-  EXPECT_EQ(report.final_tier, DegradationTier::kWidenCheckpoints);
-  EXPECT_EQ(report.events_processed, 400u);
-  EXPECT_EQ(report.epochs, 4u);
-  EXPECT_EQ(report.checkpoints_saved, 1u);  // the end-of-run save only
 }
 
 TEST_F(SupervisorFaultTest, TelemetryFlushRunsUnderRetryPolicy) {

@@ -154,6 +154,15 @@ class ObsSchemaPassTest(unittest.TestCase):
         self.assertEqual(built["preregistered"],
                          checked_in["preregistered"])
 
+    def test_dir_fsync_site_is_extracted(self):
+        # FsyncDir is a fail-point helper like FsyncFd: the checkpoint
+        # writer's directory fsync site must land in failpoint_sites.
+        rel = "src/robust/checkpoint.cc"
+        tu = cpplite.parse_file(os.path.join(REPO, rel), rel)
+        built = obs_schema.build_schema(Project([tu]))
+        self.assertIn("checkpoint/dirsync",
+                      built["categories"]["failpoint_sites"])
+
 
 class ResultPassTest(unittest.TestCase):
     def test_bad_fixture_flagged(self):

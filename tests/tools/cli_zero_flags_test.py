@@ -51,13 +51,13 @@ WINDOW_COMMANDS = ["signatures", "selfmatch", "multiusage", "masquerade",
 # deliberate interface change.
 FLAG_NAMES = {
     "chaos-dir", "checkpoint-dir", "checkpoint-every",
-    "dead-letter-out", "decay", "degrade-checkpoint-stretch",
+    "decay", "degrade-checkpoint-stretch",
     "degrade-escalate-after", "degrade-recover-after", "delta-divisor",
     "dist", "ell", "emit-every", "error-budget", "failpoints", "fraction",
     "ingest-queue", "io-chunk-kb", "k", "kill-after", "log-file",
-    "log-level", "max-drift", "max-epoch-attempts", "max-lag", "max-pairs",
+    "log-level", "max-drift", "max-lag", "max-pairs",
     "max-total-errors", "metrics-out", "mode", "netflow", "on-error",
-    "parse-workers", "protocol", "quarantine-out", "replay-delay-us",
+    "parse-workers", "protocol", "quarantine-out",
     "replay-rate", "retry-deadline-ms", "retry-initial-ms",
     "retry-jitter", "retry-max-attempts", "retry-max-ms",
     "retry-multiplier", "scheme", "seed", "stats-linger-ms", "stats-port",
@@ -192,10 +192,18 @@ class ZeroFlagsTest(unittest.TestCase):
 
     def test_unknown_flag_rejected(self):
         # --backpressure must stay unknown: the ingest queues always block.
-        for flag, value in (("--windw-length", "200"),
-                            ("--backpressure", "block")):
-            with self.subTest(flag=flag):
-                proc = self.run_cli("signatures", flag, value)
+        # A stream epoch only updates in-memory sketches, so stream has no
+        # epoch retries or dead letters, and --replay-rate is its only
+        # pacing flag.
+        for command, flag, value in (
+                ("signatures", "--windw-length", "200"),
+                ("signatures", "--backpressure", "block"),
+                ("stream", "--max-epoch-attempts", "3"),
+                ("stream", "--dead-letter-out",
+                 os.path.join(self.tmp.name, "poison.csv")),
+                ("stream", "--replay-delay-us", "200")):
+            with self.subTest(command=command, flag=flag):
+                proc = self.run_cli(command, flag, value)
                 self.assertEqual(proc.returncode, 2,
                                  proc.stdout + proc.stderr)
                 self.assertIn(f"unknown flag {flag}", proc.stderr)

@@ -50,6 +50,7 @@ _SITES = {
     "WriteAll": ("failpoint_sites", 0),
     "FsyncFd": ("failpoint_sites", 0),
     "RenameFile": ("failpoint_sites", 0),
+    "FsyncDir": ("failpoint_sites", 0),
 }
 
 _PATH_NAME = re.compile(r"^[a-z0-9_]+(/[a-z0-9_]+)+$")
@@ -76,7 +77,7 @@ def extract(project: Project) -> tuple[dict[str, dict[str, list]], list]:
                     continue
                 category, arg_idx = site
                 if c.name in ("Inject", "OpenForWrite", "WriteAll",
-                              "FsyncFd", "RenameFile") and \
+                              "FsyncFd", "RenameFile", "FsyncDir") and \
                         c.recv not in ("", "failpoints",
                                        "commsig::failpoints"):
                     continue  # same-named method on an unrelated class

@@ -206,12 +206,8 @@ constexpr Flag kFlags[] = {
          "checkpoint and flush telemetry every N events (0 = never)"),
     Uint("emit-every", kSupervised, "0", 0, UINT64_MAX,
          "also extract all focal signatures every N events (0 = off)"),
-    Uint("replay-delay-us", kSupervised, "0", 0, kMaxChrono,
-         "sleep N microseconds after each event (0 = off)"),
     Real("replay-rate", kSupervised, "0", 0, kMaxDouble, Ends::kClosed,
          "replay trace time at X times wall-clock, 1 = real time (0 = off)"),
-    Uint("max-epoch-attempts", kSupervised, "3", 1, UINT32_MAX,
-         "tries per stream epoch before a rebuild, then poison quarantine"),
     Uint("degrade-escalate-after", kSupervised, "3", 1, UINT32_MAX,
          "consecutive bad epochs that step the degradation ladder up"),
     Uint("degrade-recover-after", kSupervised, "8", 1, UINT32_MAX,
@@ -222,8 +218,6 @@ constexpr Flag kFlags[] = {
          "durable checkpoint directory (enables restore)"),
     Uint("kill-after", kStream, "0", 0, UINT64_MAX,
          "exit 3 after N events this run, a crash-test hook (0 = off)"),
-    Text("dead-letter-out", kStream, nullptr, "path",
-         "dead-letter CSV of quarantined poison epochs"),
     Uint("seed", kStream, "49374", 0, UINT64_MAX, "sketch seed (0xc0de)"),
     Uint("trials", kChaoscheck, "3", 0, UINT64_MAX,
          "kill/fault schedules to run"),
@@ -266,7 +260,8 @@ constexpr Flag kFlags[] = {
     Text("trace-out", kAll, nullptr, "path",
          "Chrome trace_event JSON of the spans, written like --metrics-out"),
     Uint("window-budget-ms", kAll, "0", 0, kMaxMsAsUs,
-         "warn when one window advance takes over N ms (0 = off)"),
+         "warn when one window advance takes over N ms; in stream, an "
+         "epoch over it also counts toward the degradation ladder (0 = off)"),
     Uint("stats-port", kAll, nullptr, 0, 65535,
          "serve /metrics etc. on 127.0.0.1:N (unset = off, 0 = any port)"),
     Uint("stats-stall-ms", kAll, "30000", 0, kMaxMsAsUs,
@@ -817,16 +812,12 @@ std::string StreamOutput(const StreamSupervisor& supervisor,
 
 /// The supervisor configuration `stream` and `chaoscheck` share; each
 /// sets its own checkpoint directory and kill point.
-StreamSupervisor::Options SupervisorFromArgs(const Args& args,
-                                             RecordErrorLog* dead_letters) {
+StreamSupervisor::Options SupervisorFromArgs(const Args& args) {
   StreamSupervisor::Options opts;
   opts.k = args.Uint("k");
   opts.checkpoint_every = args.Uint("checkpoint-every");
   opts.emit_every = args.Uint("emit-every");
-  opts.replay_delay_us = args.Uint("replay-delay-us");
   opts.replay_rate = args.Double("replay-rate");
-  opts.max_epoch_attempts =
-      static_cast<uint32_t>(args.Uint("max-epoch-attempts"));
   opts.epoch_budget_us = args.Uint("window-budget-ms") * 1000;
   opts.retry = RetryFromArgs(args);
   opts.degrade.escalate_after =
@@ -837,7 +828,6 @@ StreamSupervisor::Options SupervisorFromArgs(const Args& args,
   // stream's --seed defaults to the builder's own seed; chaoscheck's seeds
   // the sketches only when given.
   if (args.Given("seed")) opts.builder.seed = args.Uint("seed");
-  opts.dead_letters = dead_letters;
   opts.manage_tracing = true;
   if (!args.Str("metrics-out").empty() || !args.Str("trace-out").empty()) {
     opts.flush_telemetry = [&args]() {
@@ -851,8 +841,7 @@ int RunStream(const Args& args) {
   Interner interner;
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, interner, events)) return 1;
-  RecordErrorLog dead_letters;
-  StreamSupervisor::Options opts = SupervisorFromArgs(args, &dead_letters);
+  StreamSupervisor::Options opts = SupervisorFromArgs(args);
   opts.checkpoint_dir = args.Str("checkpoint-dir");
   opts.kill_after = args.Uint("kill-after");
   StreamSupervisor supervisor(FocalFromEvents(interner, events),
@@ -862,25 +851,12 @@ int RunStream(const Args& args) {
   obs::LogInfo("stream_supervisor_report")
       .U64("start_event", report.start_event)
       .U64("events_processed", report.events_processed)
-      .U64("epoch_retries", report.epoch_retries)
-      .U64("epochs_rebuilt", report.epochs_rebuilt)
-      .U64("epochs_quarantined", report.epochs_quarantined)
       .U64("checkpoints_saved", report.checkpoints_saved)
       .U64("checkpoint_save_failures", report.checkpoint_save_failures)
       .U64("io_retries", report.io_retries)
       .Str("final_tier", DegradationTierName(report.final_tier))
       .Bool("restored", report.restored_from_checkpoint)
       .Bool("fallback_restore", report.restored_from_fallback);
-
-  const std::string dead_letter_out = args.Str("dead-letter-out");
-  if (!dead_letter_out.empty() && dead_letters.total() > 0) {
-    Status s = dead_letters.WriteCsv(dead_letter_out);
-    if (!s.ok()) {
-      obs::LogError("dead_letter_write_failed")
-          .Str("path", dead_letter_out)
-          .Str("error", s.ToString());
-    }
-  }
   if (report.killed) return 3;
   std::fputs(StreamOutput(supervisor, interner, args.Uint("k")).c_str(),
              stdout);
@@ -900,7 +876,6 @@ constexpr ChaosScenario kChaosScenarios[] = {
     {"fsync_fail_on_checkpoint", "checkpoint/fsync=fsync_fail@0x1"},
     {"torn_checkpoint_rename", "checkpoint/rename=torn_rename@0x1"},
     {"enospc_on_telemetry_flush", "telemetry/flush=enospc@0x2"},
-    {"transient_epoch_fault", "stream/epoch=eio@0x2"},
     {"short_write_on_checkpoint", "checkpoint/write=short_write@0x1"},
 };
 
@@ -936,13 +911,8 @@ int RunChaoscheck(const Args& args) {
   FailPointRegistry::Global().Reset();
   std::string reference;
   {
-    RecordErrorLog dead_letters;
-    StreamSupervisor ref(focal, SupervisorFromArgs(args, &dead_letters));
-    StreamRunReport report = ref.Run(events);
-    if (report.killed || report.epochs_quarantined > 0) {
-      obs::LogError("chaoscheck_reference_failed");
-      return 1;
-    }
+    StreamSupervisor ref(focal, SupervisorFromArgs(args));
+    ref.Run(events);
     reference = StreamOutput(ref, interner, k);
   }
 
@@ -953,12 +923,8 @@ int RunChaoscheck(const Args& args) {
     fs::remove_all(chaos_dir, ec);
     uint64_t position = 0;
     uint64_t segments = 0;
-    uint64_t retries = 0;
-    uint64_t rebuilt = 0;
-    uint64_t quarantined = 0;
     uint64_t fallback_restores = 0;
-    StreamRunReport report;
-    std::string final_signatures_verdict = "pass";
+    bool pass = true;
 
     // Keep killing and restarting until a segment runs to completion; each
     // segment gets a fresh supervisor (a new process, morally) plus one
@@ -974,16 +940,12 @@ int RunChaoscheck(const Args& args) {
       const uint64_t kill_after =
           1 + rng.UniformInt(remaining + remaining / 2 + 1);
 
-      RecordErrorLog dead_letters;
-      StreamSupervisor::Options opts = SupervisorFromArgs(args, &dead_letters);
+      StreamSupervisor::Options opts = SupervisorFromArgs(args);
       opts.checkpoint_dir = chaos_dir;
       opts.kill_after = kill_after;
       StreamSupervisor supervisor(focal, std::move(opts));
-      report = supervisor.Run(events);
+      const StreamRunReport report = supervisor.Run(events);
       ++segments;
-      retries += report.epoch_retries;
-      rebuilt += report.epochs_rebuilt;
-      quarantined += report.epochs_quarantined;
       if (report.restored_from_fallback) ++fallback_restores;
       position = report.final_position;
       obs::LogInfo("chaos_segment")
@@ -995,28 +957,19 @@ int RunChaoscheck(const Args& args) {
           .Bool("killed", report.killed);
       if (!report.killed) {
         FailPointRegistry::Global().Reset();
-        if (quarantined > 0) {
-          // Quarantine is correct behaviour for poison input, but these
-          // scenarios are all recoverable — reaching it means the
-          // supervisor gave up on an epoch it should have healed.
-          final_signatures_verdict = "quarantined";
-        } else if (StreamOutput(supervisor, interner, k) != reference) {
-          final_signatures_verdict = "diverged";
-        }
+        pass = StreamOutput(supervisor, interner, k) == reference;
         break;
       }
     }
 
-    const bool pass = final_signatures_verdict == "pass";
     if (!pass) rc = 1;
-    std::printf("trial %" PRIu64 ": %s  segments=%" PRIu64 " retries=%" PRIu64
-                " rebuilt=%" PRIu64 " quarantined=%" PRIu64
+    const char* verdict = pass ? "pass" : "diverged";
+    std::printf("trial %" PRIu64 ": %s  segments=%" PRIu64
                 " fallback_restores=%" PRIu64 "\n",
-                trial, final_signatures_verdict.c_str(), segments, retries,
-                rebuilt, quarantined, fallback_restores);
+                trial, verdict, segments, fallback_restores);
     obs::LogInfo("chaos_trial_done")
         .U64("trial", trial)
-        .Str("verdict", final_signatures_verdict)
+        .Str("verdict", verdict)
         .U64("segments", segments);
   }
 
