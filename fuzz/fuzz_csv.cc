@@ -36,8 +36,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (path.empty()) return 0;
 
   for (commsig::ErrorPolicy policy :
-       {commsig::ErrorPolicy::kFail, commsig::ErrorPolicy::kSkip,
-        commsig::ErrorPolicy::kQuarantine}) {
+       {commsig::ErrorPolicy::kFail, commsig::ErrorPolicy::kSkip}) {
     commsig::RecordErrorLog log;
     commsig::ingest::PipelineOptions options;
     options.parse_workers = 2;

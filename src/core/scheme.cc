@@ -24,7 +24,7 @@ std::span<const ApplicationRequirement> ApplicationRequirements() {
 
 const std::vector<CharacteristicLink>& CharacteristicLinks() {
   // Paper Table II.
-  // NOLINT(commsig-naked-new): leaked singleton
+  // NOLINT(analyze-hygiene-naked-new): leaked singleton
   static const auto& kLinks = *new std::vector<CharacteristicLink>{
       {GraphCharacteristic::kEngagement,
        {SignatureProperty::kPersistence, SignatureProperty::kRobustness}},

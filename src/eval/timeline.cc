@@ -41,21 +41,14 @@ std::vector<LagStats> PersistenceByLag(
 
 std::vector<std::vector<Signature>> ComputeSignatureTimeline(
     const SignatureScheme& scheme, std::span<const CommGraph> windows,
-    std::span<const NodeId> nodes,
-    const SignatureTimelineOptions& options) {
+    std::span<const NodeId> nodes) {
   std::vector<std::vector<Signature>> per_window;
   per_window.reserve(windows.size());
-  if (options.incremental) {
-    IncrementalSignatureEngine engine(
-        scheme, std::vector<NodeId>(nodes.begin(), nodes.end()));
-    // The windows span outlives the engine, so the zero-copy form applies.
-    for (const CommGraph& g : windows) {
-      per_window.push_back(engine.AdvanceBorrowed(g));
-    }
-  } else {
-    for (const CommGraph& g : windows) {
-      per_window.push_back(scheme.ComputeAll(g, nodes));
-    }
+  IncrementalSignatureEngine engine(
+      scheme, std::vector<NodeId>(nodes.begin(), nodes.end()));
+  // The windows span outlives the engine, so the zero-copy form applies.
+  for (const CommGraph& g : windows) {
+    per_window.push_back(engine.AdvanceBorrowed(g));
   }
   return per_window;
 }

@@ -45,17 +45,13 @@ std::vector<LagStats> PersistenceByLag(
     SignatureDistance dist, size_t max_lag);
 
 /// Computes `per_window[w][i]` = signature of nodes[i] in windows[w] — the
-/// input shape the persistence helpers above consume. By default the sweep
-/// rides IncrementalSignatureEngine, so consecutive windows pay only for
-/// their dirty nodes; incremental = false forces per-window ComputeAll
-/// (the from-scratch reference the equivalence tests and the speedup bench
-/// compare against).
-struct SignatureTimelineOptions {
-  bool incremental = true;
-};
+/// input shape the persistence helpers above consume. The sweep rides
+/// IncrementalSignatureEngine, so consecutive windows pay only for their
+/// dirty nodes; its output equals per-window ComputeAll (the from-scratch
+/// reference the equivalence tests and the speedup bench compare against).
 std::vector<std::vector<Signature>> ComputeSignatureTimeline(
     const SignatureScheme& scheme, std::span<const CommGraph> windows,
-    std::span<const NodeId> nodes, const SignatureTimelineOptions& options = {});
+    std::span<const NodeId> nodes);
 
 }  // namespace commsig
 

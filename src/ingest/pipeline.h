@@ -61,7 +61,7 @@ struct PipelineStats {
 // CSV rows: split on '\n' with one trailing '\r' stripped; blank lines
 // and '#' comments are skipped and not counted; a final line without a
 // newline is still read. Malformed rows and records are handled per
-// `options.ingest` (fail / skip / quarantine, per-file and run-wide
+// `options.ingest` (fail / skip, per-file and run-wide
 // budgets); the first rejection under kFail fails the read with
 // InvalidArgument (CSV) or Corruption (NetFlow). A missing file is an
 // IOError "cannot open <path>".

@@ -21,7 +21,7 @@ std::string_view HealthLevelName(HealthLevel level) {
 
 HealthRegistry& HealthRegistry::Global() {
   static HealthRegistry* instance =
-      new HealthRegistry();  // NOLINT(commsig-naked-new): leaked singleton
+      new HealthRegistry();  // NOLINT(analyze-hygiene-naked-new)
   return *instance;
 }
 

@@ -56,7 +56,7 @@ LogSink::LogSink() : min_level_(static_cast<int>(LogLevel::kInfo)) {
 
 LogSink& LogSink::Global() {
   // Leaked so events in static destructors stay safe.
-  static LogSink* sink = new LogSink();  // NOLINT(commsig-naked-new): leaked singleton
+  static LogSink* sink = new LogSink();  // NOLINT(analyze-hygiene-naked-new)
   return *sink;
 }
 

@@ -54,7 +54,7 @@ void Histogram::Reset() {
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked so metrics outlive static destructors in instrumented code.
   static MetricsRegistry* registry =
-      new MetricsRegistry();  // NOLINT(commsig-naked-new): leaked singleton
+      new MetricsRegistry();  // NOLINT(analyze-hygiene-naked-new)
   return *registry;
 }
 

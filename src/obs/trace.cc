@@ -14,7 +14,7 @@ thread_local uint32_t span_depth = 0;
 TraceCollector& TraceCollector::Global() {
   // Leaked so spans in static destructors stay safe.
   static TraceCollector* collector =
-      new TraceCollector();  // NOLINT(commsig-naked-new): leaked singleton
+      new TraceCollector();  // NOLINT(analyze-hygiene-naked-new)
   return *collector;
 }
 

@@ -50,7 +50,7 @@ std::string_view PipelineStageName(PipelineStage stage) {
 WindowStatsAggregator& WindowStatsAggregator::Global() {
   // Leaked so late records in static destructors stay safe.
   static WindowStatsAggregator* aggregator =
-      new WindowStatsAggregator();  // NOLINT(commsig-naked-new): leaked singleton
+      new WindowStatsAggregator();  // NOLINT(analyze-hygiene-naked-new)
   return *aggregator;
 }
 

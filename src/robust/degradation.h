@@ -15,8 +15,9 @@ namespace commsig {
 ///   0 kOk                full service
 ///   1 kShedTracing       tracing spans dropped (observability pays first)
 ///   2 kWidenCheckpoints  checkpoint/telemetry cadence stretched
-///   3 kSketchOnly        RWR warm-starts abandoned; sketch-backed TT/UT
-///                        schemes only (the cheapest defined approximation)
+///   3 kSketchOnly        emissions skip the UT re-extraction (its cache is
+///                        invalidated by any novelty change) and keep only
+///                        the per-node TT signatures
 enum class DegradationTier : int {
   kOk = 0,
   kShedTracing = 1,

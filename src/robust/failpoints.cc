@@ -4,9 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "obs/log.h"
 #include "obs/obs.h"
@@ -46,7 +48,7 @@ bool ParseFailPointKind(std::string_view name, FailPointKind& out) {
 
 FailPointRegistry& FailPointRegistry::Global() {
   static FailPointRegistry* instance =
-      new FailPointRegistry();  // NOLINT(commsig-naked-new): leaked singleton
+      new FailPointRegistry();  // NOLINT(analyze-hygiene-naked-new)
   return *instance;
 }
 
@@ -94,6 +96,10 @@ Status FailPointRegistry::ArmFromSpec(std::string_view spec) {
                                      "' is not site=kind[@after][xcount]");
     }
     std::string site(clause.substr(0, eq));
+    if (std::find(std::begin(failpoints::kSites), std::end(failpoints::kSites),
+                  site) == std::end(failpoints::kSites)) {
+      return Status::InvalidArgument("unknown failpoint site '" + site + "'");
+    }
     std::string_view rest = clause.substr(eq + 1);
 
     FailPointSpec parsed;

@@ -77,7 +77,8 @@ class FailPointRegistry {
   ///
   /// e.g. "checkpoint/write=enospc@2" (fail the 3rd write),
   /// "telemetry/flush=eio@1x2;checkpoint/fsync=fsync_fail" — the format the
-  /// CLI's --failpoints flag and the chaos harness share.
+  /// CLI's --failpoints flag and the chaos harness share. A site outside
+  /// failpoints::kSites is InvalidArgument.
   Status ArmFromSpec(std::string_view spec);
 
   /// Counts a hit on `site` and returns the fault to inject now (kOff when
@@ -104,6 +105,16 @@ class FailPointRegistry {
 };
 
 namespace failpoints {
+
+/// Every site name the runtime evaluates, one per IO call site below and
+/// per Inject call. ArmFromSpec rejects any other name, so a typo or a
+/// stale site cannot arm nothing in silence. docs/obs_schema.json's
+/// `failpoint_sites`, extracted from the call sites, lists the same names.
+inline constexpr std::string_view kSites[] = {
+    "checkpoint/dirsync", "checkpoint/fsync", "checkpoint/open",
+    "checkpoint/rename",  "checkpoint/write", "ingest/frame",
+    "logsink/open",       "reader/open",      "telemetry/flush",
+};
 
 /// True when the injection hooks are compiled in (COMMSIG_FAILPOINTS).
 bool Enabled();

@@ -113,8 +113,7 @@ Status HandleBadRecord(const IngestOptions& options, uint64_t* errors_so_far,
       .Str("reason", RecordErrorReasonName(reason))
       .U64("position", position)
       .Str("detail", detail);
-  if (options.policy == ErrorPolicy::kQuarantine &&
-      options.error_log != nullptr) {
+  if (options.error_log != nullptr) {
     options.error_log->Record(reason, position, std::move(detail));
   }
   if (options.max_errors > 0 && *errors_so_far > options.max_errors) {

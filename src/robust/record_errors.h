@@ -19,11 +19,10 @@ enum class ErrorPolicy {
   /// Abort the whole read on the first malformed record (the historical
   /// behaviour; right for curated test fixtures and round-trip checks).
   kFail,
-  /// Drop malformed records, keep per-reason counters only.
+  /// Drop malformed records and count them per reason. When the caller
+  /// passes a RecordErrorLog, each one is also retained there (reason,
+  /// position, detail) as a dead letter for later inspection or replay.
   kSkip,
-  /// Drop malformed records and retain them (reason, position, detail) in a
-  /// RecordErrorLog dead-letter sink for later inspection or replay.
-  kQuarantine,
 };
 
 /// Why a record was rejected. One stable code per failure class so operators
@@ -107,7 +106,7 @@ struct GlobalErrorBudget {
 struct IngestOptions {
   ErrorPolicy policy = ErrorPolicy::kFail;
 
-  /// Per-file error budget for kSkip/kQuarantine: after this many rejected
+  /// Per-file error budget for kSkip: after this many rejected
   /// records the read fails with Corruption anyway — a file that is mostly
   /// garbage should not silently dissolve into an empty trace. 0 disables
   /// the budget.
@@ -125,8 +124,8 @@ struct IngestOptions {
   /// monotonicity can enforce it here.
   bool require_monotonic_time = false;
 
-  /// Dead-letter sink for kQuarantine (may be null, in which case
-  /// kQuarantine degrades to kSkip). Not owned.
+  /// Dead-letter sink for the records kSkip drops (may be null: they are
+  /// then only counted). Not owned.
   RecordErrorLog* error_log = nullptr;
 };
 

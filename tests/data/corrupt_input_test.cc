@@ -1,9 +1,10 @@
 // Exercises every reader against the committed corrupt-input corpus under
-// tests/data/corpus/, in all three ErrorPolicy modes. The corpus files are
-// real bytes on disk (not strings built in the test) so the fixtures also
-// pin the on-disk formats against accidental format drift. Every read runs
-// the ingestion pipeline at each worker count in ref::kReaderWorkers with
-// 64-byte chunks, so each rejection class crosses a chunk boundary.
+// tests/data/corpus/, under kFail and under kSkip with and without a
+// dead-letter log. The corpus files are real bytes on disk (not strings
+// built in the test) so the fixtures also pin the on-disk formats against
+// accidental format drift. Every read runs the ingestion pipeline at each
+// worker count in ref::kReaderWorkers with 64-byte chunks, so each
+// rejection class crosses a chunk boundary.
 
 #include <string>
 
@@ -67,7 +68,7 @@ TEST(CorruptNetflow, TruncatedQuarantinesTheCut) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
     auto r = ReadNetflow("truncated.nf", workers,
-                         Policy(ErrorPolicy::kQuarantine, &log));
+                         Policy(ErrorPolicy::kSkip, &log));
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(log.count(RecordErrorReason::kTruncated), 1u);
     ASSERT_EQ(log.entries().size(), 1u);
@@ -80,7 +81,7 @@ TEST(CorruptNetflow, BadMagicResynchronizesToNextPacket) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
     auto r = ReadNetflow("bad_magic.nf", workers,
-                         Policy(ErrorPolicy::kQuarantine, &log));
+                         Policy(ErrorPolicy::kSkip, &log));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     // Garbage prefix rejected, valid 2-record packet after it recovered.
     EXPECT_EQ(r->size(), 2u);
@@ -93,7 +94,7 @@ TEST(CorruptNetflow, ZeroCountHeaderRejectedAndRecovered) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
     auto r = ReadNetflow("zero_count.nf", workers,
-                         Policy(ErrorPolicy::kQuarantine, &log));
+                         Policy(ErrorPolicy::kSkip, &log));
     ASSERT_TRUE(r.ok());
     // The packet after the count=0 header still loads; the record body of
     // the bad packet is skipped by resynchronization.
@@ -111,7 +112,7 @@ TEST(CorruptNetflow, TimestampRegressionOnlyWhenMonotonicRequired) {
     EXPECT_EQ(relaxed->size(), 3u);
 
     RecordErrorLog log;
-    IngestOptions strict = Policy(ErrorPolicy::kQuarantine, &log);
+    IngestOptions strict = Policy(ErrorPolicy::kSkip, &log);
     strict.require_monotonic_time = true;
     auto r = ReadNetflow("time_regression.nf", workers, strict);
     ASSERT_TRUE(r.ok());
@@ -154,7 +155,7 @@ TEST(CorruptTraceCsv, SkipKeepsOnlyValidRows) {
 TEST(CorruptTraceCsv, QuarantineRecordsEveryRejectionClass) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
-    IngestOptions opts = Policy(ErrorPolicy::kQuarantine, &log);
+    IngestOptions opts = Policy(ErrorPolicy::kSkip, &log);
     opts.require_monotonic_time = true;
     auto r = ReadTrace("trace_bad_rows.csv", workers, opts);
     ASSERT_TRUE(r.ok());
@@ -172,7 +173,7 @@ TEST(CorruptTraceCsv, QuarantinePositionsAreLineNumbers) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
     auto r = ReadTrace("trace_bad_rows.csv", workers,
-                       Policy(ErrorPolicy::kQuarantine, &log));
+                       Policy(ErrorPolicy::kSkip, &log));
     ASSERT_TRUE(r.ok());
     ASSERT_FALSE(log.entries().empty());
     EXPECT_EQ(log.entries()[0].position, 2u);  // "only,three,fields" is line 2
@@ -183,7 +184,7 @@ TEST(CorruptTraceCsv, GarbageFileYieldsNothingButDoesNotCrash) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
     auto r = ReadTrace("garbage.csv", workers,
-                       Policy(ErrorPolicy::kQuarantine, &log));
+                       Policy(ErrorPolicy::kSkip, &log));
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->empty());
     EXPECT_GT(log.total(), 0u);
@@ -192,8 +193,7 @@ TEST(CorruptTraceCsv, GarbageFileYieldsNothingButDoesNotCrash) {
 
 TEST(CorruptTraceCsv, EmptyFileIsValidAndEmpty) {
   for (int workers : ref::kReaderWorkers) {
-    for (ErrorPolicy policy : {ErrorPolicy::kFail, ErrorPolicy::kSkip,
-                               ErrorPolicy::kQuarantine}) {
+    for (ErrorPolicy policy : {ErrorPolicy::kFail, ErrorPolicy::kSkip}) {
       auto r = ReadTrace("empty.csv", workers, Policy(policy));
       ASSERT_TRUE(r.ok());
       EXPECT_TRUE(r->empty());
@@ -236,7 +236,7 @@ TEST(CorruptEdgeListCsv, AllThreePolicies) {
       RecordErrorLog log;
       auto r = ingest::ReadEdgeListPipelined(
           path, interner, 0,
-          ref::SmallChunks(workers, Policy(ErrorPolicy::kQuarantine, &log)));
+          ref::SmallChunks(workers, Policy(ErrorPolicy::kSkip, &log)));
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(log.count(RecordErrorReason::kBadField), 1u);
       EXPECT_EQ(log.count(RecordErrorReason::kZeroNode), 1u);
@@ -262,7 +262,7 @@ TEST(CorruptSignatureSetCsv, AllThreePolicies) {
       RecordErrorLog log;
       auto r = ingest::ReadSignatureSetPipelined(
           path, interner,
-          ref::SmallChunks(workers, Policy(ErrorPolicy::kQuarantine, &log)));
+          ref::SmallChunks(workers, Policy(ErrorPolicy::kSkip, &log)));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       // o1 {m1,m2}, o2 {m4} (nan and negative rows rejected), o3 empty marker.
       ASSERT_EQ(r->size(), 3u);

@@ -83,10 +83,11 @@ TEST(TimelineTest, IncrementalModeMatchesScratchTimeline) {
   auto scheme = MakeTopTalkers({.k = 4});
   std::vector<NodeId> focal = {0, 1};
 
-  auto scratch = ComputeSignatureTimeline(*scheme, windows, focal,
-                                          {.incremental = false});
-  auto incremental = ComputeSignatureTimeline(*scheme, windows, focal,
-                                              {.incremental = true});
+  std::vector<std::vector<Signature>> scratch;
+  for (const CommGraph& g : windows) {
+    scratch.push_back(scheme->ComputeAll(g, focal));
+  }
+  auto incremental = ComputeSignatureTimeline(*scheme, windows, focal);
   ASSERT_EQ(scratch.size(), windows.size());
   EXPECT_EQ(incremental, scratch);
 

@@ -230,7 +230,7 @@ TEST_F(PipelineTest, TraceQuarantineLogMatchesSerial) {
   WriteFile(CorruptTraceCorpus());
 
   IngestOptions ingest;
-  ingest.policy = ErrorPolicy::kQuarantine;
+  ingest.policy = ErrorPolicy::kSkip;
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
 
@@ -247,7 +247,7 @@ TEST_F(PipelineTest, TraceQuarantineLogMatchesSerial) {
     PipelineOptions options;
     options.parse_workers = workers;
     options.chunk_bytes = 256;  // many chunks, rejects split across batches
-    options.ingest.policy = ErrorPolicy::kQuarantine;
+    options.ingest.policy = ErrorPolicy::kSkip;
     options.ingest.error_log = &log;
     auto got = ReadTraceEventsPipelined(PathStr(), PipelineFormat::kTraceCsv,
                                         interner, options);
@@ -320,7 +320,7 @@ TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
   WriteFile(corpus);
 
   IngestOptions ingest;
-  ingest.policy = ErrorPolicy::kQuarantine;
+  ingest.policy = ErrorPolicy::kSkip;
   ingest.require_monotonic_time = true;
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
@@ -335,7 +335,7 @@ TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
     PipelineOptions options;
     options.parse_workers = workers;
     options.chunk_bytes = 200;
-    options.ingest.policy = ErrorPolicy::kQuarantine;
+    options.ingest.policy = ErrorPolicy::kSkip;
     options.ingest.require_monotonic_time = true;
     options.ingest.error_log = &log;
     auto got = ReadTraceEventsPipelined(PathStr(), PipelineFormat::kTraceCsv,
@@ -494,7 +494,7 @@ TEST_F(PipelineTest, NetflowCorruptStreamMatchesSerialQuarantine) {
   WriteFile(bytes);
 
   IngestOptions ingest;
-  ingest.policy = ErrorPolicy::kQuarantine;
+  ingest.policy = ErrorPolicy::kSkip;
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
   Interner serial_interner;
@@ -511,7 +511,7 @@ TEST_F(PipelineTest, NetflowCorruptStreamMatchesSerialQuarantine) {
       PipelineOptions options;
       options.parse_workers = workers;
       options.chunk_bytes = chunk_bytes;
-      options.ingest.policy = ErrorPolicy::kQuarantine;
+      options.ingest.policy = ErrorPolicy::kSkip;
       options.ingest.error_log = &log;
       auto got = ReadTraceEventsPipelined(
           PathStr(), PipelineFormat::kNetflowV5, interner, options);
@@ -533,7 +533,7 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
   ASSERT_TRUE(WriteNetflowV5File(flows, PathStr()).ok());
 
   IngestOptions ingest;
-  ingest.policy = ErrorPolicy::kQuarantine;
+  ingest.policy = ErrorPolicy::kSkip;
   ingest.require_monotonic_time = true;
   RecordErrorLog serial_log;
   ingest.error_log = &serial_log;
@@ -548,7 +548,7 @@ TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
     PipelineOptions options;
     options.parse_workers = workers;
     options.chunk_bytes = 1024;
-    options.ingest.policy = ErrorPolicy::kQuarantine;
+    options.ingest.policy = ErrorPolicy::kSkip;
     options.ingest.require_monotonic_time = true;
     options.ingest.error_log = &log;
     auto got = ReadTraceEventsPipelined(

@@ -90,9 +90,14 @@ TEST_F(FailPointTest, ArmFromSpecParsesSitesAndModifiers) {
 TEST_F(FailPointTest, ArmFromSpecRejectsGarbage) {
   auto& reg = FailPointRegistry::Global();
   EXPECT_FALSE(reg.ArmFromSpec("nonsense").ok());
-  EXPECT_FALSE(reg.ArmFromSpec("site=notakind").ok());
+  EXPECT_FALSE(reg.ArmFromSpec("checkpoint/write=notakind").ok());
   EXPECT_FALSE(reg.ArmFromSpec("=eio").ok());
-  EXPECT_FALSE(reg.ArmFromSpec("site=eio@notanumber").ok());
+  EXPECT_FALSE(reg.ArmFromSpec("checkpoint/write=eio@notanumber").ok());
+  // A misspelt or retired site would arm nothing: it is rejected by name.
+  Status unknown = reg.ArmFromSpec("checkpoint/wrtie=eio");
+  EXPECT_TRUE(unknown.IsInvalidArgument()) << unknown.ToString();
+  EXPECT_NE(unknown.ToString().find("'checkpoint/wrtie'"), std::string::npos)
+      << unknown.ToString();
   EXPECT_TRUE(reg.ArmedSites().empty());
 }
 

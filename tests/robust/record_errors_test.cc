@@ -70,7 +70,9 @@ TEST(RecordErrorLogTest, WriteCsvDumpsDeadLetters) {
 }
 
 TEST(HandleBadRecordTest, FailPolicyPropagatesImmediately) {
+  RecordErrorLog log;
   IngestOptions opts;  // kFail
+  opts.error_log = &log;
   uint64_t errors = 0;
   Status s = HandleBadRecord(opts, &errors, RecordErrorReason::kBadField, 3,
                              "boom");
@@ -78,6 +80,8 @@ TEST(HandleBadRecordTest, FailPolicyPropagatesImmediately) {
   Status csv = HandleBadRecord(opts, &errors, RecordErrorReason::kBadField, 3,
                                "boom", /*invalid_argument_on_fail=*/true);
   EXPECT_TRUE(csv.IsInvalidArgument());
+  // The log holds what skip dropped; under kFail the read itself fails.
+  EXPECT_EQ(log.total(), 0u);
 }
 
 TEST(HandleBadRecordTest, SkipPolicyContinuesUntilBudgetExhausted) {
@@ -110,7 +114,7 @@ TEST(HandleBadRecordTest, ZeroBudgetMeansUnlimited) {
 TEST(HandleBadRecordTest, QuarantineFeedsTheLog) {
   RecordErrorLog log;
   IngestOptions opts;
-  opts.policy = ErrorPolicy::kQuarantine;
+  opts.policy = ErrorPolicy::kSkip;
   opts.error_log = &log;
   uint64_t errors = 0;
   EXPECT_TRUE(HandleBadRecord(opts, &errors, RecordErrorReason::kZeroNode, 9,
@@ -118,15 +122,6 @@ TEST(HandleBadRecordTest, QuarantineFeedsTheLog) {
                   .ok());
   EXPECT_EQ(log.total(), 1u);
   EXPECT_EQ(log.entries()[0].position, 9u);
-}
-
-TEST(HandleBadRecordTest, QuarantineWithoutLogDegradesToSkip) {
-  IngestOptions opts;
-  opts.policy = ErrorPolicy::kQuarantine;  // error_log left null
-  uint64_t errors = 0;
-  EXPECT_TRUE(
-      HandleBadRecord(opts, &errors, RecordErrorReason::kZeroNode, 0, "")
-          .ok());
 }
 
 TEST(GlobalErrorBudgetTest, SharedAcrossReaders) {

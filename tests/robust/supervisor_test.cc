@@ -351,13 +351,13 @@ TEST_F(SupervisorFaultTest, WidenedCadenceCheckpointsLessOften) {
 TEST_F(SupervisorFaultTest, TelemetryFlushRunsUnderRetryPolicy) {
   auto events = MakeEvents(400);
   ASSERT_TRUE(FailPointRegistry::Global()
-                  .ArmFromSpec("test/telemetry=enospc@0x1")
+                  .ArmFromSpec("telemetry/flush=enospc@0x1")
                   .ok());
   auto opts = BaseOptions(dir_.string());
   uint64_t flushes = 0;
   opts.flush_telemetry = [&flushes]() {
     ++flushes;
-    return failpoints::Inject("test/telemetry");
+    return failpoints::Inject("telemetry/flush");
   };
   StreamSupervisor supervisor(Focal(), std::move(opts));
   StreamRunReport report = supervisor.Run(events);

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Unit tests for tools/analyze (commsig-analyzer).
 
-Covers both frontends and all four passes:
+Covers both frontends and all five passes:
   - cpplite parses every real TU in src/ and tools/
   - each pass flags its bad fixture and stays quiet on the good twin
   - the clang AST-JSON walker lowers the captured-shape dump fixture to
-    the same IR (no clang binary needed)
+    the same IR (no clang binary needed), and the lexical rules report
+    the same findings on its facts as on cpplite's
   - suppression, baseline fingerprints, IR round-trip
   - docs/obs_schema.json is in sync with the code (freshness gate)
   - the driver itself exits clean on the repo
@@ -15,6 +16,7 @@ Run directly or via ctest (analyzer_test).
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,15 +30,37 @@ import analyze  # noqa: E402
 import clang_frontend  # noqa: E402
 import cpplite  # noqa: E402
 from ir import Finding, Project, TuFacts  # noqa: E402
-from passes import determinism, lock_order, obs_schema  # noqa: E402
+from passes import determinism, hygiene, lock_order, obs_schema  # noqa: E402
 from passes import result_discipline  # noqa: E402
 
 FIXTURES = os.path.join(REPO, "tests", "tools", "fixtures")
 
 
+def lexed(tu: TuFacts, name: str) -> TuFacts:
+    """`tu` with fixture `name`'s tokens, as the driver lexes a file."""
+    with open(os.path.join(FIXTURES, name + ".cc"), encoding="utf-8") as f:
+        tu.tokens, tu.token_lines = cpplite.lex(f.read())
+    return tu
+
+
 def fixture_project(name: str, rel: str) -> Project:
     path = os.path.join(FIXTURES, name + ".cc")
-    return Project([cpplite.parse_file(path, rel)])
+    return Project([lexed(cpplite.parse_file(path, rel), name)])
+
+
+def lexical_findings(project: Project) -> list:
+    """(line, rule) of the lexical rules' findings, in line order."""
+    found = hygiene.run(project, None) + result_discipline.run(project, None)
+    return sorted((f.line, f.rule) for f in found
+                  if f.rule in ("naked-new", "endl", "unchecked-temporary"))
+
+
+def expected_lexical_findings() -> list:
+    """(line, rule) for each `expect: <rule>` comment in lexical_bad.cc."""
+    with open(os.path.join(FIXTURES, "lexical_bad.cc"),
+              encoding="utf-8") as f:
+        return [(n, rule) for n, line in enumerate(f, 1)
+                for rule in re.findall(r"expect: ([\w-]+)", line)]
 
 
 def rules(findings) -> set:
@@ -187,6 +211,38 @@ class ResultPassTest(unittest.TestCase):
         self.assertEqual(result_discipline.run(Project([tu]), None), [])
 
 
+class LexicalRulesTest(unittest.TestCase):
+    """The rules that replaced the per-line lint: naked new at any scope,
+    std::endl, and Results dereferenced as temporaries."""
+
+    def test_bad_fixture_flagged(self):
+        proj = fixture_project("lexical_bad", "src/foo/lexical.cc")
+        expected = expected_lexical_findings()
+        self.assertEqual(
+            sorted({rule for _, rule in expected}),
+            ["endl", "naked-new", "unchecked-temporary"])
+        self.assertEqual(lexical_findings(proj), expected)
+
+    def test_good_fixture_clean(self):
+        proj = fixture_project("lexical_good", "src/foo/lexical.cc")
+        self.assertEqual(hygiene.run(proj, None), [])
+        self.assertEqual(result_discipline.run(proj, None), [])
+
+    def test_some_result_declaration_is_enough(self):
+        # U64 is also a LogEvent& builder method. `discarded` leaves the
+        # name alone, but .value() on the call can only mean the Result.
+        code = ("namespace commsig {\n"
+                "struct LogEvent { LogEvent& U64(const char* k, int v); };\n"
+                "struct ByteReader { Result<uint64_t> U64(); };\n"
+                "uint64_t F(ByteReader& in) { return in.U64().value(); }\n"
+                "}\n")
+        tu = cpplite.parse_file("mem.cc", "src/foo/u64.cc", text=code)
+        tu.tokens, tu.token_lines = cpplite.lex(code)
+        found = result_discipline.run(Project([tu]), None)
+        self.assertEqual([(f.rule, f.line) for f in found],
+                         [("unchecked-temporary", 4)])
+
+
 class ClangFrontendTest(unittest.TestCase):
     """The AST-JSON walker, exercised on a captured-shape dump (the
     container has no clang; CI runs the live-frontend path)."""
@@ -220,6 +276,15 @@ class ClangFrontendTest(unittest.TestCase):
         self.assertEqual([(f.rule, f.line) for f in found],
                          [("discarded", 22)])
 
+    def test_lexical_rules_run_on_clang_facts(self):
+        # The driver lexes every file whichever frontend built its facts.
+        # Here ByteReader's Result-returning reads are known only from the
+        # AST's included-header declarations.
+        self.assertIn(("ByteReader", "U32"),
+                      {(m.cls, m.name) for m in self.tu.methods})
+        proj = Project([lexed(self.tu, "lexical_bad")])
+        self.assertEqual(lexical_findings(proj), expected_lexical_findings())
+
 
 class DriverTest(unittest.TestCase):
     def test_suppression_matches_pass_and_rule(self):
@@ -236,6 +301,27 @@ class DriverTest(unittest.TestCase):
             self.assertTrue(analyze.suppressed(tmp, finding(2)))
             self.assertTrue(analyze.suppressed(tmp, finding(4)))
             self.assertFalse(analyze.suppressed(tmp, finding(5)))
+
+    def test_naked_new_suppressed_by_its_marker(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.makedirs(os.path.join(tmp, "src"))
+            with open(os.path.join(tmp, "src", "leak.cc"), "w",
+                      encoding="utf-8") as f:
+                # The marker covers its own line and the one below it.
+                f.write("int* flagged = new int(1);\n"
+                        "\n"
+                        "int* kept = new int(2);  "
+                        "// NOLINT(analyze-hygiene-naked-new)\n")
+            proc = subprocess.run(
+                [sys.executable,
+                 os.path.join(REPO, "tools", "analyze", "analyze.py"),
+                 "--root", tmp, "--frontend", "cpplite",
+                 "--passes", "hygiene"],
+                capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual([line.split(" naked new;")[0]
+                          for line in proc.stdout.splitlines()],
+                         ["src/leak.cc:1: [analyze-hygiene-naked-new]"])
 
     def test_baseline_hides_known_findings_only(self):
         f1 = Finding("a.cc", 3, "result", "discarded", "m1")

@@ -16,11 +16,14 @@ The remaining tests read the flag table back from `commsig --help`: it
 lists every flag the CLI has ever accepted, each numeric row rejects one
 value below its minimum and one above its maximum, and misspelled flags
 or flags a subcommand does not read are rejected instead of ignored.
+`--failpoints` accepts every site docs/obs_schema.json lists and rejects
+any other site name.
 
 Usage: cli_zero_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
 """
 
+import json
 import os
 import re
 import subprocess
@@ -29,6 +32,8 @@ import tempfile
 import unittest
 
 COMMSIG = None  # resolved in main()
+REPO = os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__))))
 
 # src,dst,time,weight; --window-length 200 splits it into three windows.
 ROWS = [
@@ -56,7 +61,7 @@ FLAG_NAMES = {
     "dist", "ell", "emit-every", "error-budget", "failpoints", "fraction",
     "ingest-queue", "io-chunk-kb", "k", "kill-after", "log-file",
     "log-level", "max-drift", "max-lag", "max-pairs",
-    "max-total-errors", "metrics-out", "mode", "netflow", "on-error",
+    "max-total-errors", "metrics-out", "netflow", "on-error",
     "parse-workers", "protocol", "quarantine-out",
     "replay-rate", "retry-deadline-ms", "retry-initial-ms",
     "retry-jitter", "retry-max-attempts", "retry-max-ms",
@@ -194,10 +199,11 @@ class ZeroFlagsTest(unittest.TestCase):
         # --backpressure must stay unknown: the ingest queues always block.
         # A stream epoch only updates in-memory sketches, so stream has no
         # epoch retries or dead letters, and --replay-rate is its only
-        # pacing flag.
+        # pacing flag. timeline always advances the incremental engine.
         for command, flag, value in (
                 ("signatures", "--windw-length", "200"),
                 ("signatures", "--backpressure", "block"),
+                ("timeline", "--mode", "incremental"),
                 ("stream", "--max-epoch-attempts", "3"),
                 ("stream", "--dead-letter-out",
                  os.path.join(self.tmp.name, "poison.csv")),
@@ -217,6 +223,29 @@ class ZeroFlagsTest(unittest.TestCase):
                 self.assertEqual(proc.returncode, 2,
                                  proc.stdout + proc.stderr)
                 self.assertIn(f"flag {flag} does not apply to {command}",
+                              proc.stderr)
+                self.assertEqual(proc.stdout, "")
+
+    def test_failpoints_arm_only_known_sites(self):
+        # The schema's sites are extracted from the IO call sites, so the
+        # CLI's list of armable sites cannot drift from the code.
+        with open(os.path.join(REPO, "docs", "obs_schema.json"),
+                  encoding="utf-8") as f:
+            sites = json.load(f)["categories"]["failpoint_sites"]
+        self.assertTrue(sites)
+        spec = ";".join(f"{site}=eio@1000000" for site in sites)
+        proc = self.run_cli("signatures", "--window-length", "1000",
+                            "--failpoints", spec)
+        if "not compiled in" in proc.stderr:
+            self.skipTest("binary built without fail-points")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        # A retired site and a typo would arm nothing; both exit 2.
+        for site in ("stream/epoch", "checkpoint/wrtie"):
+            with self.subTest(site=site):
+                proc = self.run_cli("stream", "--failpoints", f"{site}=eio")
+                self.assertEqual(proc.returncode, 2,
+                                 proc.stdout + proc.stderr)
+                self.assertIn(f"unknown failpoint site '{site}'",
                               proc.stderr)
                 self.assertEqual(proc.stdout, "")
 

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """commsig-analyzer: cross-TU invariant analysis for the commsig tree.
 
-Four passes over a shared per-TU fact IR:
+Five passes over a shared per-TU fact IR:
 
   determinism   hash-order / randomness / clock hazards on persisted paths
+  hygiene       naked `new`, std::endl
   lock-order    lock acquisition graph from annotations + nesting; cycles
   obs-schema    metric / span / log-event / fail-point names vs the
                 checked-in registry (docs/obs_schema.json)
-  result        discarded Result/Status returns, unchecked value() access
+  result        discarded Result/Status returns, unchecked value() access,
+                Results dereferenced as temporaries
 
-Frontends (--frontend):
+Frontends (--frontend) build the semantic facts; the driver itself lexes
+every file with the cpplite lexer for the lexical rules (hygiene and
+result/unchecked-temporary), so those see the same tokens under both:
 
   clang         per-TU `clang++ -fsyntax-only -Xclang -ast-dump=json` using
                 the command lines from compile_commands.json; distilled
@@ -123,6 +127,14 @@ def load_facts(args, root: str, files: list[str]) -> tuple[list[TuFacts], str]:
     return tus, "clang"
 
 
+def lex_files(root: str, tus: list[TuFacts]) -> None:
+    """Gives each TU its whole file's tokens (TuFacts.tokens)."""
+    for tu in tus:
+        with open(os.path.join(root, tu.path), encoding="utf-8",
+                  errors="replace") as f:
+            tu.tokens, tu.token_lines = cpplite.lex(f.read())
+
+
 def suppressed(root: str, finding: Finding) -> bool:
     """NOLINT(analyze-<pass>[-<rule>]) on the finding line or the line above."""
     path = os.path.join(root, finding.path)
@@ -153,8 +165,8 @@ def load_baseline(path: str) -> set[str]:
 def main() -> int:
     ap = argparse.ArgumentParser(
         prog="analyze.py",
-        description="cross-TU invariant analysis (determinism, lock order, "
-                    "obs schema, Result discipline)")
+        description="cross-TU invariant analysis (determinism, hygiene, "
+                    "lock order, obs schema, Result discipline)")
     repo_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--root", default=repo_root)
@@ -212,6 +224,7 @@ def main() -> int:
         print(f"analyze: wrote {ctx.schema_rel}")
         return 0
 
+    lex_files(root, tus)
     findings: list[Finding] = []
     for p in wanted:
         findings.extend(ALL_PASSES[p](project, ctx))

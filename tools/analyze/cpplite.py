@@ -174,6 +174,19 @@ def tokenize(text: str) -> tuple[list[Tok], list[str]]:
     return toks, includes
 
 
+def lex(text: str) -> tuple[list[str], list[int]]:
+    """The whole file's tokens and their lines, for the lexical rules.
+
+    String and char literals keep their quotes, so the identifier `new`
+    and the literal "new" stay apart.
+    """
+    toks, _ = tokenize(text)
+    quote = {"str": '"', "char": "'"}
+    return ([quote[t.kind] + t.text + quote[t.kind] if t.kind in quote
+             else t.text for t in toks],
+            [t.line for t in toks])
+
+
 # --- Structure scanner -----------------------------------------------------
 
 def _match(toks: list[Tok], i: int, open_c: str, close_c: str) -> int:

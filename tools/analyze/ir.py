@@ -7,8 +7,10 @@ identically regardless of which frontend produced the facts, and the facts
 for a TU can be cached as plain JSON keyed by content hash.
 
 The IR is deliberately coarse: names, spans, calls with literal arguments,
-range-for loops, lock acquisitions, and declarations.  It captures exactly
-what the four passes need and nothing the cache would bloat on.
+range-for loops, lock acquisitions, declarations, and the file's tokens.
+It captures exactly what the five passes need and nothing the cache would
+bloat on: the clang frontend caches its facts before the driver adds the
+tokens.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-IR_VERSION = 4  # bump to invalidate cached facts when the schema changes
+IR_VERSION = 5  # bump to invalidate cached facts when the schema changes
 
 
 @dataclass
@@ -131,6 +133,11 @@ class TuFacts:
     fields: list[FieldDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
     includes: list[str] = field(default_factory=list)
+    # The whole file's tokens, namespace scope included, for the lexical
+    # rules. The driver fills them with `cpplite.lex` whichever frontend
+    # built the facts above, so both frontends feed those rules alike.
+    tokens: list[str] = field(default_factory=list)
+    token_lines: list[int] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps({"ir_version": IR_VERSION,
@@ -145,7 +152,9 @@ class TuFacts:
         if obj.get("ir_version") != IR_VERSION:
             return None
         d = obj["facts"]
-        tu = TuFacts(path=d["path"], includes=d.get("includes", []))
+        tu = TuFacts(path=d["path"], includes=d.get("includes", []),
+                     tokens=d.get("tokens", []),
+                     token_lines=d.get("token_lines", []))
         for f in d.get("functions", []):
             fn = Function(
                 name=f["name"], qual_class=f.get("qual_class", ""),
@@ -172,7 +181,8 @@ class Finding:
 
     path: str
     line: int
-    pass_name: str                # determinism | lock-order | obs-schema | result
+    pass_name: str                # determinism | hygiene | lock-order |
+                                  # obs-schema | result
     rule: str                     # short rule id within the pass
     message: str
 

@@ -6,10 +6,12 @@ cross-TU `Project` IR only, never raw source, so they behave identically
 under both frontends.
 """
 
-from passes import determinism, lock_order, obs_schema, result_discipline
+from passes import determinism, hygiene, lock_order, obs_schema
+from passes import result_discipline
 
 ALL_PASSES = {
     "determinism": determinism.run,
+    "hygiene": hygiene.run,
     "lock-order": lock_order.run,
     "obs-schema": obs_schema.run,
     "result": result_discipline.run,

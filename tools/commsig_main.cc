@@ -170,13 +170,14 @@ constexpr Flag kFlags[] = {
     Uint("io-chunk-kb", kAll, "256", 1, 1 << 20, "ingest chunk size in KiB"),
     Uint("ingest-queue", kAll, "8", 1, 1 << 16,
          "capacity of the queues between ingest stages, in chunks/batches"),
-    Choice("on-error", kAll, "fail", "fail | skip | quarantine",
+    Choice("on-error", kAll, "fail", "fail | skip",
            "what a reader does with a malformed record"),
     Uint("error-budget", kAll, "100000", 0, UINT64_MAX,
-         "skip/quarantine still abort after N rejects per file (0 = no cap)"),
+         "skip still aborts after N rejects per file (0 = no cap)"),
     Uint("max-total-errors", kAll, "0", 0, UINT64_MAX,
          "abort after N rejects across all input files (0 = off)"),
-    Text("quarantine-out", kAll, nullptr, "path", "dead-letter CSV of rejects"),
+    Text("quarantine-out", kAll, nullptr, "path",
+         "dead-letter CSV of the records skip dropped"),
     Uint("window-length", kWorkspace | kFaultcheck | kTimeline, "86400", 1,
          UINT64_MAX, "window length in trace time units"),
     Real("decay", kWorkspace, "0", 0, 1, Ends::kOpenMax,
@@ -227,8 +228,6 @@ constexpr Flag kFlags[] = {
          "checkpoint scratch dir (unset = a temp dir removed on success)"),
     Uint("stride", kTimeline, nullptr, 1, UINT64_MAX,
          "start spacing in time units, <= --window-length (unset = tumbling)"),
-    Choice("mode", kTimeline, "incremental", "incremental | scratch",
-           "recompute only dirty focal nodes, or every window from scratch"),
     Uint("max-lag", kTimeline, "5", 0, UINT64_MAX,
          "deepest lag in the persistence-by-lag table (0 = no table)"),
     Real("fraction", kFaultcheck, "0.01", 0, 1, Ends::kClosed,
@@ -436,10 +435,8 @@ ingest::PipelineOptions PipelineFromArgs(const Args& args,
   opts.parse_workers = static_cast<int>(args.Uint("parse-workers"));
   opts.chunk_bytes = static_cast<size_t>(args.Uint("io-chunk-kb")) * 1024;
   opts.queue_capacity = args.Uint("ingest-queue");
-  const std::string policy = args.Str("on-error");
-  opts.ingest.policy = policy == "skip"         ? ErrorPolicy::kSkip
-                       : policy == "quarantine" ? ErrorPolicy::kQuarantine
-                                                : ErrorPolicy::kFail;
+  opts.ingest.policy =
+      args.Str("on-error") == "skip" ? ErrorPolicy::kSkip : ErrorPolicy::kFail;
   opts.ingest.max_errors = args.Uint("error-budget");
   opts.ingest.error_log = log;
   return opts;
@@ -494,7 +491,7 @@ uint64_t NowMicros() { return obs::TraceCollector::Global().NowMicros(); }
 
 /// Reads the input trace (CSV or NetFlow) through the staged ingestion
 /// pipeline under the requested error policy, reporting and optionally
-/// dumping quarantined records. The decode is attributed to the pipeline's
+/// dumping the rejected records. The decode is attributed to the pipeline's
 /// parse stage.
 bool LoadEvents(const Args& args, Interner& interner,
                 std::vector<TraceEvent>& events) {
@@ -1058,18 +1055,14 @@ int RunTimeline(const Args& args) {
 
   auto scheme = SchemeFor(args);
   const SignatureDistance d = DistFor(args);
-  SignatureTimelineOptions topts;
-  const std::string mode = args.Str("mode");
-  topts.incremental = mode == "incremental";
-
-  auto per_window = ComputeSignatureTimeline(*scheme, windows, focal, topts);
+  auto per_window = ComputeSignatureTimeline(*scheme, windows, focal);
   const double overlap =
       1.0 - static_cast<double>(stride) / static_cast<double>(window_length);
   std::printf("scheme=%s dist=%s windows=%zu stride=%llu overlap=%.2f "
-              "mode=%s focal=%zu\n",
+              "focal=%zu\n",
               scheme->name().c_str(), std::string(d.name()).c_str(),
               windows.size(), static_cast<unsigned long long>(stride),
-              overlap, mode.c_str(), focal.size());
+              overlap, focal.size());
 
   const uint64_t persist_begin_us = NowMicros();
   for (const TransitionStats& t : PersistencePerTransition(per_window, d)) {
