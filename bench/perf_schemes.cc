@@ -83,20 +83,23 @@ void BM_RwrTruncated(benchmark::State& state) {
 }
 BENCHMARK(BM_RwrTruncated)->Arg(1)->Arg(3)->Arg(5)->Arg(7)->ArgNames({"h"});
 
+// BM_RwrPush and BM_RwrUnbounded compare per source on this one window.
+constexpr size_t kPushVsExactExternals = 20000;
+
 void BM_RwrPush(benchmark::State& state) {
-  // Local forward-push vs whole-graph power iteration (BM_RwrUnbounded):
+  // Local forward-push vs whole-graph exact iteration (BM_RwrUnbounded):
   // work scales with 1/(c·eps), not with |V|+|E|.
   double eps = 1.0;
   for (int i = 0; i < state.range(0); ++i) eps /= 10.0;
   RwrPushScheme push({.k = 10}, {.reset = 0.1, .epsilon = eps});
-  RunSingleSourceLoop(state, push, DatasetFor(20000));
+  RunSingleSourceLoop(state, push, DatasetFor(kPushVsExactExternals));
   state.SetLabel("eps=1e-" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_RwrPush)->Arg(3)->Arg(5)->Arg(7)->ArgNames({"neg_log_eps"});
 
 void BM_RwrUnbounded(benchmark::State& state) {
   RwrScheme rwr({.k = 10}, {.reset = 0.1, .max_hops = 0});
-  RunSingleSourceLoop(state, rwr, DatasetFor(5000));
+  RunSingleSourceLoop(state, rwr, DatasetFor(kPushVsExactExternals));
 }
 BENCHMARK(BM_RwrUnbounded);
 

@@ -309,6 +309,11 @@ COMMSIG_SIMD_NOVEC inline void AccumAbsDiffScalar(double* acc, const double* a,
   for (size_t i = 0; i < n; ++i) acc[i] += std::fabs(a[i] - b[i]);
 }
 
+COMMSIG_SIMD_NOVEC inline void ExtrapolateScalar(double* x, const double* prev,
+                                                 double w, size_t n) {
+  for (size_t i = 0; i < n; ++i) x[i] = w * (x[i] - prev[i]) + prev[i];
+}
+
 }  // namespace detail
 
 /// row[i] += scale[i] * w — the per-edge scatter of the block power
@@ -366,6 +371,23 @@ inline void AccumAbsDiff(double* acc, const double* a, const double* b,
     StoreU(acc + i, Add(LoadU(acc + i), Abs(Sub(LoadU(a + i), LoadU(b + i)))));
   }
   for (; i < n; ++i) acc[i] += std::fabs(a[i] - b[i]);
+}
+
+/// x[i] = w * (x[i] - prev[i]) + prev[i] — the Chebyshev three-term step
+/// of the unbounded RWR iteration. Sub, mul, add in that order (never FMA),
+/// the same rounded operations as the serial oracle's loop.
+inline void Extrapolate(double* x, const double* prev, double w, size_t n) {
+  if (!Enabled()) {
+    detail::ExtrapolateScalar(x, prev, w, n);
+    return;
+  }
+  const VecD vw = Broadcast(w);
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const VecD p = LoadU(prev + i);
+    StoreU(x + i, Add(Mul(vw, Sub(LoadU(x + i), p)), p));
+  }
+  for (; i < n; ++i) x[i] = w * (x[i] - prev[i]) + prev[i];
 }
 
 }  // namespace simd

@@ -65,25 +65,29 @@ class TransitionCache {
 
 /// Reusable scratch for RwrBatchEngine::SolveBatch. All buffers grow to the
 /// high-water mark and are recycled across batches: every solve restores
-/// the "r/next/in_next all-zero" invariant on exit, so a steady-state
+/// the "r/next/prev/in_next all-zero" invariant on exit, so a steady-state
 /// all-hosts sweep performs neither per-batch allocation nor per-batch
 /// O(n·B) zero-fills. Obtain one per thread via
 /// RwrBatchEngine::LocalWorkspace().
 struct RwrBatchWorkspace {
-  std::vector<double> r;     // n × B occupancy, node-major (row x is B-wide)
-  std::vector<double> next;  // n × B scatter target
+  std::vector<double> r;     // n × B iterate x_t, node-major (row x is B-wide)
+  std::vector<double> next;  // n × B scatter target: the plain power step y
+  // n × B iterate x_{t-1} of the Chebyshev recurrence; sized only by
+  // solves that extrapolate (unbounded, symmetric, c > 0).
+  std::vector<double> prev;
   std::vector<double> scale, walked, dangling, delta, last_residual;  // B
   std::vector<uint8_t> active;   // B: column still iterating
   std::vector<uint8_t> in_next;  // n: row already touched this iteration
   std::vector<NodeId> frontier;  // sorted rows where r is nonzero
+  std::vector<NodeId> prev_rows;  // sorted rows where prev is nonzero
   std::vector<NodeId> touched;   // rows written this iteration
   std::vector<uint32_t> lanes;   // scratch: live column indices of one row
   std::vector<size_t> iterations;  // B: iterations run per column
   bool dense = false;  // frontier tracking abandoned for this solve
 
-  /// Sizes the buffers, zero-filling only on shape changes (the all-zero
-  /// invariant covers reuse).
-  void Prepare(size_t n, size_t width);
+  /// Sizes the buffers (`prev` only when `extrapolate`), zero-filling only
+  /// on shape changes (the all-zero invariant covers reuse).
+  void Prepare(size_t n, size_t width, bool extrapolate);
 };
 
 /// Batched multi-source RWR solver: iterates B source columns simultaneously
@@ -102,13 +106,22 @@ struct RwrBatchWorkspace {
 ///    remaining iterations instead of being recomputed to the slowest
 ///    column's horizon.
 ///
-/// This is the only RWR power iteration: RwrScheme's sweeps, warm starts
-/// and single-source solves (a batch of one) all run on it. Per column it
-/// adds the same terms in the same order as the serial iteration of
-/// Definition 5 (the test oracle ref::RwrSolve): results are bit-identical
-/// to it for truncated RWR^h walks at every batch width and for unbounded
-/// walks at width 1, and match within solver tolerance for wider
-/// unbounded batches.
+/// Unbounded walks under symmetric traversal with c > 0 accelerate by
+/// Chebyshev semi-iteration: the next iterate is ω·(y − x_{t−1}) + x_{t−1},
+/// with y the plain power step from x_t and ω a schedule indexed by the
+/// solve's iteration count alone (never by n or the sparse→dense switch).
+/// Each column tests convergence on the plain step, ‖y − x_t‖₁ <
+/// tolerance, before any extrapolation and is finalized from y, so no
+/// extrapolated vector leaves the engine. Directed walks, c = 0 and
+/// truncated RWR^h walks run the plain power iteration (ω = 1).
+///
+/// This is the only RWR iteration: RwrScheme's sweeps, warm starts and
+/// single-source solves (a batch of one) all run on it. Per column it adds
+/// the same terms in the same order as the serial iteration of Definition 5
+/// (the test oracle ref::RwrSolve, which shares the recurrence): results
+/// are bit-identical to it for truncated RWR^h walks at every batch width
+/// and for unbounded walks at width 1, and match within solver tolerance
+/// for wider unbounded batches.
 class RwrBatchEngine {
  public:
   /// Number of source columns a batch window holds by default. Wide enough

@@ -194,15 +194,19 @@ struct RwrOptions {
   /// 0 means unbounded — iterate to convergence (full RWR).
   size_t max_hops = 0;
 
-  /// Convergence threshold on the L1 change of the probability vector,
-  /// used only when max_hops == 0.
+  /// Convergence threshold on the L1 change of the plain power step,
+  /// ‖y − x‖₁ with y the power step from the current iterate x, used only
+  /// when max_hops == 0. A column that passes is reported as y, which then
+  /// lies within (1 - reset) / reset · tolerance of the steady state in L1.
   double tolerance = 1e-10;
 
-  /// Iteration cap for the unbounded walk. The per-iteration contraction
-  /// factor is (1 - reset), so reaching `tolerance` needs roughly
+  /// Iteration cap for the unbounded walk. A directed walk contracts by
+  /// (1 - reset) per iteration, so reaching `tolerance` needs roughly
   /// ln(tolerance) / ln(1 - reset) iterations — about 220 at the defaults.
-  /// The cap must stay above that or the walk can never converge and the
-  /// fallback ladder fires on every call.
+  /// Symmetric walks with reset > 0 run Chebyshev semi-iteration and need
+  /// about a quarter of that (~56 at the defaults on flow windows). The cap
+  /// must stay above the directed figure or directed walks can never
+  /// converge and the fallback ladder fires on every call.
   size_t max_iterations = 500;
 
   /// Degradation ladder: when the unbounded walk hits max_iterations

@@ -1,6 +1,8 @@
 #include "core/rwr_batch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "core/rwr.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "obs/obs.h"
 #include "ref/rwr.h"
 
 namespace commsig {
@@ -41,6 +44,106 @@ std::vector<NodeId> AllNodes(const CommGraph& g) {
   std::vector<NodeId> nodes(g.NumNodes());
   std::iota(nodes.begin(), nodes.end(), 0);
   return nodes;
+}
+
+// Per-column warm-start seeds, as SolveBatchSupport takes them.
+using Seeds = std::span<const std::span<const Signature::Entry>>;
+
+// Warm-start seeds for SolveBatchSupport, index-aligned with `donors`:
+// every third column unseeded, the rest the unnormalized support of another
+// column's solve, so most seeds put no mass on their own source.
+std::vector<std::span<const Signature::Entry>> DonorSeeds(
+    const std::vector<RwrScheme::RwrSolve>& donors,
+    std::vector<std::vector<Signature::Entry>>& storage) {
+  const size_t count = donors.size();
+  storage.assign(count, {});
+  std::vector<std::span<const Signature::Entry>> seeds(count);
+  for (size_t b = 0; b < count; ++b) {
+    if (b % 3 == 0) continue;
+    const auto& donor = donors[(b * 7 + 3) % count].probabilities;
+    for (NodeId u = 0; u < donor.size(); ++u) {
+      if (donor[u] != 0.0) storage[b].push_back({u, 3.5 * donor[u]});
+    }
+    seeds[b] = storage[b];
+  }
+  return seeds;
+}
+
+// Seeds holding each column's whole support, as the incremental warm start
+// stores it.
+std::vector<std::span<const Signature::Entry>> SupportSeeds(
+    const std::vector<std::vector<double>>& columns,
+    std::vector<std::vector<Signature::Entry>>& storage) {
+  storage.assign(columns.size(), {});
+  std::vector<std::span<const Signature::Entry>> seeds(columns.size());
+  for (size_t b = 0; b < columns.size(); ++b) {
+    for (NodeId u = 0; u < columns[b].size(); ++u) {
+      if (columns[b][u] != 0.0) storage[b].push_back({u, columns[b][u]});
+    }
+    seeds[b] = storage[b];
+  }
+  return seeds;
+}
+
+// SolveBatchSupport over `sources` in production-width batches: each
+// column's support as a dense n-vector, whether it converged, and the
+// smallest support entry of any column.
+struct ColumnSolves {
+  std::vector<std::vector<double>> columns;
+  std::vector<uint8_t> converged;
+  double min_entry = std::numeric_limits<double>::infinity();
+};
+
+ColumnSolves SolveColumns(const RwrBatchEngine& engine, size_t num_nodes,
+                          std::span<const NodeId> sources, Seeds seeds = {}) {
+  ColumnSolves out;
+  std::vector<Signature::Entry> entries;
+  std::vector<std::pair<size_t, size_t>> ranges;
+  std::vector<uint8_t> converged;
+  const size_t width = RwrBatchEngine::kDefaultBatchWidth;
+  for (size_t begin = 0; begin < sources.size(); begin += width) {
+    const size_t count = std::min(width, sources.size() - begin);
+    engine.SolveBatchSupport(
+        sources.subspan(begin, count), RwrBatchEngine::LocalWorkspace(),
+        entries, ranges, converged,
+        seeds.empty() ? seeds : seeds.subspan(begin, count));
+    for (size_t b = 0; b < count; ++b) {
+      std::vector<double>& col = out.columns.emplace_back(num_nodes, 0.0);
+      for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
+        col[entries[j].node] = entries[j].weight;
+        out.min_entry = std::min(out.min_entry, entries[j].weight);
+      }
+      out.converged.push_back(converged[b]);
+    }
+  }
+  return out;
+}
+
+// The 40-host / 500-external flow windows, one node universe.
+FlowDataset SmallFlowDataset(size_t num_windows) {
+  FlowGeneratorConfig cfg;
+  cfg.num_local_hosts = 40;
+  cfg.num_external_hosts = 500;
+  cfg.num_windows = num_windows;
+  cfg.seed = 77;
+  return FlowTraceGenerator(cfg).Generate();
+}
+
+// `g` with `extra` isolated nodes appended: every original row keeps its
+// edges, their order and their weights.
+CommGraph PadWithIsolatedNodes(const CommGraph& g, size_t extra) {
+  GraphBuilder b(g.NumNodes() + extra);
+  for (const CommGraph::FlatEdge& e : g.Edges()) {
+    b.AddEdge(e.src, e.dst, e.weight);
+  }
+  b.SetBipartiteLeftSize(g.bipartite().left_size);
+  return std::move(b).Build();
+}
+
+double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) sum += std::fabs(a[i] - b[i]);
+  return sum;
 }
 
 TEST(TransitionCacheTest, NormsAndPartitionMatchGraph) {
@@ -181,51 +284,46 @@ TEST(RwrBatchTest, SeededColumnsBitIdenticalToSerialFromSameSeed) {
   CommGraph g = RandomGraph(40, 0.1, 37);
   for (TraversalMode mode :
        {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
-    RwrOptions opts{.reset = 0.1, .max_hops = 0, .traversal = mode};
-    TransitionCache cache(g, mode);
-    RwrBatchEngine engine(opts, cache);
+    // Symmetric c = 0.1 runs the Chebyshev recurrence; directed walks and
+    // c = 0 keep the plain power iteration, where it converges (ρ = 1
+    // would not).
+    for (double c : {0.1, 0.0}) {
+      RwrOptions opts{.reset = c, .max_hops = 0, .traversal = mode};
+      TransitionCache cache(g, mode);
+      RwrBatchEngine engine(opts, cache);
 
-    // Seeds: the unnormalized supports of other sources' stationary
-    // vectors, so most seeds put no mass on their own source.
-    std::vector<NodeId> sources = AllNodes(g);
-    auto donors = engine.SolveBatch(sources);
-    std::vector<std::vector<Signature::Entry>> seed_storage(sources.size());
-    std::vector<std::span<const Signature::Entry>> seeds(sources.size());
-    for (size_t b = 0; b < sources.size(); ++b) {
-      if (b % 3 == 0) continue;  // unseeded column
-      const auto& donor = donors[(b * 7 + 3) % sources.size()].probabilities;
-      for (NodeId u = 0; u < g.NumNodes(); ++u) {
-        if (donor[u] != 0.0) seed_storage[b].push_back({u, 3.5 * donor[u]});
-      }
-      seeds[b] = seed_storage[b];
-    }
+      std::vector<NodeId> sources = AllNodes(g);
+      std::vector<std::vector<Signature::Entry>> seed_storage;
+      const auto seeds = DonorSeeds(engine.SolveBatch(sources), seed_storage);
 
-    std::vector<Signature::Entry> entries;
-    std::vector<std::pair<size_t, size_t>> ranges;
-    std::vector<uint8_t> converged;
-    engine.SolveBatchSupport(sources, RwrBatchEngine::LocalWorkspace(),
-                             entries, ranges, converged, seeds);
-    ASSERT_EQ(ranges.size(), sources.size());
-    for (size_t b = 0; b < sources.size(); ++b) {
-      SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
-                                      << " b=" << b);
-      std::vector<double> start(g.NumNodes(), 0.0);
-      if (seeds[b].empty()) {
-        start[sources[b]] = 1.0;
-      } else {
-        double total = 0.0;
-        for (const Signature::Entry& e : seeds[b]) total += e.weight;
-        for (const Signature::Entry& e : seeds[b]) {
-          start[e.node] = e.weight * (1.0 / total);
+      std::vector<Signature::Entry> entries;
+      std::vector<std::pair<size_t, size_t>> ranges;
+      std::vector<uint8_t> converged;
+      engine.SolveBatchSupport(sources, RwrBatchEngine::LocalWorkspace(),
+                               entries, ranges, converged, seeds);
+      ASSERT_EQ(ranges.size(), sources.size());
+      for (size_t b = 0; b < sources.size(); ++b) {
+        SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
+                                        << " c=" << c << " b=" << b);
+        std::vector<double> start(g.NumNodes(), 0.0);
+        if (seeds[b].empty()) {
+          start[sources[b]] = 1.0;
+        } else {
+          double total = 0.0;
+          for (const Signature::Entry& e : seeds[b]) total += e.weight;
+          for (const Signature::Entry& e : seeds[b]) {
+            start[e.node] = e.weight * (1.0 / total);
+          }
         }
+        auto serial = ref::RwrSolve(opts, g, sources[b], cache, start);
+        std::vector<double> got(g.NumNodes(), 0.0);
+        for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
+          got[entries[j].node] = entries[j].weight;
+        }
+        EXPECT_TRUE(serial.converged);
+        EXPECT_EQ(converged[b] != 0, serial.converged);
+        EXPECT_EQ(got, serial.probabilities);
       }
-      auto serial = ref::RwrSolve(opts, g, sources[b], cache, start);
-      std::vector<double> got(g.NumNodes(), 0.0);
-      for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
-        got[entries[j].node] = entries[j].weight;
-      }
-      EXPECT_EQ(converged[b] != 0, serial.converged);
-      EXPECT_EQ(got, serial.probabilities);
     }
   }
 }
@@ -320,12 +418,7 @@ TEST(RwrBatchTest, UnconvergedWithoutFallbackKeepsRawVector) {
 }
 
 TEST(RwrBatchTest, ComputeAllMatchesPerNodeComputeOnFlowData) {
-  FlowGeneratorConfig cfg;
-  cfg.num_local_hosts = 40;
-  cfg.num_external_hosts = 500;
-  cfg.num_windows = 1;
-  cfg.seed = 77;
-  FlowDataset ds = FlowTraceGenerator(cfg).Generate();
+  FlowDataset ds = SmallFlowDataset(1);
   CommGraph g = ds.Windows()[0];
   for (const char* spec :
        {"rwr(c=0.1,h=3)", "rwr(c=0.5,h=1)", "rwr(c=0.1)"}) {
@@ -342,6 +435,156 @@ TEST(RwrBatchTest, ComputeAllMatchesPerNodeComputeOnFlowData) {
                 ref::RwrSignature(rwr.options(), rwr.rwr_options(), g,
                                   ds.local_hosts[i]))
           << spec << " host " << i;
+    }
+  }
+}
+
+// The fixed point itself: every converged column, cold or seeded, lies
+// within (1−c)/c · tolerance of the direct solve in L1. The bound follows
+// from the convergence test ‖y − x_t‖₁ < tolerance, because
+// ‖(I − M)⁻¹‖₁ ≤ 1/c on zero-sum vectors; 1e-12 covers rounding.
+TEST(RwrBatchTest, ConvergedColumnsWithinEpsilonOfDirectSolve) {
+  FlowDataset ds = SmallFlowDataset(1);
+  const CommGraph flow = ds.Windows()[0];
+  const CommGraph random = RandomGraph(40, 0.1, 37);
+  const std::vector<NodeId> random_sources = AllNodes(random);
+  struct Case {
+    const char* name;
+    const CommGraph& g;
+    std::span<const NodeId> sources;
+  };
+  for (const Case& cs : {Case{"random", random, random_sources},
+                         Case{"flow", flow, ds.local_hosts}}) {
+    for (TraversalMode mode :
+         {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
+      for (double c : {0.1, 0.5}) {
+        const RwrOptions opts{.reset = c, .max_hops = 0, .traversal = mode};
+        TransitionCache cache(cs.g, mode);
+        RwrBatchEngine engine(opts, cache);
+        const double bound = (1.0 - c) / c * opts.tolerance + 1e-12;
+        std::vector<std::vector<double>> direct;
+        for (NodeId v : cs.sources) {
+          direct.push_back(ref::RwrDirectSolve(opts, cs.g, v));
+        }
+        std::vector<std::vector<Signature::Entry>> seed_storage;
+        const auto seeds =
+            DonorSeeds(engine.SolveBatch(cs.sources), seed_storage);
+        for (bool seeded : {false, true}) {
+          const ColumnSolves got =
+              SolveColumns(engine, cs.g.NumNodes(), cs.sources,
+                           seeded ? Seeds(seeds) : Seeds());
+          for (size_t b = 0; b < cs.sources.size(); ++b) {
+            SCOPED_TRACE(testing::Message()
+                         << cs.name << " mode=" << static_cast<int>(mode)
+                         << " c=" << c << " seeded=" << seeded
+                         << " v=" << cs.sources[b]);
+            EXPECT_TRUE(got.converged[b]);
+            EXPECT_LE(L1Distance(got.columns[b], direct[b]), bound);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The Chebyshev schedule follows the solve's iteration count alone: 3n
+// appended isolated nodes move the sparse→dense switch (n/4 rows) but
+// change no bit of any cold or seeded column. The seeds are the hosts'
+// solves on the previous window, so some hold mass on rows this window
+// leaves isolated, which the frontier-sparse phase must keep tracking.
+TEST(RwrBatchTest, IsolatedPaddingChangesNoColumnBit) {
+  FlowDataset ds = SmallFlowDataset(2);
+  const std::vector<CommGraph> windows = ds.Windows();
+  const CommGraph& g = windows[1];
+  const CommGraph padded = PadWithIsolatedNodes(g, 3 * g.NumNodes());
+  const RwrOptions opts;  // unbounded, symmetric, c = 0.1
+  TransitionCache cache(g, opts.traversal);
+  TransitionCache padded_cache(padded, opts.traversal);
+  RwrBatchEngine engine(opts, cache);
+  RwrBatchEngine padded_engine(opts, padded_cache);
+  TransitionCache previous_cache(windows[0], opts.traversal);
+  std::vector<std::vector<Signature::Entry>> seed_storage;
+  const auto seeds = SupportSeeds(
+      SolveColumns(RwrBatchEngine(opts, previous_cache), g.NumNodes(),
+                   ds.local_hosts)
+          .columns,
+      seed_storage);
+  for (bool seeded : {false, true}) {
+    const Seeds batch_seeds = seeded ? Seeds(seeds) : Seeds();
+    auto& dense_iters = obs::MetricsRegistry::Global().GetCounter(
+        "rwr/batch_dense_iterations");
+    [[maybe_unused]] const uint64_t dense_before = dense_iters.Value();
+    const ColumnSolves base =
+        SolveColumns(engine, g.NumNodes(), ds.local_hosts, batch_seeds);
+    [[maybe_unused]] const uint64_t dense_mid = dense_iters.Value();
+    const ColumnSolves pad = SolveColumns(padded_engine, padded.NumNodes(),
+                                          ds.local_hosts, batch_seeds);
+#ifndef COMMSIG_OBS_DISABLED
+    // The premise: the unpadded solves go dense, the padded ones never do.
+    EXPECT_GT(dense_mid - dense_before, 0u);
+    EXPECT_EQ(dense_iters.Value() - dense_mid, 0u);
+#endif
+    for (size_t b = 0; b < ds.local_hosts.size(); ++b) {
+      SCOPED_TRACE(testing::Message()
+                   << "seeded=" << seeded << " v=" << ds.local_hosts[b]);
+      std::vector<double> expected = base.columns[b];
+      expected.resize(padded.NumNodes(), 0.0);
+      EXPECT_EQ(base.converged[b], pad.converged[b]);
+      EXPECT_EQ(pad.columns[b], expected);
+    }
+  }
+}
+
+// Symmetric c = 0.1 walks on a flow window average under 0.3 of the power
+// iteration's ln(tolerance)/ln(1 − c) steps per column.
+TEST(RwrBatchTest, ChebyshevCutsIterationsOnFlowWindow) {
+  FlowDataset ds = SmallFlowDataset(1);
+  const CommGraph g = ds.Windows()[0];
+  const RwrOptions opts;  // unbounded, symmetric, c = 0.1
+  TransitionCache cache(g, opts.traversal);
+  RwrBatchEngine engine(opts, cache);
+  const auto solves = engine.SolveBatch(ds.local_hosts);
+  double total = 0.0;
+  for (const auto& s : solves) {
+    EXPECT_TRUE(s.converged);
+    total += static_cast<double>(s.iterations);
+  }
+  const double power_steps =
+      std::log(opts.tolerance) / std::log(1.0 - opts.reset);
+  EXPECT_LE(total / static_cast<double>(solves.size()), 0.3 * power_steps);
+}
+
+// Only plain power steps leave the engine, and on the flow windows they
+// carry no negative mass, which would let the incremental drift estimate
+// (Σ weight × row drift) undercount. Seeds are each host's solve on the
+// previous window, as the incremental warm start uses them: they hold mass
+// on rows the new window leaves isolated, where an extrapolated iterate
+// swings negative.
+TEST(RwrBatchTest, NoNegativeProbabilitiesOnFlowWindows) {
+  FlowDataset ds = SmallFlowDataset(3);
+  const std::vector<CommGraph> windows = ds.Windows();
+  for (double c : {0.1, 0.5}) {
+    const RwrOptions opts{.reset = c};
+    std::vector<std::vector<Signature::Entry>> seed_storage;
+    std::vector<std::span<const Signature::Entry>> seeds;
+    for (size_t w = 0; w < windows.size(); ++w) {
+      SCOPED_TRACE(testing::Message() << "c=" << c << " window " << w);
+      TransitionCache cache(windows[w], opts.traversal);
+      RwrBatchEngine engine(opts, cache);
+      const auto cold = engine.SolveBatch(ds.local_hosts);
+      for (const auto& s : cold) {
+        EXPECT_GE(*std::min_element(s.probabilities.begin(),
+                                    s.probabilities.end()),
+                  0.0);
+      }
+      const size_t n = windows[w].NumNodes();
+      const ColumnSolves supports = SolveColumns(engine, n, ds.local_hosts);
+      EXPECT_GT(supports.min_entry, 0.0);
+      if (!seeds.empty()) {
+        EXPECT_GT(SolveColumns(engine, n, ds.local_hosts, seeds).min_entry,
+                  0.0);
+      }
+      seeds = SupportSeeds(supports.columns, seed_storage);
     }
   }
 }

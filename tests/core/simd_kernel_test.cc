@@ -31,6 +31,7 @@
 #include "core/rwr_batch.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
+#include "obs/metrics.h"
 #include "ref/distance.h"
 
 namespace commsig {
@@ -281,6 +282,38 @@ TEST(SimdCrossBuildTest, DistanceAndRwrGoldenHash) {
   // deliberate numeric change lands (new corpus, new kernel math), re-run
   // once and update the constant from the failure message.
   EXPECT_EQ(h, 0xf2cb59392b48ab1dULL)
+      << "golden hash now 0x" << std::hex << h;
+}
+
+// The golden above solves directed RWR^3 walks only; this one runs an
+// unbounded symmetric batch, whose Chebyshev steps take the Extrapolate
+// kernel in both the frontier-sparse and the dense phase: 8 sources on a
+// sparse 400-node graph start far below the dense switch (n/4 rows).
+TEST(SimdCrossBuildTest, UnboundedSymmetricRwrGoldenHash) {
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  CommGraph g = RandomGraph(400, 0.005, 55);
+  const RwrOptions opts{.reset = 0.1,
+                        .max_hops = 0,
+                        .traversal = TraversalMode::kSymmetric};
+  TransitionCache cache(g, opts.traversal);
+  auto& reg = obs::MetricsRegistry::Global();
+  [[maybe_unused]] const uint64_t sparse_before =
+      reg.GetCounter("rwr/batch_sparse_iterations").Value();
+  [[maybe_unused]] const uint64_t dense_before =
+      reg.GetCounter("rwr/batch_dense_iterations").Value();
+  for (const auto& solve : SolveAll(cache, opts, 8)) {
+    for (double p : solve.probabilities) h = FnvMix(h, p);
+  }
+#ifndef COMMSIG_OBS_DISABLED
+  EXPECT_GE(reg.GetCounter("rwr/batch_sparse_iterations").Value() -
+                sparse_before,
+            2u);
+  EXPECT_GT(reg.GetCounter("rwr/batch_dense_iterations").Value() -
+                dense_before,
+            0u);
+#endif
+  // Recorded from the scalar (-DCOMMSIG_SIMD=off) build, like the one above.
+  EXPECT_EQ(h, 0xcd5788cc0f2a3bd0ULL)
       << "golden hash now 0x" << std::hex << h;
 }
 
