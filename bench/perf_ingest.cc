@@ -128,9 +128,6 @@ bool ReadTraceCsv(const std::string& path, Interner& interner,
   if (!in.is_open()) return false;
   std::string line;
   std::vector<std::string> fields;
-  const bool require_monotonic_time = false;  // IngestOptions{} default
-  uint64_t last_time = 0;
-  bool have_last_time = false;
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
@@ -152,16 +149,12 @@ bool ReadTraceCsv(const std::string& path, Interner& interner,
       detail = "weight " + fields[3];
     } else if (*w <= 0.0) {
       detail = "non-positive weight " + fields[3];
-    } else if (require_monotonic_time && have_last_time && *t < last_time) {
-      detail = "time " + fields[2] + " precedes " + std::to_string(last_time);
     } else {
       bad = false;
       time = *t;
       weight = *w;
     }
     if (bad) return false;
-    last_time = time;
-    have_last_time = true;
     events.push_back({interner.Intern(fields[0]), interner.Intern(fields[1]),
                       time, weight});
   }
@@ -376,8 +369,7 @@ double TimeFramingStage(const std::string& path, ingest::ChunkFormat format,
                         uint64_t* chunks_out) {
   double best = 0.0;
   for (int rep = -1; rep < kReps; ++rep) {
-    ingest::Chunker chunker(path, format, 256 * 1024,
-                            /*monotonic_time=*/false);
+    ingest::Chunker chunker(path, format, 256 * 1024);
     ingest::RawChunk chunk;
     uint64_t chunks = 0;
     auto t0 = std::chrono::steady_clock::now();

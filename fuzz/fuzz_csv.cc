@@ -1,6 +1,5 @@
-// libFuzzer harness for the CSV ingestion paths: the trace reader (with and
-// without monotonic-time enforcement), the signature-set reader and the
-// edge-list reader, under every ErrorPolicy. Each read runs the production
+// libFuzzer harness for the CSV ingestion paths: the trace reader and the
+// signature-set reader, under every ErrorPolicy. Each read runs the production
 // pipeline at 2 parse workers with 64-byte chunks (the framer's floor), so
 // even small inputs span several chunks and exercise the in-order merge.
 // Inputs are staged through a per-process temp file because the readers are
@@ -47,19 +46,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       commsig::Interner interner;
       (void)commsig::ingest::ReadTraceEventsPipelined(
           path, commsig::ingest::PipelineFormat::kTraceCsv, interner, options);
-      options.ingest.require_monotonic_time = true;
-      (void)commsig::ingest::ReadTraceEventsPipelined(
-          path, commsig::ingest::PipelineFormat::kTraceCsv, interner, options);
-      options.ingest.require_monotonic_time = false;
     }
     {
       commsig::Interner interner;
       (void)commsig::ingest::ReadSignatureSetPipelined(path, interner, options);
-    }
-    {
-      commsig::Interner interner;
-      (void)commsig::ingest::ReadEdgeListPipelined(
-          path, interner, /*bipartite_left_size=*/0, options);
     }
   }
   return 0;

@@ -2,8 +2,8 @@
 // parse workers with 64-byte chunks (the framer's floor), so even small
 // inputs span several chunks. The reader is file-based, so each input is
 // staged through a per-process temp file; the property under test is "no
-// crash / no sanitizer report under any ErrorPolicy, with or without
-// monotonic-time enforcement", not any particular parse result.
+// crash / no sanitizer report under any ErrorPolicy", not any particular
+// parse result.
 
 #include <unistd.h>
 
@@ -36,18 +36,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   for (commsig::ErrorPolicy policy :
        {commsig::ErrorPolicy::kFail, commsig::ErrorPolicy::kSkip}) {
-    for (bool monotonic : {false, true}) {
-      commsig::RecordErrorLog log;
-      commsig::ingest::PipelineOptions options;
-      options.parse_workers = 2;
-      options.chunk_bytes = 64;
-      options.ingest.policy = policy;
-      options.ingest.error_log = &log;
-      options.ingest.require_monotonic_time = monotonic;
-      commsig::Interner interner;
-      (void)commsig::ingest::ReadTraceEventsPipelined(
-          path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options);
-    }
+    commsig::RecordErrorLog log;
+    commsig::ingest::PipelineOptions options;
+    options.parse_workers = 2;
+    options.chunk_bytes = 64;
+    options.ingest.policy = policy;
+    options.ingest.error_log = &log;
+    commsig::Interner interner;
+    (void)commsig::ingest::ReadTraceEventsPipelined(
+        path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options);
   }
   return 0;
 }

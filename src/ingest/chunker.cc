@@ -24,14 +24,13 @@ bool PlausibleHeader(const unsigned char* p) {
 }  // namespace
 
 Chunker::Chunker(const std::string& path, ChunkFormat format,
-                 size_t chunk_bytes, bool monotonic_time)
+                 size_t chunk_bytes)
     : in_(path, std::ios::binary),
       path_(path),
       format_(format),
       // Tiny chunk sizes are allowed (tests use them to force many chunk
       // boundaries); only 0 is meaningless.
-      chunk_bytes_(std::max<size_t>(chunk_bytes, 64)),
-      monotonic_time_(monotonic_time) {
+      chunk_bytes_(std::max<size_t>(chunk_bytes, 64)) {
   if (!in_.is_open()) status_ = Status::IOError("cannot open " + path);
 }
 
@@ -103,22 +102,6 @@ Result<bool> Chunker::NextCsv(RawChunk& chunk) {
 
 Result<bool> Chunker::NextNetflow(RawChunk& chunk) {
   while (true) {
-    // A rejected packet's body is skipped without inspection.
-    if (skip_bytes_ > 0) {
-      const size_t take = std::min<uint64_t>(skip_bytes_, Avail());
-      pos_ += take;
-      skip_bytes_ -= take;
-      if (skip_bytes_ > 0) {
-        if (eof_) {
-          skip_bytes_ = 0;  // input ended inside the skipped body
-          break;
-        }
-        Status s = Refill();
-        if (!s.ok()) return s;
-        continue;
-      }
-    }
-
     // Resync: scan forward for the next plausible v5 header. A candidate
     // needs a full header's bytes in view; the unsearchable tail is carried
     // into the next refill (a header can straddle the block edge).
@@ -186,19 +169,6 @@ Result<bool> Chunker::NextNetflow(RawChunk& chunk) {
       resyncing_ = true;
       continue;
     }
-    if (monotonic_time_ && have_last_secs_ && unix_secs < last_secs_) {
-      std::string detail = "export time ";
-      detail += std::to_string(unix_secs);
-      detail += " precedes ";
-      detail += std::to_string(last_secs_);
-      chunk.framing_rejects.push_back(
-          {static_cast<uint32_t>(chunk.packets.size()),
-           RecordErrorReason::kTimestampRegression, AbsPos(),
-           std::move(detail)});
-      pos_ += kHeaderBytes;
-      skip_bytes_ = static_cast<uint64_t>(count) * kRecordBytes;
-      continue;
-    }
 
     const size_t body_bytes = static_cast<size_t>(count) * kRecordBytes;
     if (Avail() < kHeaderBytes + body_bytes) {
@@ -230,8 +200,6 @@ Result<bool> Chunker::NextNetflow(RawChunk& chunk) {
     chunk.data.append(buf_.data() + pos_ + kHeaderBytes, body_bytes);
     chunk.packets.push_back(
         {static_cast<uint32_t>(body_offset), count, unix_secs});
-    have_last_secs_ = true;
-    last_secs_ = unix_secs;
     pos_ += kHeaderBytes + body_bytes;
 
     if (chunk.data.size() >= chunk_bytes_) return true;

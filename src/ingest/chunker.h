@@ -12,7 +12,7 @@ namespace commsig::ingest {
 
 /// Input framing for the pipeline's IO stage.
 enum class ChunkFormat {
-  kCsvLines,   // cut on line boundaries (trace / edge-list / signature CSV)
+  kCsvLines,   // cut on line boundaries (trace / signature CSV)
   kNetflowV5,  // cut on packet boundaries, validating headers while framing
 };
 
@@ -23,21 +23,18 @@ enum class ChunkFormat {
 /// CSV framing cuts at the last newline inside ~chunk_bytes (extending past
 /// the target when a single line is longer). NetFlow framing performs the
 /// whole packet walk — header validation, forward resync after a corrupt
-/// header, truncated-final-packet salvage, and (under
-/// require_monotonic_time) header-timestamp regression checks — because
-/// those decisions need the inter-packet stream state that only a serial
-/// stage has. Rejections are not *applied* here (policy and budgets are
-/// stream-ordered, merge-stage decisions); they are recorded as
-/// FramingRejects for the merge stage to replay.
+/// header and truncated-final-packet salvage — because those decisions need
+/// the inter-packet stream state that only a serial stage has. Rejections
+/// are not *applied* here (policy and budgets are stream-ordered,
+/// merge-stage decisions); they are recorded as FramingRejects for the
+/// merge stage to replay.
 ///
 /// Each buffer refill evaluates the "ingest/frame" fail-point, so chaos
 /// tests can kill the IO stage mid-stream.
 class Chunker {
  public:
-  /// Opens `path`. Check status() before calling Next. `monotonic_time`
-  /// only affects kNetflowV5 (CSV monotonicity is a merge-stage check).
-  Chunker(const std::string& path, ChunkFormat format, size_t chunk_bytes,
-          bool monotonic_time);
+  /// Opens `path`. Check status() before calling Next.
+  Chunker(const std::string& path, ChunkFormat format, size_t chunk_bytes);
 
   /// OK if the file opened (IOError "cannot open <path>" otherwise).
   const Status& status() const { return status_; }
@@ -67,7 +64,6 @@ class Chunker {
   Status status_;
   ChunkFormat format_;
   size_t chunk_bytes_;
-  bool monotonic_time_;
 
   std::string buf_;
   size_t pos_ = 0;         // consumed prefix of buf_
@@ -75,11 +71,9 @@ class Chunker {
   bool eof_ = false;
   uint64_t next_seq_ = 0;
 
-  // NetFlow packet-walk state carried across refills.
-  uint64_t skip_bytes_ = 0;  // remainder of a rejected packet body
-  bool resyncing_ = false;   // scanning forward for a plausible header
-  uint32_t last_secs_ = 0;
-  bool have_last_secs_ = false;
+  // NetFlow packet-walk state carried across refills: scanning forward for
+  // a plausible header.
+  bool resyncing_ = false;
 };
 
 }  // namespace commsig::ingest

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "graph/graph_builder.h"
 #include "ingest/chunker.h"
 #include "ingest/record_batch.h"
 #include "ingest/record_decode.h"
@@ -24,7 +23,7 @@ namespace {
 constexpr size_t kNetflowRecordBytes = 48;
 
 /// Row grammar a parse worker applies to its chunks.
-enum class RowFormat { kTrace, kEdge, kSignature, kNetflow };
+enum class RowFormat { kTrace, kSignature, kNetflow };
 
 // ---------------------------------------------------------------------------
 // Worker-local scratch: chunk-level label deduplication.
@@ -167,15 +166,8 @@ class ChunkAddrMemo {
 // Parse-worker decode: RawChunk -> IngestBatch.
 // ---------------------------------------------------------------------------
 
-void AppendTimeText(std::string_view text, IngestBatch& batch) {
-  batch.time_text.push_back({static_cast<uint32_t>(batch.label_data.size()),
-                             static_cast<uint32_t>(text.size()), 0});
-  batch.label_data.append(text);
-}
-
-void DecodeCsvChunk(RowFormat format, bool capture_time_text,
-                    const RawChunk& chunk, IngestBatch& batch,
-                    ChunkLabelTable& table) {
+void DecodeCsvChunk(RowFormat format, const RawChunk& chunk,
+                    IngestBatch& batch, ChunkLabelTable& table) {
   table.Reset();
   FusedRowScanner scanner(chunk.data, ',');
   std::string_view line;
@@ -185,7 +177,6 @@ void DecodeCsvChunk(RowFormat format, bool capture_time_text,
   while (scanner.Next(line, fields, max_fields, count)) {
     RowReject reject;
     ParsedRecord rec;
-    rec.rel_line = static_cast<uint32_t>(scanner.line_number());
     switch (format) {
       case RowFormat::kTrace: {
         TraceRow row;
@@ -193,16 +184,6 @@ void DecodeCsvChunk(RowFormat format, bool capture_time_text,
         rec.src = table.Add(row.src, batch);
         rec.dst = table.Add(row.dst, batch);
         rec.time = row.time;
-        rec.weight = row.weight;
-        if (capture_time_text) AppendTimeText(row.time_text, batch);
-        batch.records.push_back(rec);
-        continue;
-      }
-      case RowFormat::kEdge: {
-        EdgeRow row;
-        if (!DecodeEdgeRow(fields, count, row, reject)) break;
-        rec.src = table.Add(row.src, batch);
-        rec.dst = table.Add(row.dst, batch);
         rec.weight = row.weight;
         batch.records.push_back(rec);
         continue;
@@ -276,14 +257,9 @@ struct MergeContext {
   /// True for NetFlow (byte offsets, Corruption on kFail); false for CSV
   /// (data-line numbers offset by line_base, InvalidArgument on kFail).
   bool absolute_positions = false;
-  /// Trace-CSV monotonic-time enforcement happens here: it needs the
-  /// cross-chunk last-accepted-time state.
-  bool monotonic = false;
 
   uint64_t errors = 0;
   uint64_t line_base = 0;
-  uint64_t last_time = 0;
-  bool have_last_time = false;
   std::vector<NodeId> id_map;
 };
 
@@ -301,15 +277,14 @@ NodeId LazyIntern(MergeContext& ctx, const IngestBatch& batch, uint32_t idx) {
 }
 
 /// Merges one batch into the sink in exact stream order. The fast path
-/// (no reject candidates, no merge-side monotonic check) bulk-interns the
-/// deduplicated label arena and translates records through the id map. The
-/// slow path replays HandleBadRecord interleaved with records and interns
-/// lazily at record-accept time, so an abort (kFail, exhausted budget)
-/// never interns labels past the abort point and a merge-rejected row's
-/// labels are never interned.
+/// (no reject candidates) bulk-interns the deduplicated label arena and
+/// translates records through the id map. The slow path replays
+/// HandleBadRecord interleaved with records and interns lazily at
+/// record-accept time, so an abort (kFail, exhausted budget) never interns
+/// labels past the abort point.
 template <typename Sink>
 Status MergeBatch(MergeContext& ctx, IngestBatch& batch, Sink& sink) {
-  if (batch.rejects.empty() && !ctx.monotonic) {
+  if (batch.rejects.empty()) {
     constexpr size_t kPrefetchAhead = 8;
     ctx.id_map.resize(batch.labels.size());
     for (size_t i = 0; i < batch.labels.size(); ++i) {
@@ -348,23 +323,6 @@ Status MergeBatch(MergeContext& ctx, IngestBatch& batch, Sink& sink) {
     }
     if (i == batch.records.size()) break;
     const ParsedRecord& r = batch.records[i];
-    if (ctx.monotonic && ctx.have_last_time && r.time < ctx.last_time) {
-      const LabelRef& tt = batch.time_text[i];
-      std::string detail = "time ";
-      detail.append(LabelView(batch, tt));
-      detail += " precedes ";
-      detail += std::to_string(ctx.last_time);
-      Status s = robust_internal::HandleBadRecord(
-          ctx.ingest, &ctx.errors, RecordErrorReason::kTimestampRegression,
-          ctx.line_base + r.rel_line, std::move(detail),
-          /*invalid_argument_on_fail=*/true);
-      if (!s.ok()) return s;
-      continue;
-    }
-    if (ctx.monotonic) {
-      ctx.last_time = r.time;
-      ctx.have_last_time = true;
-    }
     const NodeId src = LazyIntern(ctx, batch, r.src);
     const NodeId dst =
         r.dst == kNoLabel ? kInvalidNode : LazyIntern(ctx, batch, r.dst);
@@ -411,13 +369,10 @@ Status RunPipeline(const std::string& path, RowFormat format,
   const size_t workers =
       static_cast<size_t>(std::max(options.parse_workers, 1));
   const bool netflow = format == RowFormat::kNetflow;
-  const bool monotonic_merge =
-      options.ingest.require_monotonic_time && format == RowFormat::kTrace;
 
   Chunker chunker(path,
                   netflow ? ChunkFormat::kNetflowV5 : ChunkFormat::kCsvLines,
-                  options.chunk_bytes,
-                  netflow && options.ingest.require_monotonic_time);
+                  options.chunk_bytes);
   if (!chunker.status().ok()) return chunker.status();
 
   const size_t cap = std::max<size_t>(options.queue_capacity, 1);
@@ -477,7 +432,7 @@ Status RunPipeline(const std::string& path, RowFormat format,
         if (netflow) {
           DecodeNetflowChunk(options.netflow, *chunk, *batch, memo);
         } else {
-          DecodeCsvChunk(format, monotonic_merge, *chunk, *batch, table);
+          DecodeCsvChunk(format, *chunk, *batch, table);
         }
         lane.free_chunk_q->Push(chunk);  // room guaranteed (pool-sized)
         if (!lane.batch_q->Push(batch)) break;
@@ -491,7 +446,6 @@ Status RunPipeline(const std::string& path, RowFormat format,
   // smallest head is always the globally next batch.
   MergeContext ctx{interner, options.ingest};
   ctx.absolute_positions = netflow;
-  ctx.monotonic = monotonic_merge;
   std::vector<IngestBatch*> heads(workers, nullptr);
   for (size_t w = 0; w < workers; ++w) {
     if (!lanes[w].batch_q->Pop(heads[w])) heads[w] = nullptr;
@@ -594,13 +548,6 @@ struct EventsSink {
   }
 };
 
-struct EdgeRowsSink {
-  std::vector<CommGraph::FlatEdge> rows;
-  void Emit(NodeId src, NodeId dst, uint64_t /*time*/, double weight) {
-    rows.push_back({src, dst, weight});
-  }
-};
-
 struct SignatureRowsSink {
   std::vector<NodeId> order;
   std::unordered_map<NodeId, std::vector<Signature::Entry>> entries;
@@ -634,24 +581,6 @@ Result<std::vector<TraceEvent>> ReadTraceEventsPipelined(
       RunPipeline(path, ToRowFormat(format), interner, options, sink, stats);
   if (!s.ok()) return s;
   return events;
-}
-
-Result<CommGraph> ReadEdgeListPipelined(const std::string& path,
-                                        Interner& interner,
-                                        NodeId bipartite_left_size,
-                                        const PipelineOptions& options,
-                                        PipelineStats* stats) {
-  EdgeRowsSink sink;
-  Status s =
-      RunPipeline(path, RowFormat::kEdge, interner, options, sink, stats);
-  if (!s.ok()) return s;
-  GraphBuilder builder(interner.size());
-  builder.SetBipartiteLeftSize(bipartite_left_size);
-  builder.Reserve(sink.rows.size());
-  for (const CommGraph::FlatEdge& r : sink.rows) {
-    builder.AddEdge(r.src, r.dst, r.weight);
-  }
-  return std::move(builder).Build();
 }
 
 Result<SignatureSet> ReadSignatureSetPipelined(const std::string& path,

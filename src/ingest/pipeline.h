@@ -9,7 +9,6 @@
 #include "common/result.h"
 #include "core/signature_io.h"
 #include "data/netflow.h"
-#include "graph/comm_graph.h"
 #include "graph/windower.h"
 #include "robust/record_errors.h"
 
@@ -50,7 +49,7 @@ struct PipelineStats {
 // The readers below are the only readers of commsig's input formats. Each
 // runs framer -> parse workers -> in-order merge and returns exactly what
 // a single-threaded pass over the file in stream order would: the same
-// events/graph/signatures, interner contents and id assignment (labels
+// events/signatures, interner contents and id assignment (labels
 // interned in first-reference order, never for a rejected row), error-log
 // entries and positions (CSV data-line numbers, NetFlow byte offsets),
 // budget charges and failure status, at every worker count and chunk size.
@@ -70,22 +69,10 @@ struct PipelineStats {
 /// concatenated NetFlow v5 export packets (kNetflowV5, with header resync
 /// after corrupt headers, truncated-final-packet salvage, and
 /// `options.netflow` filtering/weighting; filtered and zero-weight records
-/// are dropped silently). With `require_monotonic_time`, a trace row or
-/// NetFlow packet whose time precedes the previous accepted one is rejected
-/// (kTimestampRegression).
+/// are dropped silently).
 Result<std::vector<TraceEvent>> ReadTraceEventsPipelined(
     const std::string& path, PipelineFormat format, Interner& interner,
     const PipelineOptions& options, PipelineStats* stats = nullptr);
-
-/// Reads a `src,dst,weight` edge-list CSV (as written by WriteEdgeListCsv)
-/// into a graph over `interner`; repeated (src,dst) rows aggregate in
-/// stream order. `bipartite_left_size` flags the first ids as V1 (0 for a
-/// general graph).
-Result<CommGraph> ReadEdgeListPipelined(const std::string& path,
-                                        Interner& interner,
-                                        NodeId bipartite_left_size,
-                                        const PipelineOptions& options,
-                                        PipelineStats* stats = nullptr);
 
 /// Reads an `owner,member,weight` signature-set CSV (as written by
 /// WriteSignatureSetCsv). Owners appear in first-seen order; entries of one

@@ -22,15 +22,11 @@ struct LabelRef {
 inline constexpr uint32_t kNoLabel = 0xffffffffu;
 
 /// One decoded, validated record. `src`/`dst` index into IngestBatch::labels
-/// (chunk-deduplicated, first-reference order). CSV edge rows leave `time`
-/// 0; signature marker rows leave `dst` kNoLabel. `rel_line` is the
-/// chunk-relative data-line number (CSV formats), kept so merge-time
-/// rejections (monotonic-time regressions) report the exact global data-line
-/// number.
+/// (chunk-deduplicated, first-reference order). Signature rows leave `time`
+/// 0; signature marker rows leave `dst` kNoLabel.
 struct ParsedRecord {
   uint32_t src = kNoLabel;
   uint32_t dst = kNoLabel;
-  uint32_t rel_line = 0;
   uint64_t time = 0;
   double weight = 0.0;
 };
@@ -59,8 +55,8 @@ struct PacketRef {
   uint32_t unix_secs = 0;
 };
 
-/// A framing-level rejection (bad header, truncation, header timestamp
-/// regression), anchored before the packet that would have followed it.
+/// A framing-level rejection (bad header, truncation), anchored before the
+/// packet that would have followed it.
 struct FramingReject {
   uint32_t before_packet = 0;
   RecordErrorReason reason = RecordErrorReason::kBadMagic;
@@ -90,16 +86,13 @@ struct RawChunk {
 /// Labels appear in first-reference order (the order an in-order read first
 /// interns them), each with its precomputed hash, so the merge
 /// stage interns each distinct chunk label exactly once and translates
-/// records through the per-batch id map. `time_text` (filled only when the
-/// merge needs raw timestamp text for monotonic-regression details) slices
-/// the label arena per accepted record.
+/// records through the per-batch id map.
 struct IngestBatch {
   uint64_t seq = 0;
   std::vector<ParsedRecord> records;
   std::vector<RejectCandidate> rejects;
   std::string label_data;
   std::vector<LabelRef> labels;
-  std::vector<LabelRef> time_text;
   uint64_t data_lines = 0;
 
   void Clear() {
@@ -107,7 +100,6 @@ struct IngestBatch {
     rejects.clear();
     label_data.clear();
     labels.clear();
-    time_text.clear();
     data_lines = 0;
   }
 };

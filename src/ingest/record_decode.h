@@ -28,13 +28,10 @@ struct RowReject {
   std::string detail;
 };
 
-/// One decoded trace CSV row. The monotonic-time check is the caller's —
-/// it needs cross-row state — but `time_text` is retained so the caller can
-/// build the "time <raw> precedes <last>" detail from the raw field.
+/// One decoded trace CSV row.
 struct TraceRow {
   std::string_view src;
   std::string_view dst;
-  std::string_view time_text;
   uint64_t time = 0;
   double weight = 0.0;
 };
@@ -89,55 +86,6 @@ inline bool DecodeTraceRow(const std::string_view* fields, size_t count,
     reject.reason = RecordErrorReason::kNonPositiveWeight;
     reject.detail = "non-positive weight ";
     reject.detail += fields[3];
-    return false;
-  }
-  row.src = fields[0];
-  row.dst = fields[1];
-  row.time_text = fields[2];
-  return true;
-}
-
-/// One decoded edge-list CSV row.
-struct EdgeRow {
-  std::string_view src;
-  std::string_view dst;
-  double weight = 0.0;
-};
-
-inline bool DecodeEdgeRow(const std::string_view* fields, size_t count,
-                          EdgeRow& row, RowReject& reject) {
-  if (count != 3) {
-    reject.reason = RecordErrorReason::kBadField;
-    reject.detail = "edge row needs 3 fields, got ";
-    reject.detail += std::to_string(count);
-    return false;
-  }
-  if (fields[0].empty() || fields[1].empty()) {
-    reject.reason = RecordErrorReason::kZeroNode;
-    reject.detail = "empty node label";
-    return false;
-  }
-  if (fields[2].empty()) {
-    reject.reason = RecordErrorReason::kBadField;
-    reject.detail = "empty number";
-    return false;
-  }
-  if (!TryParseDouble(fields[2], row.weight)) {
-    reject.reason = RecordErrorReason::kBadField;
-    reject.detail = "bad double: ";
-    reject.detail += fields[2];
-    return false;
-  }
-  if (!std::isfinite(row.weight)) {
-    reject.reason = RecordErrorReason::kNonFiniteWeight;
-    reject.detail = "weight ";
-    reject.detail += fields[2];
-    return false;
-  }
-  if (row.weight <= 0.0) {
-    reject.reason = RecordErrorReason::kNonPositiveWeight;
-    reject.detail = "non-positive weight ";
-    reject.detail += fields[2];
     return false;
   }
   row.src = fields[0];

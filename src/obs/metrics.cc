@@ -287,7 +287,6 @@ void PreRegisterCoreMetrics() {
         "sketch/cm_queries", "sketch/fm_updates", "sketch/fm_queries",
         "sketch/ss_updates",
         "sketch/ss_evictions", "sketch/signature_cache_hits",
-        "threadpool/tasks_executed",
         "windower/windows_built", "robust/records_rejected",
         "robust/windower_dropped_events", "robust/rwr_fallbacks",
         "robust/faults_injected", "robust/checkpoints_saved",
@@ -296,7 +295,6 @@ void PreRegisterCoreMetrics() {
         "robust/quarantined_bad_record_count",
         "robust/quarantined_non_finite_weight",
         "robust/quarantined_non_positive_weight",
-        "robust/quarantined_timestamp_regression",
         "robust/quarantined_truncated", "robust/quarantined_zero_node",
         "timeline/nodes_dirty", "timeline/nodes_reused",
         "timeline/rwr_warm_start_fallbacks",
@@ -311,8 +309,6 @@ void PreRegisterCoreMetrics() {
         "ingest/producer_stalls", "ingest/consumer_stalls"}) {
     reg.GetCounter(name);
   }
-  reg.GetGauge("threadpool/queue_depth");
-  reg.GetGauge("threadpool/utilization");
   reg.GetGauge("pipeline/last_window_total_us");
   reg.GetGauge("pipeline/last_window_dirty_nodes");
   reg.GetGauge("robust/degradation_tier");

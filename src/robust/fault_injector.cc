@@ -1,10 +1,7 @@
 #include "robust/fault_injector.h"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <utility>
 
 #include "obs/obs.h"
 
@@ -76,43 +73,6 @@ std::vector<TraceEvent> FaultInjector::PerturbEvents(
   }
   COMMSIG_COUNTER_ADD("robust/faults_injected", report_.Total());
   return out;
-}
-
-Status FaultInjector::CorruptFileBits(const std::string& path,
-                                      size_t num_flips) {
-  std::error_code ec;
-  const uint64_t size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IOError("stat " + path + ": " + ec.message());
-  if (size == 0) return Status::InvalidArgument("cannot corrupt empty file");
-
-  std::fstream file(path,
-                    std::ios::binary | std::ios::in | std::ios::out);
-  if (!file) return Status::IOError("open " + path);
-  for (size_t i = 0; i < num_flips; ++i) {
-    const uint64_t offset = rng_.UniformInt(size);
-    const int bit = static_cast<int>(rng_.UniformInt(8));
-    file.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    if (!file.read(&byte, 1)) return Status::IOError("read " + path);
-    byte = static_cast<char>(byte ^ (1 << bit));
-    file.seekp(static_cast<std::streamoff>(offset));
-    if (!file.write(&byte, 1)) return Status::IOError("write " + path);
-  }
-  file.flush();
-  if (!file) return Status::IOError("flush " + path);
-  return Status::OK();
-}
-
-Status FaultInjector::TruncateFileRandomly(const std::string& path,
-                                           uint64_t* new_size) {
-  std::error_code ec;
-  const uint64_t size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IOError("stat " + path + ": " + ec.message());
-  const uint64_t keep = size == 0 ? 0 : rng_.UniformInt(size);
-  std::filesystem::resize_file(path, keep, ec);
-  if (ec) return Status::IOError("truncate " + path + ": " + ec.message());
-  if (new_size != nullptr) *new_size = keep;
-  return Status::OK();
 }
 
 }  // namespace commsig

@@ -6,16 +6,14 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/status.h"
 #include "graph/windower.h"
 
 namespace commsig {
 
 /// Seeded, deterministic fault injection for robustness testing: perturbs
-/// event streams and on-disk files the way a lossy collector, a flaky NIC,
-/// or a corrupted spool directory would. The same seed always produces the
-/// same faults, so `commsig faultcheck` runs and the fault-injection tests
-/// are exactly reproducible.
+/// event streams the way a lossy collector or a flaky NIC would. The same
+/// seed always produces the same faults, so `commsig faultcheck` runs and
+/// the fault-injection tests are exactly reproducible.
 class FaultInjector {
  public:
   struct Options {
@@ -49,15 +47,6 @@ class FaultInjector {
   /// Returns a perturbed copy of `events`. The input is untouched; the
   /// report accumulates across calls.
   std::vector<TraceEvent> PerturbEvents(const std::vector<TraceEvent>& events);
-
-  /// Flips `num_flips` random bits in the file at `path`, in place.
-  /// Used to simulate storage corruption of checkpoints and spool files.
-  Status CorruptFileBits(const std::string& path, size_t num_flips);
-
-  /// Truncates the file at `path` to a random length in [0, current size).
-  /// Returns the new length via `*new_size` if non-null.
-  Status TruncateFileRandomly(const std::string& path,
-                              uint64_t* new_size = nullptr);
 
   const Report& report() const { return report_; }
 

@@ -22,8 +22,6 @@ std::string_view RecordErrorReasonName(RecordErrorReason reason) {
       return "non_positive_weight";
     case RecordErrorReason::kNonFiniteWeight:
       return "non_finite_weight";
-    case RecordErrorReason::kTimestampRegression:
-      return "timestamp_regression";
   }
   return "unknown";
 }
@@ -54,9 +52,6 @@ void BumpReasonCounter(RecordErrorReason reason) {
       break;
     case RecordErrorReason::kNonFiniteWeight:
       COMMSIG_COUNTER_ADD("robust/quarantined_non_finite_weight", 1);
-      break;
-    case RecordErrorReason::kTimestampRegression:
-      COMMSIG_COUNTER_ADD("robust/quarantined_timestamp_regression", 1);
       break;
   }
 }

@@ -28,14 +28,13 @@ enum class ErrorPolicy {
 /// Why a record was rejected. One stable code per failure class so operators
 /// can alert on, e.g., a spike of kTruncated separately from kBadField.
 enum class RecordErrorReason {
-  kTruncated,            // input ended inside a record/packet
-  kBadMagic,             // wrong version/magic in a binary header
-  kBadRecordCount,       // packet header announces an impossible count
-  kBadField,             // unparseable CSV field / wrong field count
-  kZeroNode,             // empty node label (no identity to attach flows to)
-  kNonPositiveWeight,    // weight <= 0
-  kNonFiniteWeight,      // NaN / Inf weight
-  kTimestampRegression,  // time ran backwards under require_monotonic_time
+  kTruncated,          // input ended inside a record/packet
+  kBadMagic,           // wrong version/magic in a binary header
+  kBadRecordCount,     // packet header announces an impossible count
+  kBadField,           // unparseable CSV field / wrong field count
+  kZeroNode,           // empty node label (no identity to attach flows to)
+  kNonPositiveWeight,  // weight <= 0
+  kNonFiniteWeight,    // NaN / Inf weight
 };
 
 /// Short stable name for a reason ("truncated", "bad_field", ...). Used in
@@ -78,7 +77,7 @@ class RecordErrorLog {
   void Clear();
 
  private:
-  static constexpr size_t kNumReasons = 8;
+  static constexpr size_t kNumReasons = 7;
 
   size_t max_retained_;
   uint64_t total_ = 0;
@@ -117,12 +116,6 @@ struct IngestOptions {
   /// exhausting it fails the read with Corruption and emits one typed
   /// `budget_exhausted` log event.
   GlobalErrorBudget* global_budget = nullptr;
-
-  /// When true, a record whose timestamp precedes the previous accepted
-  /// record's is rejected with kTimestampRegression. Off by default: the
-  /// windower tolerates arbitrary order, but exports that promise
-  /// monotonicity can enforce it here.
-  bool require_monotonic_time = false;
 
   /// Dead-letter sink for the records kSkip drops (may be null: they are
   /// then only counted). Not owned.

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/parallel.h"
 #include "core/rwr.h"
 #include "data/flow_generator.h"
 #include "graph/graph_builder.h"
@@ -586,24 +585,6 @@ TEST(RwrBatchTest, NoNegativeProbabilitiesOnFlowWindows) {
       }
       seeds = SupportSeeds(supports.columns, seed_storage);
     }
-  }
-}
-
-TEST(RwrBatchTest, ComputeAllParallelMatchesBatchedSerial) {
-  FlowGeneratorConfig cfg;
-  cfg.num_local_hosts = 37;  // not a multiple of the batch width
-  cfg.num_external_hosts = 400;
-  cfg.num_windows = 1;
-  cfg.seed = 9;
-  FlowDataset ds = FlowTraceGenerator(cfg).Generate();
-  CommGraph g = ds.Windows()[0];
-  ThreadPool pool(4);
-  RwrScheme scheme({.k = 10}, {.reset = 0.1, .max_hops = 3});
-  auto serial = scheme.ComputeAll(g, ds.local_hosts);
-  auto parallel = ComputeAllParallel(scheme, g, ds.local_hosts, pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "host " << i;
   }
 }
 

@@ -103,23 +103,14 @@ TEST(CorruptNetflow, ZeroCountHeaderRejectedAndRecovered) {
   }
 }
 
-TEST(CorruptNetflow, TimestampRegressionOnlyWhenMonotonicRequired) {
+TEST(CorruptNetflow, OutOfOrderExportTimesReadInFull) {
   for (int workers : ref::kReaderWorkers) {
-    // Default: out-of-order export times are legal.
-    auto relaxed = ReadNetflow("time_regression.nf", workers,
-                               Policy(ErrorPolicy::kSkip));
-    ASSERT_TRUE(relaxed.ok());
-    EXPECT_EQ(relaxed->size(), 3u);
-
-    RecordErrorLog log;
-    IngestOptions strict = Policy(ErrorPolicy::kSkip, &log);
-    strict.require_monotonic_time = true;
-    auto r = ReadNetflow("time_regression.nf", workers, strict);
+    // The middle packet's export time regresses (secs 200 -> 100); every
+    // packet still loads.
+    auto r = ReadNetflow("time_regression.nf", workers,
+                         Policy(ErrorPolicy::kSkip));
     ASSERT_TRUE(r.ok());
-    // The regressed middle packet (secs 200 -> 100) is dropped whole; the
-    // third (secs 300) still loads.
-    EXPECT_EQ(r->size(), 2u);
-    EXPECT_EQ(log.count(RecordErrorReason::kTimestampRegression), 1u);
+    EXPECT_EQ(r->size(), 3u);
   }
 }
 
@@ -146,8 +137,7 @@ TEST(CorruptTraceCsv, SkipKeepsOnlyValidRows) {
     auto r =
         ReadTrace("trace_bad_rows.csv", workers, Policy(ErrorPolicy::kSkip));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    // Valid rows: a->b@100, a->b@90 (order violations are legal by default),
-    // e->f@200.
+    // Valid rows: a->b@100, a->b@90 (order violations are legal), e->f@200.
     EXPECT_EQ(r->size(), 3u);
   }
 }
@@ -155,17 +145,15 @@ TEST(CorruptTraceCsv, SkipKeepsOnlyValidRows) {
 TEST(CorruptTraceCsv, QuarantineRecordsEveryRejectionClass) {
   for (int workers : ref::kReaderWorkers) {
     RecordErrorLog log;
-    IngestOptions opts = Policy(ErrorPolicy::kSkip, &log);
-    opts.require_monotonic_time = true;
-    auto r = ReadTrace("trace_bad_rows.csv", workers, opts);
+    auto r = ReadTrace("trace_bad_rows.csv", workers,
+                       Policy(ErrorPolicy::kSkip, &log));
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->size(), 2u);  // the a->b@90 row now regresses
+    EXPECT_EQ(r->size(), 3u);
     EXPECT_EQ(log.count(RecordErrorReason::kBadField), 2u);  // short + bad time
     EXPECT_EQ(log.count(RecordErrorReason::kZeroNode), 1u);
     EXPECT_EQ(log.count(RecordErrorReason::kNonFiniteWeight), 2u);  // nan, inf
     EXPECT_EQ(log.count(RecordErrorReason::kNonPositiveWeight), 2u);  // -3.5, 0
-    EXPECT_EQ(log.count(RecordErrorReason::kTimestampRegression), 1u);
-    EXPECT_EQ(log.total(), 8u);
+    EXPECT_EQ(log.total(), 7u);
   }
 }
 
@@ -208,41 +196,6 @@ TEST(CorruptTraceCsv, ExhaustedBudgetFailsTheRead) {
     auto r = ReadTrace("trace_bad_rows.csv", workers, opts);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsCorruption());
-  }
-}
-
-// --- Edge-list CSV -------------------------------------------------------
-
-TEST(CorruptEdgeListCsv, AllThreePolicies) {
-  const std::string path = Corpus("edges_bad_rows.csv");
-  for (int workers : ref::kReaderWorkers) {
-    {
-      Interner interner;
-      EXPECT_FALSE(ingest::ReadEdgeListPipelined(path, interner, 0,
-                                                 ref::SmallChunks(workers))
-                       .ok());
-    }
-    {
-      Interner interner;
-      auto r = ingest::ReadEdgeListPipelined(
-          path, interner, 0,
-          ref::SmallChunks(workers, Policy(ErrorPolicy::kSkip)));
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      // Good rows: a->b 2.0 and c->d 3.0.
-      EXPECT_DOUBLE_EQ(r->TotalWeight(), 5.0);
-    }
-    {
-      Interner interner;
-      RecordErrorLog log;
-      auto r = ingest::ReadEdgeListPipelined(
-          path, interner, 0,
-          ref::SmallChunks(workers, Policy(ErrorPolicy::kSkip, &log)));
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(log.count(RecordErrorReason::kBadField), 1u);
-      EXPECT_EQ(log.count(RecordErrorReason::kZeroNode), 1u);
-      EXPECT_EQ(log.count(RecordErrorReason::kNonFiniteWeight), 1u);
-      EXPECT_EQ(log.count(RecordErrorReason::kNonPositiveWeight), 1u);
-    }
   }
 }
 

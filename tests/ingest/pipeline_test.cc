@@ -18,7 +18,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Golden-hash fingerprints: FNV-1a over every observable output of a read —
-// events/graphs/signatures, the interner's id assignment, and the error log.
+// events/signatures, the interner's id assignment, and the error log.
 // The single-threaded reference readers (tests/ref/) and pipelined reads
 // must produce the same hash bit for bit.
 // ---------------------------------------------------------------------------
@@ -68,21 +68,6 @@ uint64_t FingerprintEvents(const std::vector<TraceEvent>& events,
     f.MixDouble(e.weight);
   }
   f.MixU64(FingerprintInterner(interner));
-  return f.value();
-}
-
-uint64_t FingerprintGraph(const CommGraph& g) {
-  Fnv f;
-  f.MixU64(g.NumNodes());
-  f.MixU64(g.NumEdges());
-  f.MixDouble(g.TotalWeight());
-  f.MixU64(g.bipartite().left_size);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    f.MixU64(g.OutRowDigest(v));
-    f.MixU64(g.InRowDigest(v));
-    f.MixDouble(g.OutWeight(v));
-    f.MixDouble(g.InWeight(v));
-  }
   return f.value();
 }
 
@@ -304,49 +289,6 @@ TEST_F(PipelineTest, TraceErrorBudgetExhaustionMatchesSerial) {
   }
 }
 
-TEST_F(PipelineTest, TraceMonotonicRejectionsMatchSerial) {
-  std::string corpus;
-  int t = 100;
-  for (int i = 0; i < 300; ++i) {
-    corpus += "n";
-    corpus += std::to_string(i % 13);
-    corpus += ",m";
-    corpus += std::to_string(i % 7);
-    corpus += ",";
-    corpus += std::to_string(t);
-    corpus += ",1\n";
-    t += (i % 9 == 4) ? -3 : 2;  // periodic regressions
-  }
-  WriteFile(corpus);
-
-  IngestOptions ingest;
-  ingest.policy = ErrorPolicy::kSkip;
-  ingest.require_monotonic_time = true;
-  RecordErrorLog serial_log;
-  ingest.error_log = &serial_log;
-  Interner serial_interner;
-  auto serial = ref::ReadTrace(PathStr(), serial_interner, ingest);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_GT(serial_log.total(), 0u);
-
-  for (int workers : kWorkerCounts) {
-    Interner interner;
-    RecordErrorLog log;
-    PipelineOptions options;
-    options.parse_workers = workers;
-    options.chunk_bytes = 200;
-    options.ingest.policy = ErrorPolicy::kSkip;
-    options.ingest.require_monotonic_time = true;
-    options.ingest.error_log = &log;
-    auto got = ReadTraceEventsPipelined(PathStr(), PipelineFormat::kTraceCsv,
-                                        interner, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(FingerprintEvents(*got, interner),
-              FingerprintEvents(*serial, serial_interner));
-    EXPECT_EQ(FingerprintErrorLog(log), FingerprintErrorLog(serial_log));
-  }
-}
-
 TEST_F(PipelineTest, MissingFileReproducesSerialStatus) {
   Interner serial_interner;
   auto serial = ref::ReadTrace("/nonexistent/trace.csv", serial_interner);
@@ -360,41 +302,8 @@ TEST_F(PipelineTest, MissingFileReproducesSerialStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge-list and signature-set CSV.
+// Signature-set CSV.
 // ---------------------------------------------------------------------------
-
-TEST_F(PipelineTest, EdgeListGraphMatchesSerialAtEveryWorkerCount) {
-  std::string corpus;
-  for (int i = 0; i < 2000; ++i) {
-    // Repeated pairs: aggregation order must match the reference reader's.
-    corpus += "u";
-    corpus += std::to_string(i % 19);
-    corpus += ",v";
-    corpus += std::to_string(i % 23);
-    corpus += ",";
-    corpus += std::to_string(1 + i % 5);
-    corpus += ".5\n";
-  }
-  WriteFile(corpus);
-
-  Interner serial_interner;
-  auto serial = ref::ReadEdgeList(PathStr(), serial_interner, /*left=*/19);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  const uint64_t golden = FingerprintGraph(*serial);
-
-  for (int workers : kWorkerCounts) {
-    Interner interner;
-    PipelineOptions options;
-    options.parse_workers = workers;
-    options.chunk_bytes = 512;
-    auto got = ReadEdgeListPipelined(PathStr(), interner, /*left=*/19,
-                                     options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(FingerprintGraph(*got), golden) << "workers=" << workers;
-    EXPECT_EQ(FingerprintInterner(interner),
-              FingerprintInterner(serial_interner));
-  }
-}
 
 TEST_F(PipelineTest, SignatureSetMatchesSerialIncludingEmptyMarkers) {
   std::string corpus;
@@ -521,42 +430,6 @@ TEST_F(PipelineTest, NetflowCorruptStreamMatchesSerialQuarantine) {
       EXPECT_EQ(FingerprintErrorLog(log), golden_log)
           << "workers=" << workers << " chunk=" << chunk_bytes;
     }
-  }
-}
-
-TEST_F(PipelineTest, NetflowMonotonicHeaderRejectionsMatchSerial) {
-  std::vector<NetflowV5Record> flows = MakeFlows(300);
-  // Force export-time regressions between packets (25 records per time
-  // step, 30 per packet -> some packets regress).
-  for (size_t i = 100; i < 150; ++i) flows[i].unix_secs = 900;
-  WriteFile("");  // placeholder so TearDown removes the path
-  ASSERT_TRUE(WriteNetflowV5File(flows, PathStr()).ok());
-
-  IngestOptions ingest;
-  ingest.policy = ErrorPolicy::kSkip;
-  ingest.require_monotonic_time = true;
-  RecordErrorLog serial_log;
-  ingest.error_log = &serial_log;
-  Interner serial_interner;
-  auto serial = ref::ReadNetflow(PathStr(), serial_interner, ingest);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_GT(serial_log.total(), 0u);
-
-  for (int workers : kWorkerCounts) {
-    Interner interner;
-    RecordErrorLog log;
-    PipelineOptions options;
-    options.parse_workers = workers;
-    options.chunk_bytes = 1024;
-    options.ingest.policy = ErrorPolicy::kSkip;
-    options.ingest.require_monotonic_time = true;
-    options.ingest.error_log = &log;
-    auto got = ReadTraceEventsPipelined(
-        PathStr(), PipelineFormat::kNetflowV5, interner, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(FingerprintEvents(*got, interner),
-              FingerprintEvents(*serial, serial_interner));
-    EXPECT_EQ(FingerprintErrorLog(log), FingerprintErrorLog(serial_log));
   }
 }
 

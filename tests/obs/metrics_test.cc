@@ -210,7 +210,6 @@ TEST(MetricsRegistryTest, PreRegisterCoreMetricsGuaranteesStableKeys) {
   PreRegisterCoreMetrics();
   std::string json = MetricsRegistry::Global().ToJson();
   EXPECT_NE(json.find("rwr/iterations"), std::string::npos);
-  EXPECT_NE(json.find("threadpool/tasks_executed"), std::string::npos);
   EXPECT_NE(json.find("distance/evaluations"), std::string::npos);
   EXPECT_NE(json.find("timeline/nodes_dirty"), std::string::npos);
   EXPECT_NE(json.find("timeline/nodes_reused"), std::string::npos);

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "graph/graph_builder.h"
 #include "ingest/record_decode.h"
 
 namespace commsig::ref {
@@ -75,8 +74,6 @@ Result<std::vector<TraceEvent>> ReadTrace(const std::string& path,
   std::vector<TraceEvent> events;
   std::vector<std::string> row;
   uint64_t errors = 0;
-  uint64_t last_time = 0;
-  bool have_last_time = false;
   while (reader.Next(row)) {
     // Validation happens fully before interning: a rejected row must not
     // grow the node universe.
@@ -84,23 +81,13 @@ Result<std::vector<TraceEvent>> ReadTrace(const std::string& path,
     const size_t count = FieldViews(row, fields);
     ingest::TraceRow decoded;
     ingest::RowReject reject;
-    bool bad = !ingest::DecodeTraceRow(fields, count, decoded, reject);
-    if (!bad && options.require_monotonic_time && have_last_time &&
-        decoded.time < last_time) {
-      bad = true;
-      reject.reason = RecordErrorReason::kTimestampRegression;
-      reject.detail = "time " + std::string(decoded.time_text) +
-                      " precedes " + std::to_string(last_time);
-    }
-    if (bad) {
+    if (!ingest::DecodeTraceRow(fields, count, decoded, reject)) {
       Status s = robust_internal::HandleBadRecord(
           options, &errors, reject.reason, reader.line_number(),
           std::move(reject.detail), /*invalid_argument_on_fail=*/true);
       if (!s.ok()) return s;
       continue;
     }
-    last_time = decoded.time;
-    have_last_time = true;
     events.push_back({interner.Intern(decoded.src),
                       interner.Intern(decoded.dst), decoded.time,
                       decoded.weight});
@@ -132,8 +119,6 @@ Result<std::vector<TraceEvent>> ReadNetflow(const std::string& path,
 
   std::vector<TraceEvent> events;
   uint64_t errors = 0;
-  uint32_t last_secs = 0;
-  bool have_last_secs = false;
   size_t offset = 0;
   while (offset < size) {
     if (size - offset < kHeaderBytes) {
@@ -164,16 +149,6 @@ Result<std::vector<TraceEvent>> ReadNetflow(const std::string& path,
       continue;
     }
     const size_t body = offset + kHeaderBytes;
-    if (options.require_monotonic_time && have_last_secs &&
-        unix_secs < last_secs) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, RecordErrorReason::kTimestampRegression, offset,
-          "export time " + std::to_string(unix_secs) + " precedes " +
-              std::to_string(last_secs));
-      if (!s.ok()) return s;
-      offset = std::min(size, body + count * kRecordBytes);
-      continue;
-    }
     // Whole records present in the buffer; a short final packet salvages
     // these and reports the cut as truncation.
     const size_t whole =
@@ -194,42 +169,9 @@ Result<std::vector<TraceEvent>> ReadNetflow(const std::string& path,
       if (!s.ok()) return s;
       break;
     }
-    have_last_secs = true;
-    last_secs = unix_secs;
     offset = body + count * kRecordBytes;
   }
   return events;
-}
-
-Result<CommGraph> ReadEdgeList(const std::string& path, Interner& interner,
-                               NodeId bipartite_left_size,
-                               const IngestOptions& options) {
-  CsvReader reader(path);
-  if (!reader.status().ok()) return reader.status();
-  std::vector<CommGraph::FlatEdge> edges;
-  std::vector<std::string> row;
-  uint64_t errors = 0;
-  while (reader.Next(row)) {
-    std::string_view fields[3];
-    const size_t count = FieldViews(row, fields);
-    ingest::EdgeRow decoded;
-    ingest::RowReject reject;
-    if (!ingest::DecodeEdgeRow(fields, count, decoded, reject)) {
-      Status s = robust_internal::HandleBadRecord(
-          options, &errors, reject.reason, reader.line_number(),
-          std::move(reject.detail), /*invalid_argument_on_fail=*/true);
-      if (!s.ok()) return s;
-      continue;
-    }
-    edges.push_back({interner.Intern(decoded.src),
-                     interner.Intern(decoded.dst), decoded.weight});
-  }
-  GraphBuilder builder(interner.size());
-  builder.SetBipartiteLeftSize(bipartite_left_size);
-  for (const CommGraph::FlatEdge& e : edges) {
-    builder.AddEdge(e.src, e.dst, e.weight);
-  }
-  return std::move(builder).Build();
 }
 
 Result<SignatureSet> ReadSignatureSet(const std::string& path,

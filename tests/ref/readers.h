@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "core/signature_io.h"
 #include "data/netflow.h"
-#include "graph/comm_graph.h"
 #include "graph/windower.h"
 #include "ingest/pipeline.h"
 #include "robust/record_errors.h"
@@ -63,11 +62,6 @@ Result<std::vector<TraceEvent>> ReadTrace(const std::string& path,
 Result<std::vector<TraceEvent>> ReadNetflow(
     const std::string& path, Interner& interner,
     const IngestOptions& options = {}, const NetflowReadOptions& netflow = {});
-
-/// Edge-list CSV rows `src,dst,weight` (ingest::ReadEdgeListPipelined).
-Result<CommGraph> ReadEdgeList(const std::string& path, Interner& interner,
-                               NodeId bipartite_left_size = 0,
-                               const IngestOptions& options = {});
 
 /// Signature-set CSV rows `owner,member,weight`
 /// (ingest::ReadSignatureSetPipelined).

@@ -1,11 +1,9 @@
 #include "robust/fault_injector.h"
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,57 +110,6 @@ TEST(FaultInjectorTest, ReportToStringNamesEveryCounter) {
   std::string s = injector.report().ToString();
   EXPECT_NE(s.find("dropped="), std::string::npos);
   EXPECT_NE(s.find("swapped="), std::string::npos);
-}
-
-class FaultInjectorFileTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("commsig_faultfile_" + std::to_string(::getpid()) + ".bin");
-    std::ofstream out(path_, std::ios::binary);
-    content_.assign(4096, 'A');
-    out.write(content_.data(), static_cast<std::streamsize>(content_.size()));
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  std::filesystem::path path_;
-  std::string content_;
-};
-
-TEST_F(FaultInjectorFileTest, CorruptFileBitsChangesContent) {
-  FaultInjector::Options opts;
-  opts.seed = 11;
-  FaultInjector injector(opts);
-  ASSERT_TRUE(injector.CorruptFileBits(path_.string(), 8).ok());
-  std::ifstream in(path_, std::ios::binary);
-  std::string after((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_EQ(after.size(), content_.size());  // flips, not truncation
-  EXPECT_NE(after, content_);
-  size_t changed = 0;
-  for (size_t i = 0; i < after.size(); ++i) {
-    if (after[i] != content_[i]) ++changed;
-  }
-  EXPECT_LE(changed, 8u);  // at most one byte per flip
-  EXPECT_GE(changed, 1u);
-}
-
-TEST_F(FaultInjectorFileTest, TruncateShortensFile) {
-  FaultInjector::Options opts;
-  opts.seed = 11;
-  FaultInjector injector(opts);
-  uint64_t new_size = 0;
-  ASSERT_TRUE(injector.TruncateFileRandomly(path_.string(), &new_size).ok());
-  EXPECT_LT(new_size, content_.size());
-  EXPECT_EQ(std::filesystem::file_size(path_), new_size);
-}
-
-TEST_F(FaultInjectorFileTest, MissingFileIsIOError) {
-  FaultInjector injector(FaultInjector::Options{});
-  EXPECT_TRUE(
-      injector.CorruptFileBits("/no/such/file.bin", 1).IsIOError());
-  EXPECT_TRUE(
-      injector.TruncateFileRandomly("/no/such/file.bin").IsIOError());
 }
 
 }  // namespace

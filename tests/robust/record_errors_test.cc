@@ -17,8 +17,8 @@ TEST(RecordErrorReasonNameTest, StableNames) {
   EXPECT_EQ(RecordErrorReasonName(RecordErrorReason::kTruncated),
             "truncated");
   EXPECT_EQ(RecordErrorReasonName(RecordErrorReason::kBadMagic), "bad_magic");
-  EXPECT_EQ(RecordErrorReasonName(RecordErrorReason::kTimestampRegression),
-            "timestamp_regression");
+  EXPECT_EQ(RecordErrorReasonName(RecordErrorReason::kNonFiniteWeight),
+            "non_finite_weight");
 }
 
 TEST(RecordErrorLogTest, CountsPerReasonAndTotal) {

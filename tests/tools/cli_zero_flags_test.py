@@ -17,7 +17,9 @@ lists every flag the CLI has ever accepted, each numeric row rejects one
 value below its minimum and one above its maximum, and misspelled flags
 or flags a subcommand does not read are rejected instead of ignored.
 `--failpoints` accepts every site docs/obs_schema.json lists and rejects
-any other site name.
+any other site name.  `--threads` gives the same output at every worker
+count, and a trace whose windows would not fit in memory exits 1 before
+the split instead of aborting.
 
 Usage: cli_zero_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
@@ -25,6 +27,7 @@ Usage: cli_zero_flags_test.py <path-to-commsig-binary>
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -88,14 +91,20 @@ class ZeroFlagsTest(unittest.TestCase):
     def tearDownClass(cls):
         cls.tmp.cleanup()
 
-    def run_cli(self, command, *flags):
+    def run_cli(self, command, *flags, trace=None):
         if command == "chaoscheck":
             # Keeps a binary that does run the trials quick and inside tmp.
             flags += ("--trials", "1",
                       "--chaos-dir", os.path.join(self.tmp.name, "chaos"))
         return subprocess.run(
-            [COMMSIG, command, "--trace", self.trace, *flags],
+            [COMMSIG, command, "--trace", trace or self.trace, *flags],
             capture_output=True, text=True, timeout=120)
+
+    def write_trace(self, name, rows):
+        path = os.path.join(self.tmp.name, name)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(rows) + "\n")
+        return path
 
     def assert_rejected(self, proc, flag):
         self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
@@ -252,12 +261,44 @@ class ZeroFlagsTest(unittest.TestCase):
     def test_threads_at_cap_runs(self):
         bounds = {name: kind for name, kind, *_ in self.usage_rows()}
         cap = NUMERIC.match(bounds["threads"]).group(4)
-        one = self.run_cli("signatures", "--threads", "1",
-                           "--window-length", "1000")
-        capped = self.run_cli("signatures", "--threads", cap,
-                              "--window-length", "1000")
-        self.assertEqual(capped.returncode, 0, capped.stderr)
-        self.assertEqual(capped.stdout, one.stdout)
+        # The 4-host fixture is one 16-source chunk, so only one worker
+        # runs; 50 sources make four chunks.
+        rng = random.Random(7)
+        rows, t = [], 0
+        for _ in range(3000):
+            t += rng.randint(1, 5)
+            src = rng.randint(0, 49)
+            dst = (src * 7 + rng.choice([1, 1, 1, 2, 3])) % 60
+            rows.append(f"h{src},p{dst},{t},{rng.random() * 9 + 1:.3f}")
+        wide = self.write_trace("wide.csv", rows)
+        for trace, scheme, hosts in ((self.trace, "tt", 4),
+                                     (wide, "rwr(c=0.1)", 50)):
+            runs = {threads: self.run_cli(
+                        "signatures", "--threads", threads, "--scheme",
+                        scheme, "--window-length", "100000", trace=trace)
+                    for threads in ("1", "3", cap)}
+            self.assertEqual(len(runs["1"].stdout.splitlines()), hosts)
+            for threads, proc in runs.items():
+                with self.subTest(scheme=scheme, threads=threads):
+                    self.assertEqual(proc.returncode, 0, proc.stderr)
+                    self.assertEqual(proc.stdout, runs["1"].stdout)
+
+    def test_far_future_timestamp_exits_before_split(self):
+        # One-day windows up to t = 10^18 are ~1.2e13 windows, and one-unit
+        # windows up to t = 2^64 - 1 are 2^64: the split must be refused,
+        # not die in bad_alloc or wrap its window count.
+        for time, window_length in (("1000000000000000000", "86400"),
+                                    ("18446744073709551615", "1")):
+            trace = self.write_trace(
+                "far_future.csv", ["a,b,100,1.0", f"a,c,{time},1.0"])
+            for command in WINDOW_COMMANDS:
+                with self.subTest(command=command, time=time):
+                    proc = self.run_cli(command, "--window-length",
+                                        window_length, trace=trace)
+                    self.assertEqual(proc.returncode, 1,
+                                     proc.stdout + proc.stderr)
+                    self.assertIn("too_many_windows", proc.stderr)
+                    self.assertEqual(proc.stdout, "")
 
 def main() -> int:
     global COMMSIG

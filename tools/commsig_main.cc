@@ -30,7 +30,6 @@
 #include "apps/multiusage.h"
 #include "common/check.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/distance.h"
 #include "core/parallel.h"
 #include "core/scheme.h"
@@ -603,13 +602,36 @@ std::vector<NodeId> FocalFromWindows(size_t num_nodes,
   return focal;
 }
 
+/// A window graph holds six arrays of n + 1 8-byte entries over the node
+/// universe (out/in CSR offsets, weight sums and row digests), about 48 B
+/// per node before any edge, and a split builds every window from 0 through
+/// the last event's. 2^30 node-windows is 48 GiB of those arrays alone, past
+/// the memory of the hosts this tool runs on, so a larger split is refused
+/// up front instead of dying in bad_alloc.
+constexpr uint64_t kMaxWindowNodes = uint64_t{1} << 30;
+
+/// False, after logging, when splitting `events` over `num_nodes` nodes at
+/// `stride` would build more than kMaxWindowNodes window nodes.
+bool WindowsFit(const std::vector<TraceEvent>& events, size_t num_nodes,
+                uint64_t stride) {
+  uint64_t last = 0;
+  for (const TraceEvent& e : events) last = std::max(last, e.time);
+  // Windows 0 through the last event's; the max saturates a wrapped + 1.
+  const uint64_t windows = std::max(last / stride, last / stride + 1);
+  if (num_nodes == 0 || windows <= kMaxWindowNodes / num_nodes) return true;
+  obs::LogError("too_many_windows")
+      .U64("windows", windows)
+      .U64("nodes", num_nodes);
+  return false;
+}
+
 /// Everything loaded from the trace that the subcommands share, and the
 /// --scheme signatures of --window (s0) and --window2 (s1).
 struct Workspace {
   Interner interner;
   std::vector<CommGraph> windows;
   std::vector<NodeId> focal;  // nodes with outgoing traffic in any window
-  std::unique_ptr<ThreadPool> pool = std::make_unique<ThreadPool>(1);
+  size_t threads = 1;  // --threads
   std::unique_ptr<SignatureScheme> scheme;
   size_t w0 = 0, w1 = 0;
   std::vector<Signature> s0, s1;
@@ -628,8 +650,8 @@ struct Workspace {
       }
     }
     scheme = SchemeFor(args);
-    s0 = ComputeAllParallel(*scheme, windows[w0], focal, *pool);
-    if (two) s1 = ComputeAllParallel(*scheme, windows[w1], focal, *pool);
+    s0 = ComputeAllParallel(*scheme, windows[w0], focal, threads);
+    if (two) s1 = ComputeAllParallel(*scheme, windows[w1], focal, threads);
     return true;
   }
 };
@@ -637,7 +659,9 @@ struct Workspace {
 bool Load(const Args& args, Workspace& ws) {
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, ws.interner, events)) return false;
-  TraceWindower windower(ws.interner.size(), args.Uint("window-length"));
+  const uint64_t window_length = args.Uint("window-length");
+  if (!WindowsFit(events, ws.interner.size(), window_length)) return false;
+  TraceWindower windower(ws.interner.size(), window_length);
   const uint64_t build_start_us = NowMicros();
   ws.windows = windower.Split(events);
   obs::WindowStatsAggregator::Global().RecordSetupStage(
@@ -660,8 +684,7 @@ bool Load(const Args& args, Workspace& ws) {
     ws.windows = std::move(decayed);
   }
   ws.focal = FocalFromWindows(ws.interner.size(), ws.windows);
-  const size_t threads = args.Uint("threads");
-  if (threads > 1) ws.pool = std::make_unique<ThreadPool>(threads);
+  ws.threads = args.Uint("threads");
   obs::LogInfo("trace_loaded")
       .U64("events", events.size())
       .U64("nodes", ws.interner.size())
@@ -997,7 +1020,12 @@ int RunFaultcheck(const Args& args) {
   obs::LogInfo("faults_injected")
       .Str("report", injector.report().ToString());
 
-  TraceWindower windower(interner.size(), args.Uint("window-length"));
+  const uint64_t window_length = args.Uint("window-length");
+  if (!WindowsFit(events, interner.size(), window_length) ||
+      !WindowsFit(perturbed, interner.size(), window_length)) {
+    return 1;
+  }
+  TraceWindower windower(interner.size(), window_length);
   std::vector<CommGraph> clean = windower.Split(events);
   std::vector<CommGraph> dirty = windower.Split(perturbed);
   if (clean.empty() || dirty.empty()) {
@@ -1041,6 +1069,7 @@ int RunTimeline(const Args& args) {
   const uint64_t window_length = args.Uint("window-length");
   const uint64_t stride =
       args.Given("stride") ? args.Uint("stride") : window_length;
+  if (!WindowsFit(events, interner.size(), stride)) return 1;
   TraceWindower windower(interner.size(), window_length);
   const uint64_t split_begin_us = NowMicros();
   std::vector<CommGraph> windows = windower.SplitSliding(events, stride);
