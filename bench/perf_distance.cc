@@ -1,6 +1,6 @@
 // Microbenchmarks: distance-function evaluation cost per kind and
-// signature length — the inner loop of every application (uniqueness
-// scans are O(n^2) distance evaluations).
+// signature length — the inner loop of every application — and the
+// threshold join that multiusage detection runs over one window.
 //
 // BM_Distance times one pair per kind at the signature lengths k in
 // {3, 10, 50, 200}; k = 3 and k = 10 are the paper's query-log and flow
@@ -13,12 +13,23 @@
 // which merge at 1:1 and gallop at 1:16 and 1:256); main() derives the
 // in-run `distance/<kind>_speedup` gauges that
 // bench/baselines/BENCH_distance.baseline.json guards in CI.
+//
+// BM_ThresholdJoin runs the signature index's threshold join (t = 0.5) on
+// a flow window's TT signatures against the brute-force join of
+// tests/ref/, for the paper's four kinds; main() derives
+// `distance/join_<kind>_speedup`, and each index row sets
+// `distance/join_<kind>_candidates_count`, the pairs it scored.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_registry.h"
 #include "common/random.h"
 #include "core/distance.h"
+#include "core/signature_index.h"
+#include "core/top_talkers.h"
+#include "data/flow_generator.h"
+#include "obs/metrics.h"
+#include "ref/all_pairs.h"
 #include "ref/distance.h"
 
 namespace commsig {
@@ -121,26 +132,58 @@ BENCHMARK(BM_PairwiseDistances)
     ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}, {0, 1}})
     ->ArgNames({"kind", "skew", "impl"});
 
-void BM_PairwiseUniquenessScan(benchmark::State& state) {
-  // n signatures, full O(n^2) scan — the multiusage hot path.
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Signature> sigs;
-  for (size_t i = 0; i < n; ++i) {
-    sigs.push_back(MakePair(10, i).first);
-  }
-  const SignatureDistance dist(DistanceKind::kScaledHellinger);
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        sum += dist(sigs[i], sigs[j]);
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * n * (n - 1) / 2);
+// --- threshold join ---------------------------------------------------------
+
+// One flow window's TT signatures (300 hosts, k = 10, seed 42): the
+// multiusage sweep's input at the paper's flow scale, 44 850 pairs.
+const std::vector<Signature>& FlowWindowTt() {
+  static const std::vector<Signature>* sigs = [] {
+    FlowGeneratorConfig cfg;
+    cfg.num_local_hosts = 300;
+    cfg.num_external_hosts = 20000;
+    cfg.num_windows = 1;
+    cfg.seed = 42;
+    const FlowDataset ds = FlowTraceGenerator(cfg).Generate();
+    TopTalkersScheme tt({.k = 10, .restrict_to_opposite_partition = true});
+    return new std::vector<Signature>(
+        tt.ComputeAll(ds.Windows()[0], ds.local_hosts));
+  }();
+  return *sigs;
 }
-BENCHMARK(BM_PairwiseUniquenessScan)->Arg(100)->Arg(300)->ArgNames({"n"});
+
+constexpr double kJoinThreshold = 0.5;
+
+// args: kind (paper lineup, 0..3), impl (0 = ref::ThresholdJoin, the
+// brute-force sweep of tests/ref/; 1 = SignatureIndex, built inside the
+// timed loop as MultiusageDetector builds it per call). The index rows
+// publish the pairs they hand to the kernel as
+// distance/join_<kind>_candidates_count, a deterministic work count.
+void BM_ThresholdJoin(benchmark::State& state) {
+  const DistanceKind kind = static_cast<DistanceKind>(state.range(0));
+  const bool indexed = state.range(1) == 1;
+  const std::vector<Signature>& sigs = FlowWindowTt();
+  const SignatureDistance dist(kind);
+  size_t found = 0, scored = 0;
+  for (auto _ : state) {
+    found = indexed ? SignatureIndex(sigs)
+                          .ThresholdJoin(dist, kJoinThreshold, &scored)
+                          .size()
+                    : ref::ThresholdJoin(sigs, dist, kJoinThreshold).size();
+    benchmark::DoNotOptimize(found);
+  }
+  if (indexed) {
+    obs::MetricsRegistry::Global()
+        .GetGauge("distance/join_" + std::string(DistanceName(kind)) +
+                  "_candidates_count")
+        .Set(static_cast<double>(scored));
+  }
+  state.counters["pairs_found"] = static_cast<double>(found);
+  state.SetLabel(std::string(DistanceName(kind)) +
+                 (indexed ? " index" : " brute force"));
+}
+BENCHMARK(BM_ThresholdJoin)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgNames({"kind", "impl"});
 
 }  // namespace
 }  // namespace commsig
@@ -177,6 +220,20 @@ int main(int argc, char** argv) {
           commsig::DistanceName(static_cast<commsig::DistanceKind>(kind));
       reg.GetGauge("distance/" + std::string(name) + "_speedup")
           .Set(ratio_sum / ratios);
+    }
+  }
+  // Threshold join: brute-force sweep time over index time, per kind.
+  for (int kind = 0; kind < 4; ++kind) {
+    const std::string base =
+        "bench/BM_ThresholdJoin/kind:" + std::to_string(kind);
+    const double brute = reg.GetGauge(base + "/impl:0/real_time_ns").Value();
+    const double indexed =
+        reg.GetGauge(base + "/impl:1/real_time_ns").Value();
+    if (brute > 0.0 && indexed > 0.0) {
+      const auto name =
+          commsig::DistanceName(static_cast<commsig::DistanceKind>(kind));
+      reg.GetGauge("distance/join_" + std::string(name) + "_speedup")
+          .Set(brute / indexed);
     }
   }
   commsig::bench::WriteBenchSnapshot("distance");

@@ -6,6 +6,7 @@
 
 #include "common/assignment.h"
 #include "common/random.h"
+#include "core/signature_index.h"
 #include "graph/graph_builder.h"
 
 namespace commsig {
@@ -61,13 +62,16 @@ std::vector<Identification> Deanonymizer::Identify(
     double second_dist = std::numeric_limits<double>::infinity();
   };
   std::vector<Candidate> candidates(n);
-  // Full distance matrix, kept for the one-to-one pass.
+  // Full distance matrix, kept for the one-to-one pass. The kernel runs
+  // only on pairs that share a member; every other entry is exactly 1.0.
   std::vector<double> matrix(n * m);
+  const SignatureIndex index(anonymous);
   for (size_t i = 0; i < n; ++i) {
+    index.DistanceRow(reference[i], dist_, 0,
+                      std::span(matrix).subspan(i * m, m));
     Candidate& c = candidates[i];
     for (size_t j = 0; j < m; ++j) {
-      double d = dist_(reference[i], anonymous[j]);
-      matrix[i * m + j] = d;
+      const double d = matrix[i * m + j];
       if (d < c.best_dist) {
         c.second_dist = c.best_dist;
         c.best_dist = d;

@@ -2,9 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdint>
+#include <optional>
 #include <unordered_set>
 
+#include "core/signature_index.h"
+
 namespace commsig {
+
+namespace {
+
+/// Appends (0.0, u) for the first `limit` indices u < n, ascending, that
+/// are neither v nor in `near` (ascending).
+void AppendZeroRanks(std::span<const uint32_t> near, size_t v, size_t n,
+                     size_t limit,
+                     std::vector<std::pair<double, size_t>>& ranked) {
+  size_t c = 0;
+  for (size_t u = 0; u < n && limit > 0; ++u) {
+    if (c < near.size() && near[c] == u) {
+      ++c;
+    } else if (u != v) {
+      ranked.emplace_back(0.0, u);
+      --limit;
+    }
+  }
+}
+
+}  // namespace
 
 MasqueradeDetection MasqueradeDetector::Detect(
     std::span<const NodeId> nodes, std::span<const Signature> sigs_t,
@@ -25,19 +50,35 @@ MasqueradeDetection MasqueradeDetector::Detect(
                   ? options_.fixed_delta
                   : sum / (options_.delta_divisor * static_cast<double>(n));
 
+  std::optional<SignatureIndex> index;  // built at the first suspect
+  std::vector<uint32_t> near;
+  std::vector<std::pair<double, size_t>> ranked;  // (A[v,u], u index)
   for (size_t v = 0; v < n; ++v) {
     if (self_persistence[v] > out.delta) {
       out.non_suspects.push_back(nodes[v]);  // Step 3-4
       continue;
     }
     // Step 6: cross persistences A[v,u] = 1 − Dist(σ_t(v), σ_{t+1}(u)).
-    std::vector<std::pair<double, size_t>> ranked;  // (A[v,u], u index)
-    ranked.reserve(n - 1);
-    for (size_t u = 0; u < n; ++u) {
+    if (!index) index.emplace(sigs_t1);
+    index->Candidates(sigs_t[v], 0, near);
+    ranked.clear();
+    bool nan = false;
+    for (uint32_t u : near) {
       if (u == v) continue;
       ranked.emplace_back(1.0 - dist_(sigs_t[v], sigs_t1[u]), u);
+      nan = nan || std::isnan(ranked.back().first);
     }
-    const size_t ell = std::min(options_.top_ell, ranked.size());
+    // Every other u is at Dist 1.0, so A[v,u] = 0, and among equal A the
+    // lower index ranks first: only the ℓ lowest such u can reach the top
+    // ℓ. A NaN breaks that order, so such a row ranks every u in index
+    // order, exactly as a full sweep would.
+    const size_t ell = std::min(options_.top_ell, n - 1);
+    AppendZeroRanks(near, v, n, nan ? n : ell, ranked);
+    if (nan) {
+      std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+        return a.second < b.second;
+      });
+    }
     std::partial_sort(ranked.begin(), ranked.begin() + ell, ranked.end(),
                       [](const auto& a, const auto& b) {
                         if (a.first != b.first) return a.first > b.first;

@@ -30,7 +30,9 @@ struct MasqueradeDetection {
 /// A[v,v] = 1 − Dist(σ_t(v), σ_{t+1}(v)) exceeds δ is cleared; otherwise v
 /// is matched against every u: if some u ≠ v ranks among v's top-ℓ by cross
 /// persistence A[v,u] and u itself also looks non-persistent (A[u,u] ≤ δ),
-/// the pair (v, u) is reported.
+/// the pair (v, u) is reported. The ranking runs the kernel only on the u
+/// whose σ_{t+1}(u) shares a member with σ_t(v) (core/signature_index.h);
+/// every other u has A[v,u] = 0 and ranks by ascending index among those.
 ///
 /// δ defaults to the paper's choice: the mean self-persistence divided by
 /// `delta_divisor` (the paper's c, evaluated at 3, 5, 7).

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/signature_index.h"
+
 namespace commsig {
 
 std::vector<MultiusagePair> MultiusageDetector::Detect(
     std::span<const NodeId> nodes, std::span<const Signature> sigs) const {
   assert(nodes.size() == sigs.size());
   std::vector<MultiusagePair> pairs;
-  for (size_t i = 0; i < sigs.size(); ++i) {
-    for (size_t j = i + 1; j < sigs.size(); ++j) {
-      double d = dist_(sigs[i], sigs[j]);
-      if (d <= options_.threshold) {
-        pairs.push_back({nodes[i], nodes[j], d});
-      }
-    }
+  for (const SignatureIndex::Pair& p :
+       SignatureIndex(sigs).ThresholdJoin(dist_, options_.threshold)) {
+    pairs.push_back({nodes[p.i], nodes[p.j], p.distance});
   }
   std::sort(pairs.begin(), pairs.end(),
             [](const MultiusagePair& x, const MultiusagePair& y) {

@@ -37,9 +37,11 @@ class MultiusageDetector {
   MultiusageDetector(SignatureDistance dist, Options options)
       : dist_(dist), options_(options) {}
 
-  /// `nodes[i]` is the label whose signature is `sigs[i]`. O(n²) pairwise;
-  /// for large candidate sets use the LSH-accelerated path in
-  /// lsh/lsh_index.h to pre-filter pairs.
+  /// `nodes[i]` is the label whose signature is `sigs[i]`. Exact: the
+  /// threshold join of core/signature_index.h scores only the pairs that
+  /// can sit within the threshold, and pairs come out as (nodes[i],
+  /// nodes[j]) with i < j, sorted by (distance, a, b), then capped. For an
+  /// approximate, sublinear candidate filter use ScalableMultiusageDetector.
   std::vector<MultiusagePair> Detect(std::span<const NodeId> nodes,
                                      std::span<const Signature> sigs) const;
 

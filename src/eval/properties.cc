@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "common/random.h"
+#include "core/signature_index.h"
 
 namespace commsig {
 
@@ -27,11 +28,15 @@ std::vector<double> UniquenessValues(std::span<const Signature> sigs,
   const size_t total_pairs = n * (n - 1) / 2;
 
   if (max_pairs == 0 || total_pairs <= max_pairs) {
-    values.reserve(total_pairs);
-    for (size_t v = 0; v < n; ++v) {
-      for (size_t u = v + 1; u < n; ++u) {
-        values.push_back(dist(sigs[v], sigs[u]));
-      }
+    // Row v holds (v, u) for u > v; the index runs the kernel only on the
+    // pairs whose distance is not exactly 1.0.
+    values.resize(total_pairs);
+    const SignatureIndex index(sigs);
+    size_t row = 0;
+    for (size_t v = 0; v + 1 < n; ++v) {
+      index.DistanceRow(sigs[v], dist, v + 1,
+                        std::span(values).subspan(row, n - v - 1));
+      row += n - v - 1;
     }
     return values;
   }
@@ -75,14 +80,14 @@ std::vector<RocResult> SelfMatchRoc(std::span<const Signature> sigs_t,
   const size_t n = sigs_t.size();
   std::vector<RocResult> results;
   results.reserve(n);
+  const SignatureIndex index(sigs_t1);
   std::vector<double> scores(n);
-  std::vector<bool> relevant(n);
+  std::vector<bool> relevant(n, false);
   for (size_t v = 0; v < n; ++v) {
-    for (size_t u = 0; u < n; ++u) {
-      scores[u] = dist(sigs_t[v], sigs_t1[u]);
-      relevant[u] = (u == v);
-    }
+    index.DistanceRow(sigs_t[v], dist, 0, scores);
+    relevant[v] = true;
     results.push_back(ComputeRoc(scores, relevant));
+    relevant[v] = false;
   }
   return results;
 }
@@ -97,8 +102,11 @@ std::vector<RocResult> SetMatchRoc(
   assert(queries.size() == relevant_sets.size());
   std::vector<RocResult> results;
   results.reserve(queries.size());
+  const SignatureIndex index(candidates);
+  std::vector<double> row(candidates.size());
 
   for (size_t q = 0; q < queries.size(); ++q) {
+    index.DistanceRow(queries[q], dist, 0, row);
     std::vector<double> scores;
     std::vector<bool> relevant;
     scores.reserve(candidates.size());
@@ -110,7 +118,7 @@ std::vector<RocResult> SetMatchRoc(
     }
     for (size_t u = 0; u < candidates.size(); ++u) {
       if (exclude_self && u == query_indices[q]) continue;
-      scores.push_back(dist(queries[q], candidates[u]));
+      scores.push_back(row[u]);
       relevant.push_back(is_relevant[u]);
     }
     results.push_back(ComputeRoc(scores, relevant));

@@ -21,9 +21,11 @@ std::vector<double> PersistenceValues(std::span<const Signature> sigs_t,
                                       SignatureDistance dist);
 
 /// Pairwise uniqueness values Dist(σ_t(v), σ_t(u)) over unordered focal
-/// pairs v != u within one window. If `max_pairs` > 0 and the number of
-/// pairs exceeds it, a uniform random sample of that many pairs is used
-/// (deterministic under `seed`).
+/// pairs v != u within one window, in (v, u) order with v < u. If
+/// `max_pairs` > 0 and the number of pairs exceeds it, a uniform random
+/// sample of that many pairs is used (deterministic under `seed`).
+/// Otherwise the kernel runs only on pairs that share a member
+/// (core/signature_index.h); every other value is exactly 1.0.
 std::vector<double> UniquenessValues(std::span<const Signature> sigs,
                                      SignatureDistance dist,
                                      size_t max_pairs = 0, uint64_t seed = 1);

@@ -37,12 +37,18 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
     return static_cast<size_t>((d - window_length_) / stride + 1);
   };
 
+  // An event in window SIZE_MAX (offset 2^64 - 1 at stride 1) would need
+  // SIZE_MAX + 1 windows, which wraps to 0: it is dropped and counted like
+  // a corrupt one.
+  constexpr size_t kNoWindow = static_cast<size_t>(-1);
+
   size_t num_windows = 0;
   std::vector<size_t> window_counts;
   for (const TraceEvent& e : events) {
     if (e.time < start_time_) continue;
     const uint64_t d = e.time - start_time_;
     const size_t hi = static_cast<size_t>(d / stride);
+    if (hi == kNoWindow) continue;
     if (hi + 1 > num_windows) {
       num_windows = hi + 1;
       window_counts.resize(num_windows, 0);
@@ -65,7 +71,7 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
     const size_t hi = static_cast<size_t>(d / stride);
     // Validate once per event, not once per covering window, so a corrupt
     // record counts as one drop regardless of overlap.
-    bool ok = true;
+    bool ok = hi != kNoWindow;
     for (size_t w = first_window(d); w <= hi && ok; ++w) {
       ok = builders[w].TryAddEdge(e.src, e.dst, e.weight);
       if (ok) ++events_per_window[w];

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "obs/metrics.h"
+
 namespace commsig {
 namespace {
 
@@ -116,6 +120,23 @@ TEST(TraceWindowerTest, SlidingClampsZeroStride) {
   auto graphs = w.SplitSliding(events, 0);
   ASSERT_EQ(graphs.size(), 4u);  // windows starting at 0..3 contain t=3
   for (const auto& g : graphs) EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1), 1.0);
+}
+
+TEST(TraceWindowerTest, LastRepresentableTimeIsDroppedNotWrapped) {
+  // Window index 2^64 - 1 would need 2^64 windows; the count wrapped to 0
+  // and the split wrote past an empty vector.
+  TraceWindower w(2, /*window_length=*/1);
+  const std::vector<TraceEvent> events = {
+      {0, 1, std::numeric_limits<uint64_t>::max(), 1.0}};
+#ifndef COMMSIG_OBS_DISABLED
+  obs::Counter& dropped = obs::MetricsRegistry::Global().GetCounter(
+      "robust/windower_dropped_events");
+  const uint64_t before = dropped.Value();
+#endif
+  EXPECT_TRUE(w.Split(events).empty());
+#ifndef COMMSIG_OBS_DISABLED
+  EXPECT_EQ(dropped.Value() - before, 1u);
+#endif
 }
 
 TEST(TraceWindowerTest, BipartitePropagatesToEveryWindow) {

@@ -300,6 +300,22 @@ class ZeroFlagsTest(unittest.TestCase):
                     self.assertIn("too_many_windows", proc.stderr)
                     self.assertEqual(proc.stdout, "")
 
+    def test_unix_time_trace_starts_at_its_first_window(self):
+        # Windows used to count from t = 0, so these three rows landed in
+        # window 19675 of 19676 and `--window 0` was empty.
+        trace = self.write_trace("unix_time.csv", [
+            "alice,bob,1700000000,3.0",
+            "alice,carol,1700000100,2.0",
+            "bob,carol,1700000200,1.5",
+        ])
+        proc = self.run_cli("signatures", trace=trace)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn('"windows":1,', proc.stderr)
+        labels = sorted(line.split("\t")[0]
+                        for line in proc.stdout.splitlines())
+        self.assertEqual(labels, ["alice", "bob"])
+
+
 def main() -> int:
     global COMMSIG
     if len(sys.argv) < 2 or not os.path.isfile(sys.argv[1]):

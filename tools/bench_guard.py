@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Guard benchmark speedup and throughput gauges against regressions.
+"""Guard benchmark speedup, throughput and work-count gauges.
 
 Compares gauges in a freshly produced bench snapshot (BENCH_timeline.json
-and friends) against a checked-in baseline and fails when any gauge falls
-below its floor. Two gauge families are guarded, each with its own
-tolerance:
+and friends) against a checked-in baseline and fails when any gauge
+crosses its limit. Three gauge families are guarded:
 
 * ``*_speedup`` ratios (default tolerance 20%): absolute nanosecond
   timings shift with the host, but the optimized-vs-baseline *ratio* is
@@ -14,10 +13,16 @@ tolerance:
   so its baseline records conservative events/sec values measured on the
   CI class of machine and the guard fails if the current run regresses
   more than ``--throughput-tolerance`` below them.
+* ``*_count`` work counts (no tolerance): deterministic amounts of work
+  at a fixed seed, such as the pairs a join hands to the distance kernel
+  or the nodes an incremental window recomputes. The baseline is a
+  ceiling: the guard fails when the current count exceeds it, so a
+  regression in algorithmic work fails without timing noise.
 
-Baselines are set conservatively below locally measured values so the
-tolerances absorb machine noise rather than real regressions; gauges with
-other suffixes are ignored entirely.
+Ratio and throughput baselines are set conservatively below locally
+measured values so the tolerances absorb machine noise rather than real
+regressions; count baselines are the measured counts. Gauges with other
+suffixes are ignored entirely.
 
 Usage (single pair):
     tools/bench_guard.py --current BENCH_timeline.json \
@@ -30,7 +35,8 @@ Usage (several snapshots in one invocation):
         --pair BENCH_ingest.json bench/baselines/BENCH_ingest.baseline.json
 
 Exit status: 0 when every gauge holds, 1 on any regression or missing
-gauge, 2 on malformed input.
+gauge, 2 on malformed input (unreadable JSON, no gauges object, a
+non-numeric gauge, or a baseline with nothing to guard).
 """
 
 import argparse
@@ -38,9 +44,11 @@ import json
 import sys
 
 # (suffix, tolerance-argument attribute, printed unit) per guarded family.
+# Families with a tolerance are floors; the one without is a ceiling.
 FAMILIES = (
     ("_speedup", "tolerance", "x"),
     ("_events_per_sec", "throughput_tolerance", " ev/s"),
+    ("_count", None, ""),
 )
 
 
@@ -56,11 +64,16 @@ def load_gauges(path, suffix):
     if not isinstance(gauges, dict):
         print(f"bench_guard: {path} has no gauges object", file=sys.stderr)
         sys.exit(2)
-    return {
-        name: float(value)
-        for name, value in gauges.items()
-        if name.endswith(suffix)
-    }
+    selected = {}
+    for name, value in gauges.items():
+        if not name.endswith(suffix):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            print(f"bench_guard: {path}: gauge {name} is not a number: "
+                  f"{value!r}", file=sys.stderr)
+            sys.exit(2)
+        selected[name] = float(value)
+    return selected
 
 
 def fmt(value, unit):
@@ -71,6 +84,9 @@ def fmt(value, unit):
 
 def check_family(current_path, baseline_path, suffix, tolerance, unit):
     """Guards one gauge family of one snapshot pair.
+
+    A gauge holds when it is at least baseline * (1 - tolerance), or, with
+    no tolerance (the count family), at most the baseline.
 
     Returns (failure_messages, guarded_gauge_count).
     """
@@ -83,16 +99,23 @@ def check_family(current_path, baseline_path, suffix, tolerance, unit):
             failures.append(f"{name}: missing from {current_path} "
                             f"(baseline {fmt(base_value, unit)})")
             continue
-        floor = base_value * (1.0 - tolerance)
         value = current[name]
-        status = "ok" if value >= floor else "REGRESSED"
+        if tolerance is None:
+            holds = value <= base_value
+            limit = f"ceiling {fmt(base_value, unit)}"
+            breach = f"{fmt(value, unit)} > {limit}"
+        else:
+            floor = base_value * (1.0 - tolerance)
+            holds = value >= floor
+            limit = f"floor {fmt(floor, unit)}"
+            breach = (f"{fmt(value, unit)} < {limit} "
+                      f"(baseline {fmt(base_value, unit)}, "
+                      f"tolerance {tolerance:.0%})")
+        status = "ok" if holds else "REGRESSED"
         print(f"{name}: {fmt(value, unit)} vs baseline "
-              f"{fmt(base_value, unit)} (floor {fmt(floor, unit)}) {status}")
-        if value < floor:
-            failures.append(f"{name}: {fmt(value, unit)} < floor "
-                            f"{fmt(floor, unit)} "
-                            f"(baseline {fmt(base_value, unit)}, "
-                            f"tolerance {tolerance:.0%})")
+              f"{fmt(base_value, unit)} ({limit}) {status}")
+        if not holds:
+            failures.append(f"{name}: {breach}")
 
     # New gauges absent from the baseline are reported but never fail the
     # run — they become guarded once the baseline is refreshed.
@@ -111,9 +134,9 @@ def check_pair(current_path, baseline_path, args):
     failures = []
     guarded = 0
     for suffix, tolerance_attr, unit in FAMILIES:
+        tolerance = getattr(args, tolerance_attr) if tolerance_attr else None
         family_failures, count = check_family(
-            current_path, baseline_path, suffix,
-            getattr(args, tolerance_attr), unit)
+            current_path, baseline_path, suffix, tolerance, unit)
         failures.extend(family_failures)
         guarded += count
     if guarded == 0:

@@ -604,20 +604,37 @@ std::vector<NodeId> FocalFromWindows(size_t num_nodes,
 
 /// A window graph holds six arrays of n + 1 8-byte entries over the node
 /// universe (out/in CSR offsets, weight sums and row digests), about 48 B
-/// per node before any edge, and a split builds every window from 0 through
-/// the last event's. 2^30 node-windows is 48 GiB of those arrays alone, past
-/// the memory of the hosts this tool runs on, so a larger split is refused
-/// up front instead of dying in bad_alloc.
+/// per node before any edge, and a split builds every window from the
+/// earliest event's through the last event's. 2^30 node-windows is 48 GiB
+/// of those arrays alone, past the memory of the hosts this tool runs on,
+/// so a larger split is refused up front instead of dying in bad_alloc.
 constexpr uint64_t kMaxWindowNodes = uint64_t{1} << 30;
 
-/// False, after logging, when splitting `events` over `num_nodes` nodes at
-/// `stride` would build more than kMaxWindowNodes window nodes.
+/// Where the split starts: the first window that holds the earliest event,
+/// on the grid of `length`-long windows every `stride` (<= length) time
+/// units from time 0. A trace with unix-second times would otherwise get an
+/// empty window per length elapsed since 1970. Every window keeps its
+/// absolute interval; only its index shifts.
+uint64_t FirstWindowStart(const std::vector<TraceEvent>& events,
+                          uint64_t length, uint64_t stride) {
+  if (events.empty()) return 0;
+  uint64_t first = events[0].time;
+  for (const TraceEvent& e : events) first = std::min(first, e.time);
+  const uint64_t w_lo = first < length ? 0 : (first - length) / stride + 1;
+  return w_lo * stride;
+}
+
+/// False, after logging, when splitting `events` over `num_nodes` nodes
+/// from `start` at `stride` would build more than kMaxWindowNodes window
+/// nodes.
 bool WindowsFit(const std::vector<TraceEvent>& events, size_t num_nodes,
-                uint64_t stride) {
-  uint64_t last = 0;
+                uint64_t start, uint64_t stride) {
+  uint64_t last = start;
   for (const TraceEvent& e : events) last = std::max(last, e.time);
-  // Windows 0 through the last event's; the max saturates a wrapped + 1.
-  const uint64_t windows = std::max(last / stride, last / stride + 1);
+  // Windows from `start` through the last event's; the max saturates a
+  // wrapped + 1.
+  const uint64_t span = (last - start) / stride;
+  const uint64_t windows = std::max(span, span + 1);
   if (num_nodes == 0 || windows <= kMaxWindowNodes / num_nodes) return true;
   obs::LogError("too_many_windows")
       .U64("windows", windows)
@@ -660,8 +677,12 @@ bool Load(const Args& args, Workspace& ws) {
   std::vector<TraceEvent> events;
   if (!LoadEvents(args, ws.interner, events)) return false;
   const uint64_t window_length = args.Uint("window-length");
-  if (!WindowsFit(events, ws.interner.size(), window_length)) return false;
-  TraceWindower windower(ws.interner.size(), window_length);
+  const uint64_t start =
+      FirstWindowStart(events, window_length, window_length);
+  if (!WindowsFit(events, ws.interner.size(), start, window_length)) {
+    return false;
+  }
+  TraceWindower windower(ws.interner.size(), window_length, start);
   const uint64_t build_start_us = NowMicros();
   ws.windows = windower.Split(events);
   obs::WindowStatsAggregator::Global().RecordSetupStage(
@@ -1020,12 +1041,16 @@ int RunFaultcheck(const Args& args) {
   obs::LogInfo("faults_injected")
       .Str("report", injector.report().ToString());
 
+  // One start for both splits, from the clean events: a perturbed time
+  // before it is dropped like any event before the first window.
   const uint64_t window_length = args.Uint("window-length");
-  if (!WindowsFit(events, interner.size(), window_length) ||
-      !WindowsFit(perturbed, interner.size(), window_length)) {
+  const uint64_t start =
+      FirstWindowStart(events, window_length, window_length);
+  if (!WindowsFit(events, interner.size(), start, window_length) ||
+      !WindowsFit(perturbed, interner.size(), start, window_length)) {
     return 1;
   }
-  TraceWindower windower(interner.size(), window_length);
+  TraceWindower windower(interner.size(), window_length, start);
   std::vector<CommGraph> clean = windower.Split(events);
   std::vector<CommGraph> dirty = windower.Split(perturbed);
   if (clean.empty() || dirty.empty()) {
@@ -1069,8 +1094,9 @@ int RunTimeline(const Args& args) {
   const uint64_t window_length = args.Uint("window-length");
   const uint64_t stride =
       args.Given("stride") ? args.Uint("stride") : window_length;
-  if (!WindowsFit(events, interner.size(), stride)) return 1;
-  TraceWindower windower(interner.size(), window_length);
+  const uint64_t start = FirstWindowStart(events, window_length, stride);
+  if (!WindowsFit(events, interner.size(), start, stride)) return 1;
+  TraceWindower windower(interner.size(), window_length, start);
   const uint64_t split_begin_us = NowMicros();
   std::vector<CommGraph> windows = windower.SplitSliding(events, stride);
   obs::WindowStatsAggregator::Global().RecordSetupStage(
