@@ -162,7 +162,6 @@ const CommGraph& SimdKernelGraph() {
     constexpr size_t kNodes = 128;
     constexpr size_t kDegree = 64;
     GraphBuilder builder(kNodes);
-    builder.Reserve(kNodes * kDegree);
     uint64_t s = 0x9e3779b97f4a7c15ull;  // xorshift64, fixed seed
     auto next = [&s] {
       s ^= s << 13;

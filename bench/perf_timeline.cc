@@ -4,8 +4,17 @@
 // `timeline/<scheme>/overlap<pct>_speedup` into BENCH_timeline.json —
 // the numbers tools/bench_guard.py holds the incremental engine
 // accountable for — with the nodes each timed pass recomputes as
-// `timeline/<scheme>/overlap<pct>_dirty_count`, and prints the sweep as a
-// table.
+// `timeline/<scheme>/overlap<pct>_dirty_count` and, for RWR, the power
+// iterations it runs as `timeline/<scheme>/overlap<pct>_iterations_count`,
+// and prints the sweep as a table. The snapshot also records the host's
+// core count as `host/nproc`.
+//
+// Each repeat times one scratch pass and one incremental pass back to
+// back, alternating which goes first; a speedup is the median of the
+// per-repeat ratios, and the published pass times are medians too. A
+// ratio of two best-of-N timings taken one after the other swung with
+// the host's load between the two loops (e.g. tt/overlap88 read
+// 2.03–3.17× over five runs of one binary).
 //
 // Two workloads, one per scheme family, each in the regime its dirty rule
 // actually exploits:
@@ -33,11 +42,13 @@
 // window so the numbers are steady-state per-window costs, not diluted by
 // the unavoidable full sweep that primes the engine.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -143,44 +154,51 @@ Workload MakeClusteredWorkload() {
 /// Entry-count checksum so the optimizer cannot elide a timed sweep.
 size_t g_sink = 0;
 
-double TimeScratchNs(const SignatureScheme& scheme,
-                     const std::vector<CommGraph>& windows,
-                     const std::vector<NodeId>& focal, int repeats) {
-  double best = 1e300;
-  for (int rep = 0; rep < repeats; ++rep) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (size_t w = 1; w < windows.size(); ++w) {
-      auto sigs = scheme.ComputeAll(windows[w], focal);
-      for (const Signature& s : sigs) g_sink += s.size();
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                      .count()));
-  }
-  return best;
+double ElapsedNs(std::chrono::steady_clock::time_point t0) {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
-double TimeIncrementalNs(const SignatureScheme& scheme,
-                         const std::vector<CommGraph>& windows,
-                         const std::vector<NodeId>& focal, int repeats) {
-  double best = 1e300;
-  for (int rep = 0; rep < repeats; ++rep) {
-    IncrementalSignatureEngine engine(scheme, focal);
-    engine.AdvanceBorrowed(windows[0]);  // priming sweep, untimed
-    auto t0 = std::chrono::steady_clock::now();
-    for (size_t w = 1; w < windows.size(); ++w) {
-      const auto& sigs = engine.AdvanceBorrowed(windows[w]);
-      for (const Signature& s : sigs) g_sink += s.size();
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                      .count()));
+/// One from-scratch pass: ComputeAll on every window after the first.
+double ScratchPassNs(const SignatureScheme& scheme,
+                     const std::vector<CommGraph>& windows,
+                     const std::vector<NodeId>& focal) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (size_t w = 1; w < windows.size(); ++w) {
+    auto sigs = scheme.ComputeAll(windows[w], focal);
+    for (const Signature& s : sigs) g_sink += s.size();
   }
-  return best;
+  return ElapsedNs(t0);
+}
+
+/// One incremental pass on a fresh engine, timed after its untimed priming
+/// sweep over the first window. Adds the RWR power iterations of the timed
+/// windows to `iterations`.
+double IncrementalPassNs(const SignatureScheme& scheme,
+                         const std::vector<CommGraph>& windows,
+                         const std::vector<NodeId>& focal,
+                         uint64_t& iterations) {
+  obs::Counter& rwr_iterations =
+      obs::MetricsRegistry::Global().GetCounter("rwr/iterations");
+  IncrementalSignatureEngine engine(scheme, focal);
+  engine.AdvanceBorrowed(windows[0]);
+  const uint64_t before = rwr_iterations.Value();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (size_t w = 1; w < windows.size(); ++w) {
+    const auto& sigs = engine.AdvanceBorrowed(windows[w]);
+    for (const Signature& s : sigs) g_sink += s.size();
+  }
+  const double ns = ElapsedNs(t0);
+  iterations += rwr_iterations.Value() - before;
+  return ns;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2.0;
 }
 
 /// Largest per-entry weight discrepancy between two aligned timelines
@@ -205,9 +223,11 @@ double MaxDeviation(const std::vector<std::vector<Signature>>& a,
   return max_dev;
 }
 
-/// `repeats` is best-of count for both timed loops: high for the cheap
-/// exact schemes (sub-ms loops, timer noise dominates a single pass), low
-/// for the expensive RWR sweeps where one pass is tens of ms.
+/// `repeats` is the number of scratch/incremental pass pairs: high for the
+/// cheap exact schemes (sub-ms loops, timer noise dominates a single pass),
+/// low for the expensive RWR sweeps where one pass is tens of ms. The pass
+/// that runs first alternates, so neither always inherits the other's
+/// cache state or the same phase of the host's load.
 void RunSweep(const Workload& wl, const std::string& spec,
               const std::string& key, double rwr_epsilon, int repeats) {
   SchemeOptions opts;
@@ -242,10 +262,24 @@ void RunSweep(const Workload& wl, const std::string& spec,
         reg.GetCounter("timeline/nodes_dirty").Value();
     const uint64_t reused_before =
         reg.GetCounter("timeline/nodes_reused").Value();
-    const double scratch_ns = TimeScratchNs(*scheme, windows, wl.focal,
-                                            repeats);
-    const double incr_ns = TimeIncrementalNs(*scheme, windows, wl.focal,
-                                             repeats);
+    std::vector<double> scratch_runs, incr_runs, ratios;
+    uint64_t iterations = 0;
+    for (int rep = 0; rep < repeats; ++rep) {
+      double scratch = 0.0, incr = 0.0;
+      if (rep % 2 == 0) {
+        scratch = ScratchPassNs(*scheme, windows, wl.focal);
+        incr = IncrementalPassNs(*scheme, windows, wl.focal, iterations);
+      } else {
+        incr = IncrementalPassNs(*scheme, windows, wl.focal, iterations);
+        scratch = ScratchPassNs(*scheme, windows, wl.focal);
+      }
+      scratch_runs.push_back(scratch);
+      incr_runs.push_back(incr);
+      ratios.push_back(incr > 0.0 ? scratch / incr : 0.0);
+    }
+    const double scratch_ns = Median(scratch_runs);
+    const double incr_ns = Median(incr_runs);
+    const double speedup = Median(ratios);
     // Each repeat's untimed priming sweep marks every focal node dirty;
     // exclude those so the printed fraction is the steady-state dirty rate
     // the timed transitions actually saw.
@@ -259,7 +293,6 @@ void RunSweep(const Workload& wl, const std::string& spec,
             ? static_cast<double>(dirty) / static_cast<double>(dirty + reused)
             : 1.0;
 
-    const double speedup = incr_ns > 0.0 ? scratch_ns / incr_ns : 0.0;
     const std::string prefix =
         "timeline/" + key + "/overlap" + std::to_string(pct);
     reg.GetGauge(prefix + "_speedup").Set(speedup);
@@ -269,6 +302,11 @@ void RunSweep(const Workload& wl, const std::string& spec,
     // bench_guard holds it as an exact ceiling next to the noisy ratio.
     reg.GetGauge(prefix + "_dirty_count")
         .Set(static_cast<double>(dirty) / static_cast<double>(repeats));
+    if (key.starts_with("rwr")) {
+      reg.GetGauge(prefix + "_iterations_count")
+          .Set(static_cast<double>(iterations) /
+               static_cast<double>(repeats));
+    }
     PrintRow({wl.name, key, Fmt(pct, "%.0f") + "%",
               Fmt(static_cast<double>(windows.size()), "%.0f"),
               Fmt(100.0 * dirty_frac, "%.1f") + "%",
@@ -284,6 +322,9 @@ void RunSweep(const Workload& wl, const std::string& spec,
 int main() {
   using namespace commsig::bench;
   commsig::obs::PreRegisterCoreMetrics();
+  commsig::obs::MetricsRegistry::Global()
+      .GetGauge("host/nproc")
+      .Set(static_cast<double>(std::thread::hardware_concurrency()));
 
   PrintHeader("incremental timeline vs from-scratch (steady-state)");
   PrintRow({"workload", "scheme", "overlap", "windows", "dirty", "scratch_ms",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
 
 namespace commsig {
@@ -23,11 +24,16 @@ RocResult ComputeRoc(const std::vector<double>& scores,
   }
 
   // Rank ascending by score; process tie groups as a single diagonal move
-  // so the curve (and the trapezoid area) is order-independent.
+  // so the curve (and the trapezoid area) is order-independent. NaN ranks
+  // after every number, all NaNs as one tie group: that keeps `before` a
+  // strict weak order, and every group below nonempty.
+  auto before = [&](size_t a, size_t b) {
+    return scores[a] < scores[b] ||
+           (!std::isnan(scores[a]) && std::isnan(scores[b]));
+  };
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return scores[a] < scores[b]; });
+  std::sort(order.begin(), order.end(), before);
 
   const double up = 1.0 / static_cast<double>(num_relevant);
   const double right = 1.0 / static_cast<double>(num_irrelevant);
@@ -37,7 +43,7 @@ RocResult ComputeRoc(const std::vector<double>& scores,
   while (i < n) {
     size_t j = i;
     size_t group_rel = 0, group_irr = 0;
-    while (j < n && scores[order[j]] == scores[order[i]]) {
+    while (j < n && !before(order[i], order[j])) {
       if (relevant[order[j]]) {
         ++group_rel;
       } else {

@@ -2,6 +2,7 @@
 #define COMMSIG_GRAPH_GRAPH_BUILDER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/comm_graph.h"
@@ -15,20 +16,16 @@ namespace commsig {
 /// weights — this is the paper's flow aggregation step where individual
 /// communications within a window are summed into edge volumes C[v,u].
 ///
-/// Observations are staged as a flat array and aggregated in one
-/// stable-sort pass at Build() time, so AddEdge is a branch-free push_back
-/// and callers that know their event count up front (TraceWindower::Split)
-/// can Reserve() the exact capacity. The stable sort keeps same-pair
-/// observations in insertion order, so per-edge weights sum in the same
-/// order as the old hash-map accumulation did.
+/// Each observation is summed as it arrives into an open-addressed table
+/// keyed by (src, dst): an edge's first observation stores 0.0 + w and
+/// each later one adds += w, so every edge weight is the sum of its
+/// observations in arrival order, and memory follows the distinct edges,
+/// not the observations. Build() places the distinct edges into the CSR
+/// arrays by counting sort, in O(E + n) (DESIGN.md §16a).
 class GraphBuilder {
  public:
   /// `num_nodes` fixes the node universe; all ids must be < num_nodes.
   explicit GraphBuilder(size_t num_nodes);
-
-  /// Pre-sizes the staging array for `num_observations` AddEdge calls
-  /// (a capacity hint — exceeding it only costs the usual growth).
-  void Reserve(size_t num_observations) { staged_.reserve(num_observations); }
 
   /// Adds `weight` (> 0) to edge (src, dst). Self-loops are permitted at
   /// this layer; signature schemes ignore the focal node per Definition 1.
@@ -53,9 +50,30 @@ class GraphBuilder {
   CommGraph Build() &&;
 
  private:
+  /// One table entry: `key` is src << 32 | dst, and `weight` the edge's
+  /// running sum. kEmptyKey (src = dst = kInvalidNode, never a valid id
+  /// pair) marks a free slot.
+  struct Slot {
+    uint64_t key;
+    double weight;
+  };
+  static constexpr uint64_t kEmptyKey = ~uint64_t{0};
+
+  /// First probe position of `key` in the table.
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Doubles the table and reinserts every edge.
+  void Grow();
+
   size_t num_nodes_;
   NodeId left_size_ = 0;
-  std::vector<CommGraph::FlatEdge> staged_;
+  size_t num_edges_ = 0;
+  /// Open-addressed edge table: power-of-two size, linear probing,
+  /// multiplicative hash of the key, at most three-quarters full.
+  std::vector<Slot> slots_;
+  int shift_ = 64;  // 64 − log2(slots_.size())
 };
 
 }  // namespace commsig

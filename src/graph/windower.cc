@@ -42,18 +42,14 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
   // a corrupt one.
   constexpr size_t kNoWindow = static_cast<size_t>(-1);
 
+  // Builders are sized once, for windows 0 through the last one any event
+  // reaches, so an absurd window count throws std::length_error before any
+  // builder exists.
   size_t num_windows = 0;
-  std::vector<size_t> window_counts;
   for (const TraceEvent& e : events) {
     if (e.time < start_time_) continue;
-    const uint64_t d = e.time - start_time_;
-    const size_t hi = static_cast<size_t>(d / stride);
-    if (hi == kNoWindow) continue;
-    if (hi + 1 > num_windows) {
-      num_windows = hi + 1;
-      window_counts.resize(num_windows, 0);
-    }
-    for (size_t w = first_window(d); w <= hi; ++w) ++window_counts[w];
+    const size_t hi = static_cast<size_t>((e.time - start_time_) / stride);
+    if (hi != kNoWindow) num_windows = std::max(num_windows, hi + 1);
   }
 
   std::vector<GraphBuilder> builders;
@@ -62,7 +58,6 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
   for (size_t w = 0; w < num_windows; ++w) {
     builders.emplace_back(num_nodes_);
     builders.back().SetBipartiteLeftSize(bipartite_left_size_);
-    builders.back().Reserve(window_counts[w]);
   }
   size_t dropped = 0;
   for (const TraceEvent& e : events) {

@@ -391,9 +391,6 @@ bool SameRocs(const std::vector<RocResult>& a,
 
 TEST(SignatureIndexTest, RocSweepsMatchBruteForce) {
   for (const Corpus& c : Corpora()) {
-    // ComputeRoc never ends on a NaN score, and the extreme corpus has
-    // NaN distances; the index's rows on it are checked bit for bit above.
-    if (c.name == "extreme") continue;
     const std::vector<Signature> next = NextWindow(c.sigs, 5);
     const size_t n = c.sigs.size();
     // Every third node is a query; its relevant set is its two successors.

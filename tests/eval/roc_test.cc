@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 
 namespace commsig {
@@ -48,6 +50,24 @@ TEST(RocTest, OrderIndependentUnderTies) {
   std::vector<double> scores2 = {0.3, 0.3, 0.9};
   std::vector<bool> rel2 = {false, true, false};
   EXPECT_DOUBLE_EQ(ComputeAuc(scores1, rel1), ComputeAuc(scores2, rel2));
+}
+
+TEST(RocTest, NanScoresRankLastAsOneTieGroup) {
+  // NaN == NaN is false, so a tie group opened at a NaN once never closed.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> scores = {nan, 0.2, nan, 0.5, nan};
+  const std::vector<bool> relevant = {true, false, false, true, false};
+  const RocResult r = ComputeRoc(scores, relevant);
+  // 0.2 (irrelevant), 0.5 (relevant), then the three NaNs as one group.
+  ASSERT_EQ(r.curve.size(), 4u);
+  EXPECT_DOUBLE_EQ(r.curve[1].fpr, 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(r.curve[1].tpr, 0.0);
+  EXPECT_DOUBLE_EQ(r.curve[2].fpr, 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(r.curve[2].tpr, 0.5);
+  EXPECT_DOUBLE_EQ(r.curve[3].fpr, 1.0);
+  EXPECT_DOUBLE_EQ(r.curve[3].tpr, 1.0);
+  // Mann-Whitney: 3 of the 6 relevant/irrelevant pairs, ties at half.
+  EXPECT_DOUBLE_EQ(r.auc, 0.5);
 }
 
 TEST(RocTest, DegenerateClassesGiveHalf) {

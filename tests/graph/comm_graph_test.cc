@@ -95,6 +95,17 @@ TEST(GraphBuilderTest, RepeatedEdgesAggregate) {
   EXPECT_DOUBLE_EQ(g.EdgeWeight(0, 1), 4.0);
 }
 
+TEST(GraphBuilderTest, ObservationsSumInArrivalOrder) {
+  // 1e16 + 1 rounds back to 1e16, so which observation comes first decides
+  // the bits: each edge sums its observations in the order they arrived.
+  GraphBuilder big_first(2);
+  for (double w : {1e16, 1.0, 1.0}) big_first.AddEdge(0, 1, w);
+  GraphBuilder big_last(2);
+  for (double w : {1.0, 1.0, 1e16}) big_last.AddEdge(0, 1, w);
+  EXPECT_EQ(std::move(big_first).Build().EdgeWeight(0, 1), 1e16);
+  EXPECT_EQ(std::move(big_last).Build().EdgeWeight(0, 1), 1e16 + 2.0);
+}
+
 TEST(GraphBuilderTest, SelfLoopAllowed) {
   GraphBuilder b(2);
   b.AddEdge(0, 0, 1.0);

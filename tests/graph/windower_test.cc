@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "common/random.h"
 #include "obs/metrics.h"
+#include "ref/windows.h"
 
 namespace commsig {
 namespace {
@@ -139,6 +145,15 @@ TEST(TraceWindowerTest, LastRepresentableTimeIsDroppedNotWrapped) {
 #endif
 }
 
+TEST(TraceWindowerTest, UnrepresentableWindowCountFailsAtOnce) {
+  // 2^64 − 1 windows: the builders are sized once, so the split throws
+  // before it builds any window rather than growing until memory runs out.
+  TraceWindower w(2, /*window_length=*/1);
+  const std::vector<TraceEvent> events = {
+      {0, 1, std::numeric_limits<uint64_t>::max() - 1, 1.0}};
+  EXPECT_THROW(w.Split(events), std::length_error);
+}
+
 TEST(TraceWindowerTest, BipartitePropagatesToEveryWindow) {
   TraceWindower w(4, 10, 0, /*bipartite_left_size=*/2);
   std::vector<TraceEvent> events = {{0, 2, 0, 1.0}, {1, 3, 12, 1.0}};
@@ -146,6 +161,120 @@ TEST(TraceWindowerTest, BipartitePropagatesToEveryWindow) {
   for (const auto& g : graphs) {
     EXPECT_TRUE(g.bipartite().IsBipartite());
     EXPECT_EQ(g.bipartite().left_size, 2u);
+  }
+}
+
+/// Bit-exact: -0.0, NaN payloads and the last ulp all count.
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+ref::WindowArrays ArraysOf(const CommGraph& g) {
+  ref::WindowArrays a;
+  a.out_index.push_back(0);
+  a.in_index.push_back(0);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    for (const Edge& e : g.OutEdges(v)) {
+      a.out_ids.push_back(e.node);
+      a.out_weights.push_back(e.weight);
+    }
+    for (const Edge& e : g.InEdges(v)) {
+      a.in_ids.push_back(e.node);
+      a.in_weights.push_back(e.weight);
+    }
+    a.out_index.push_back(a.out_ids.size());
+    a.in_index.push_back(a.in_ids.size());
+    a.out_weight.push_back(g.OutWeight(v));
+    a.in_weight.push_back(g.InWeight(v));
+  }
+  a.total_weight = g.TotalWeight();
+  return a;
+}
+
+void ExpectSameWindow(const CommGraph& g, const ref::WindowArrays& want,
+                      const std::string& where) {
+  const ref::WindowArrays got = ArraysOf(g);
+  EXPECT_TRUE(SameBits(got.out_index, want.out_index)) << where;
+  EXPECT_TRUE(SameBits(got.out_ids, want.out_ids)) << where;
+  EXPECT_TRUE(SameBits(got.out_weights, want.out_weights)) << where;
+  EXPECT_TRUE(SameBits(got.in_index, want.in_index)) << where;
+  EXPECT_TRUE(SameBits(got.in_ids, want.in_ids)) << where;
+  EXPECT_TRUE(SameBits(got.in_weights, want.in_weights)) << where;
+  EXPECT_TRUE(SameBits(got.out_weight, want.out_weight)) << where;
+  EXPECT_TRUE(SameBits(got.in_weight, want.in_weight)) << where;
+  EXPECT_TRUE(SameBits(std::vector<double>{got.total_weight},
+                       std::vector<double>{want.total_weight}))
+      << where;
+}
+
+/// Out-of-order times over [0, horizon), repeated pairs and self loops on a
+/// small universe, ids past it, weights the windower must drop (NaN, ±Inf,
+/// ±0, negative), and 1e16 next to 1.0, whose sums depend on the order.
+std::vector<TraceEvent> RandomStream(uint64_t seed, size_t num_nodes,
+                                     size_t count, uint64_t horizon) {
+  const double kGood[] = {1.0, 1.0, 2.5, 0.1, 1e16, 1e-300};
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         0.0,
+                         -0.0,
+                         -2.0};
+  Rng rng(seed);
+  std::vector<TraceEvent> events;
+  for (size_t i = 0; i < count; ++i) {
+    TraceEvent e;
+    e.src = static_cast<NodeId>(rng.UniformInt(num_nodes + 2));
+    e.dst = rng.Bernoulli(0.1) ? e.src
+                               : static_cast<NodeId>(rng.UniformInt(
+                                     num_nodes + 1));
+    e.time = rng.UniformInt(horizon);
+    e.weight = rng.Bernoulli(0.1) ? kBad[rng.UniformInt(std::size(kBad))]
+                                  : kGood[rng.UniformInt(std::size(kGood))];
+    events.push_back(e);
+  }
+  return events;
+}
+
+TEST(TraceWindowerTest, SplitMatchesLiteralTimeFilterBitForBit) {
+  constexpr size_t kNodes = 6;
+  constexpr uint64_t kLength = 12;
+  // Tumbling; strides dividing the length and not; a stride past the
+  // length (events in the gaps reach no window); stride 0 (clamped to 1).
+  const uint64_t kStrides[] = {kLength, 4, 3, 5, 7, 20, 0};
+#ifndef COMMSIG_OBS_DISABLED
+  obs::Counter& dropped = obs::MetricsRegistry::Global().GetCounter(
+      "robust/windower_dropped_events");
+#endif
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::vector<TraceEvent> events =
+        RandomStream(seed, kNodes, 150, /*horizon=*/80);
+    for (uint64_t start : {uint64_t{0}, uint64_t{25}}) {
+      const TraceWindower windower(kNodes, kLength, start);
+      for (uint64_t stride : kStrides) {
+        const std::string where = "seed " + std::to_string(seed) +
+                                  " start " + std::to_string(start) +
+                                  " stride " + std::to_string(stride);
+        const ref::SplitResult want =
+            ref::SplitSliding(events, kNodes, kLength, start, stride);
+#ifndef COMMSIG_OBS_DISABLED
+        const uint64_t before = dropped.Value();
+#endif
+        const std::vector<CommGraph> got =
+            stride == kLength ? windower.Split(events)
+                              : windower.SplitSliding(events, stride);
+#ifndef COMMSIG_OBS_DISABLED
+        EXPECT_EQ(dropped.Value() - before, want.dropped) << where;
+#endif
+        ASSERT_EQ(got.size(), want.windows.size()) << where;
+        for (size_t w = 0; w < got.size(); ++w) {
+          ExpectSameWindow(got[w], want.windows[w],
+                           where + " window " + std::to_string(w));
+        }
+      }
+    }
   }
 }
 

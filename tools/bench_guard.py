@@ -14,10 +14,11 @@ crosses its limit. Three gauge families are guarded:
   CI class of machine and the guard fails if the current run regresses
   more than ``--throughput-tolerance`` below them.
 * ``*_count`` work counts (no tolerance): deterministic amounts of work
-  at a fixed seed, such as the pairs a join hands to the distance kernel
-  or the nodes an incremental window recomputes. The baseline is a
-  ceiling: the guard fails when the current count exceeds it, so a
-  regression in algorithmic work fails without timing noise.
+  at a fixed seed, such as the pairs a join hands to the distance kernel,
+  or the nodes an incremental window recomputes and the RWR iterations
+  it runs. The baseline is a ceiling: the guard fails when the current
+  count exceeds it, so a regression in algorithmic work fails without
+  timing noise.
 
 Ratio and throughput baselines are set conservatively below locally
 measured values so the tolerances absorb machine noise rather than real
