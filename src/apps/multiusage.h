@@ -40,8 +40,7 @@ class MultiusageDetector {
   /// `nodes[i]` is the label whose signature is `sigs[i]`. Exact: the
   /// threshold join of core/signature_index.h scores only the pairs that
   /// can sit within the threshold, and pairs come out as (nodes[i],
-  /// nodes[j]) with i < j, sorted by (distance, a, b), then capped. For an
-  /// approximate, sublinear candidate filter use ScalableMultiusageDetector.
+  /// nodes[j]) with i < j, sorted by (distance, a, b), then capped.
   std::vector<MultiusagePair> Detect(std::span<const NodeId> nodes,
                                      std::span<const Signature> sigs) const;
 

@@ -1,5 +1,6 @@
 #include "core/scheme.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 
@@ -96,41 +97,54 @@ bool SignatureScheme::KeepCandidate(const CommGraph& g, NodeId focal,
 
 namespace {
 
-// Parses "key=value" pairs inside "rwr(...)".
-bool ParseRwrParams(std::string_view params, RwrOptions& opts,
-                    bool& has_hops) {
-  has_hops = false;
+/// Hands each `key=value` item of `spec`, a bare `name` or `name(k=v,...)`,
+/// to `set`, which returns false for an unknown key or a bad value. Empty
+/// parentheses and a trailing comma are fine; an empty item is not.
+template <typename Set>
+Status ParseParams(std::string_view spec, std::string_view name, Set&& set) {
+  if (spec == name) return Status::OK();
+  const std::string what(name);
+  if (spec.size() < name.size() + 2 || spec[name.size()] != '(' ||
+      spec.back() != ')') {
+    return Status::InvalidArgument("bad " + what + " spec: " +
+                                   std::string(spec));
+  }
+  std::string_view params =
+      spec.substr(name.size() + 1, spec.size() - name.size() - 2);
   while (!params.empty()) {
-    size_t comma = params.find(',');
-    std::string_view item =
-        comma == std::string_view::npos ? params : params.substr(0, comma);
-    params = comma == std::string_view::npos ? std::string_view{}
-                                             : params.substr(comma + 1);
-    size_t eq = item.find('=');
-    if (eq == std::string_view::npos) return false;
-    std::string key(item.substr(0, eq));
-    std::string value(item.substr(eq + 1));
-    char* end = nullptr;
-    if (key == "c") {
-      opts.reset = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() + value.size()) return false;
-      if (opts.reset < 0.0 || opts.reset > 1.0) return false;
-    } else if (key == "h") {
-      unsigned long h = std::strtoul(value.c_str(), &end, 10);
-      if (end != value.c_str() + value.size()) return false;
-      opts.max_hops = h;
-      has_hops = true;
-    } else if (key == "mode") {
-      if (value == "directed") {
-        opts.traversal = TraversalMode::kDirected;
-      } else if (value == "symmetric") {
-        opts.traversal = TraversalMode::kSymmetric;
-      } else {
-        return false;
-      }
-    } else {
-      return false;
+    const size_t comma = std::min(params.find(','), params.size());
+    const std::string_view item = params.substr(0, comma);
+    params.remove_prefix(std::min(comma + 1, params.size()));
+    const size_t eq = item.find('=');
+    if (eq == std::string_view::npos ||
+        !set(item.substr(0, eq), std::string(item.substr(eq + 1)))) {
+      return Status::InvalidArgument("bad " + what + " param '" +
+                                     std::string(item) + "' in " +
+                                     std::string(spec));
     }
+  }
+  return Status::OK();
+}
+
+/// strtod / strtoul that must consume all of `value`.
+bool ParseWhole(const std::string& value, double& out) {
+  char* end = nullptr;
+  out = std::strtod(value.c_str(), &end);
+  return end == value.c_str() + value.size();
+}
+bool ParseWhole(const std::string& value, size_t& out) {
+  char* end = nullptr;
+  out = std::strtoul(value.c_str(), &end, 10);
+  return end == value.c_str() + value.size();
+}
+
+bool ParseMode(const std::string& value, TraversalMode& out) {
+  if (value == "directed") {
+    out = TraversalMode::kDirected;
+  } else if (value == "symmetric") {
+    out = TraversalMode::kSymmetric;
+  } else {
+    return false;
   }
   return true;
 }
@@ -148,63 +162,32 @@ Result<std::unique_ptr<SignatureScheme>> CreateScheme(std::string_view spec,
   }
   if (spec.rfind("rwr-push", 0) == 0) {
     RwrPushOptions push;
-    if (spec != "rwr-push") {
-      if (spec.size() < 10 || spec[8] != '(' || spec.back() != ')') {
-        return Status::InvalidArgument("bad rwr-push spec: " +
-                                       std::string(spec));
-      }
-      std::string_view params = spec.substr(9, spec.size() - 10);
-      while (!params.empty()) {
-        size_t comma = params.find(',');
-        std::string_view item = comma == std::string_view::npos
-                                    ? params
-                                    : params.substr(0, comma);
-        params = comma == std::string_view::npos ? std::string_view{}
-                                                 : params.substr(comma + 1);
-        size_t eq = item.find('=');
-        if (eq == std::string_view::npos) {
-          return Status::InvalidArgument("bad rwr-push param");
-        }
-        std::string key(item.substr(0, eq));
-        std::string value(item.substr(eq + 1));
-        char* end = nullptr;
-        if (key == "c") {
-          push.reset = std::strtod(value.c_str(), &end);
-          if (end != value.c_str() + value.size() || push.reset <= 0.0 ||
-              push.reset > 1.0) {
-            return Status::InvalidArgument("bad rwr-push c");
+    const Status s = ParseParams(
+        spec, "rwr-push", [&push](std::string_view key, const std::string& v) {
+          if (key == "c") {
+            return ParseWhole(v, push.reset) &&
+                   !(push.reset <= 0.0 || push.reset > 1.0);
           }
-        } else if (key == "eps") {
-          push.epsilon = std::strtod(value.c_str(), &end);
-          if (end != value.c_str() + value.size() || push.epsilon <= 0.0) {
-            return Status::InvalidArgument("bad rwr-push eps");
+          if (key == "eps") {
+            return ParseWhole(v, push.epsilon) && !(push.epsilon <= 0.0);
           }
-        } else if (key == "mode") {
-          if (value == "directed") {
-            push.traversal = TraversalMode::kDirected;
-          } else if (value == "symmetric") {
-            push.traversal = TraversalMode::kSymmetric;
-          } else {
-            return Status::InvalidArgument("bad rwr-push mode");
-          }
-        } else {
-          return Status::InvalidArgument("unknown rwr-push param: " + key);
-        }
-      }
-    }
+          return key == "mode" && ParseMode(v, push.traversal);
+        });
+    if (!s.ok()) return s;
     return MakeRwrPush(options, push);
   }
   if (spec.rfind("rwr", 0) == 0) {
     RwrOptions rwr;
-    if (spec != "rwr") {
-      if (spec.size() < 5 || spec[3] != '(' || spec.back() != ')') {
-        return Status::InvalidArgument("bad rwr spec: " + std::string(spec));
-      }
-      bool has_hops = false;
-      if (!ParseRwrParams(spec.substr(4, spec.size() - 5), rwr, has_hops)) {
-        return Status::InvalidArgument("bad rwr params: " + std::string(spec));
-      }
-    }
+    const Status s = ParseParams(
+        spec, "rwr", [&rwr](std::string_view key, const std::string& v) {
+          if (key == "c") {
+            return ParseWhole(v, rwr.reset) &&
+                   !(rwr.reset < 0.0 || rwr.reset > 1.0);
+          }
+          if (key == "h") return ParseWhole(v, rwr.max_hops);
+          return key == "mode" && ParseMode(v, rwr.traversal);
+        });
+    if (!s.ok()) return s;
     return MakeRwr(options, rwr);
   }
   return Status::InvalidArgument("unknown scheme spec: " + std::string(spec));

@@ -120,11 +120,11 @@ class SignatureScheme {
   /// Window-transition sweep: computes the signatures of `nodes` on `g`
   /// given the signatures they had on the previous window (`previous`,
   /// index-aligned with `nodes`) and the structural diff between the two
-  /// windows (`delta`, with delta->new_graph() == g). Passing delta ==
-  /// nullptr (or a mismatched `previous`) primes the sequence: a full
-  /// ComputeAll that also initializes `state`. `state` is the scheme's
-  /// opaque warm state — thread the same slot through every transition of
-  /// one window sequence and through nothing else.
+  /// windows (`delta`, built from the previous window's graph and `g`).
+  /// Passing delta == nullptr (or a mismatched `previous`) primes the
+  /// sequence: a full ComputeAll that also initializes `state`. `state` is
+  /// the scheme's opaque warm state — thread the same slot through every
+  /// transition of one window sequence and through nothing else.
   ///
   /// The default recomputes exactly the LocalDirty focal nodes (out-row
   /// changed, or an out-neighbour's in-degree changed) and reuses every

@@ -1,64 +1,31 @@
 #include "graph/graph_delta.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace commsig {
 
-namespace {
-
-/// Merge-walk over two id-sorted edge rows, invoking fn(old_w, new_w) for
-/// every dst present in either (0.0 for the absent side).
-template <typename Fn>
-void MergeRows(std::span<const Edge> old_row, std::span<const Edge> new_row,
-               Fn&& fn) {
-  size_t i = 0, j = 0;
-  while (i < old_row.size() || j < new_row.size()) {
-    if (j == new_row.size() ||
-        (i < old_row.size() && old_row[i].node < new_row[j].node)) {
-      fn(old_row[i].weight, 0.0);
-      ++i;
-    } else if (i == old_row.size() || new_row[j].node < old_row[i].node) {
-      fn(0.0, new_row[j].weight);
-      ++j;
-    } else {
-      fn(old_row[i].weight, new_row[j].weight);
-      ++i;
-      ++j;
-    }
-  }
-}
-
-}  // namespace
-
 GraphDelta::GraphDelta(const CommGraph& old_g, const CommGraph& new_g)
-    : old_(&old_g), new_(&new_g) {
+    : old_(&old_g) {
   const size_t n = new_g.NumNodes();
   COMMSIG_CHECK(old_g.NumNodes() == n,
                 "GraphDelta requires a shared node universe");
   out_changed_.assign(n, 0);
   in_changed_.assign(n, 0);
-  in_degree_changed_.assign(n, 0);
   local_dirty_.assign(n, 0);
 
   // Rows are compared by their Build-time digests — O(1) per node instead
   // of O(row) — so a sliding-window diff costs O(V) plus work proportional
   // to what actually changed. Two different rows collide with probability
-  // 2^-64; the equivalence suite compares against from-scratch sweeps with
-  // full-row equality, so a collision would surface there.
+  // 2^-64; SeededPropertyTest.GraphDeltaMatchesFullRowComparison checks
+  // every flag against full-row equality on random window pairs.
   std::vector<NodeId> degree_changed;
   for (NodeId v = 0; v < n; ++v) {
     if (old_g.OutRowDigest(v) != new_g.OutRowDigest(v)) {
       out_changed_[v] = 1;
       local_dirty_[v] = 1;
-      changed_out_nodes_.push_back(v);
     }
     if (old_g.InRowDigest(v) != new_g.InRowDigest(v)) in_changed_[v] = 1;
-    if (old_g.InDegree(v) != new_g.InDegree(v)) {
-      in_degree_changed_[v] = 1;
-      degree_changed.push_back(v);
-    }
+    if (old_g.InDegree(v) != new_g.InDegree(v)) degree_changed.push_back(v);
     if (out_changed_[v] || in_changed_[v]) changed_row_nodes_.push_back(v);
   }
 
@@ -73,28 +40,6 @@ GraphDelta::GraphDelta(const CommGraph& old_g, const CommGraph& new_g)
   for (NodeId d : degree_changed) {
     for (const Edge& e : new_g.InEdges(d)) local_dirty_[e.node] = 1;
   }
-}
-
-double GraphDelta::EdgeWeightL1() const {
-  double l1 = 0.0;
-  for (NodeId v : changed_out_nodes_) {
-    MergeRows(old_->OutEdges(v), new_->OutEdges(v),
-              [&](double old_w, double new_w) {
-                l1 += std::abs(new_w - old_w);
-              });
-  }
-  return l1;
-}
-
-size_t GraphDelta::NumChangedEdges() const {
-  size_t changed = 0;
-  for (NodeId v : changed_out_nodes_) {
-    MergeRows(old_->OutEdges(v), new_->OutEdges(v),
-              [&](double old_w, double new_w) {
-                if (old_w != new_w) ++changed;
-              });
-  }
-  return changed;
 }
 
 }  // namespace commsig

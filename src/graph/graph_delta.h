@@ -18,7 +18,6 @@ namespace commsig {
 ///  - OutChanged(v): v's out-adjacency (neighbour set or any edge weight)
 ///    differs. The exact dirtiness condition for Top Talkers, whose
 ///    signature reads nothing but v's out-row.
-///  - InDegreeChanged(v): |I(v)| differs. Feeds LocalDirty.
 ///  - InChanged(v): v's in-adjacency differs (set or weights). Together
 ///    with OutChanged this flags every node whose symmetric-traversal
 ///    transition row moved, which is what the RWR warm-start drift bound
@@ -28,8 +27,7 @@ namespace commsig {
 ///    C[v,u] / |I(u)|) and the safe default for any scheme whose signature
 ///    depends only on the focal out-row and its endpoints' in-degrees.
 ///
-/// Both graphs must outlive the delta (spans into their CSR storage are
-/// compared lazily by the drift helpers).
+/// The old graph must outlive the delta, which keeps a pointer to it.
 class GraphDelta {
  public:
   /// Requires old_g.NumNodes() == new_g.NumNodes() (windows share one
@@ -37,13 +35,9 @@ class GraphDelta {
   GraphDelta(const CommGraph& old_g, const CommGraph& new_g);
 
   const CommGraph& old_graph() const { return *old_; }
-  const CommGraph& new_graph() const { return *new_; }
-
-  size_t num_nodes() const { return out_changed_.size(); }
 
   bool OutChanged(NodeId v) const { return out_changed_[v] != 0; }
   bool InChanged(NodeId v) const { return in_changed_[v] != 0; }
-  bool InDegreeChanged(NodeId v) const { return in_degree_changed_[v] != 0; }
   bool LocalDirty(NodeId v) const { return local_dirty_[v] != 0; }
 
   /// True iff v's transition row under the given traversal moved: the
@@ -52,37 +46,18 @@ class GraphDelta {
     return OutChanged(v) || (symmetric && InChanged(v));
   }
 
-  /// Nodes with OutChanged, ascending. Empty means the windows aggregate
-  /// to identical graphs (full signature reuse).
-  std::span<const NodeId> changed_out_nodes() const {
-    return changed_out_nodes_;
-  }
-
   /// Nodes with OutChanged or InChanged, ascending — the union the RWR
-  /// drift pass iterates.
+  /// drift pass iterates. Empty means the windows aggregate to identical
+  /// graphs (full signature reuse).
   std::span<const NodeId> changed_row_nodes() const {
     return changed_row_nodes_;
   }
 
-  size_t num_out_changed() const { return changed_out_nodes_.size(); }
-  bool Empty() const { return changed_row_nodes_.empty(); }
-
-  /// Sum over changed out-rows of |C_new[v,u] - C_old[v,u]| (absent edges
-  /// count their full weight) — the L1 edge-volume drift between the
-  /// windows, and the numerator of the overlap fraction diagnostics.
-  double EdgeWeightL1() const;
-
-  /// Distinct (src, dst) pairs whose weight changed, appeared or vanished.
-  size_t NumChangedEdges() const;
-
  private:
   const CommGraph* old_;
-  const CommGraph* new_;
   std::vector<uint8_t> out_changed_;
   std::vector<uint8_t> in_changed_;
-  std::vector<uint8_t> in_degree_changed_;
   std::vector<uint8_t> local_dirty_;
-  std::vector<NodeId> changed_out_nodes_;
   std::vector<NodeId> changed_row_nodes_;
 };
 

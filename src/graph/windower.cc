@@ -44,13 +44,18 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
 
   // Builders are sized once, for windows 0 through the last one any event
   // reaches, so an absurd window count throws std::length_error before any
-  // builder exists.
-  size_t num_windows = 0;
+  // builder exists. The last window is the largest offset's, divided once;
+  // only offset 2^64 - 1 at stride 1 reaches kNoWindow.
+  bool any = false;
+  uint64_t last = 0;
   for (const TraceEvent& e : events) {
     if (e.time < start_time_) continue;
-    const size_t hi = static_cast<size_t>((e.time - start_time_) / stride);
-    if (hi != kNoWindow) num_windows = std::max(num_windows, hi + 1);
+    const uint64_t d = e.time - start_time_;
+    if (stride == 1 && d == kNoWindow) continue;
+    any = true;
+    last = std::max(last, d);
   }
+  const size_t num_windows = any ? static_cast<size_t>(last / stride) + 1 : 0;
 
   std::vector<GraphBuilder> builders;
   std::vector<size_t> events_per_window(num_windows, 0);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "core/rwr.h"
 #include "graph/graph_builder.h"
 
@@ -109,6 +112,45 @@ TEST(CreateSchemeTest, RejectsMalformedRwrSpecs) {
   EXPECT_FALSE(CreateScheme("rwr(x=1)", {}).ok());
   EXPECT_FALSE(CreateScheme("rwr(c=1.5)", {}).ok());  // reset out of range
   EXPECT_FALSE(CreateScheme("rwr(mode=sideways)", {}).ok());
+}
+
+TEST(CreateSchemeTest, ParamListEdgeCases) {
+  // rwr and rwr-push share one key=value splitter; each keeps its own
+  // keys and ranges. An empty name means the spec is rejected.
+  struct Case {
+    const char* spec;
+    const char* name;
+  };
+  for (const Case& c : std::initializer_list<Case>{
+           {"rwr()", "rwr(c=0.1)"},
+           {"rwr-push()", "rwr-push(c=0.1,eps=1e-06)"},
+           {"rwr(c=0.2,)", "rwr(c=0.2)"},
+           {"rwr-push(eps=1e-05,)", "rwr-push(c=0.1,eps=1e-05)"},
+           {"rwr(,h=2)", ""},
+           {"rwr(c=0.2,,h=2)", ""},
+           {"rwr-push(c=0.2,,eps=1e-05)", ""},
+           {"rwr(c)", ""},
+           {"rwr(eps=1e-05)", ""},
+           {"rwr-push(h=3)", ""},
+           {"rwr(zz=1)", ""},
+           {"rwr(c=0)", "rwr(c=0)"},
+           {"rwr(c=1,h=2)", "rwr(c=1,h=2)"},
+           {"rwr(c=-0.1)", ""},
+           {"rwr(c=1.5)", ""},
+           {"rwr-push(c=0)", ""},
+           {"rwr-push(c=1)", "rwr-push(c=1,eps=1e-06)"},
+           {"rwr-push(c=1.5)", ""},
+           {"rwr-push(eps=0)", ""},
+           {"rwr(h=2.5)", ""},
+           {"rwr(c=0.25,h=3,mode=directed)", "rwr(c=0.25,h=3)"},
+           {"rwr-push(mode=symmetric,c=0.5)", "rwr-push(c=0.5,eps=1e-06)"},
+           {"rwr(", ""},
+           {"rwr-push(", ""},
+           {"rwrx", ""},
+       }) {
+    auto scheme = CreateScheme(c.spec, {.k = 3});
+    EXPECT_EQ(scheme.ok() ? (*scheme)->name() : "", c.name) << c.spec;
+  }
 }
 
 TEST(CreateSchemeTest, RoundTripsNames) {

@@ -25,16 +25,12 @@ TEST(GraphDeltaTest, IdenticalGraphsAreEmpty) {
   CommGraph a = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 1.0}, {3, 0, 5.0}});
   CommGraph b = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 1.0}, {3, 0, 5.0}});
   GraphDelta delta(a, b);
-  EXPECT_TRUE(delta.Empty());
-  EXPECT_EQ(delta.num_out_changed(), 0u);
+  EXPECT_TRUE(delta.changed_row_nodes().empty());
   for (NodeId v = 0; v < 4; ++v) {
     EXPECT_FALSE(delta.OutChanged(v));
     EXPECT_FALSE(delta.InChanged(v));
-    EXPECT_FALSE(delta.InDegreeChanged(v));
     EXPECT_FALSE(delta.LocalDirty(v));
   }
-  EXPECT_DOUBLE_EQ(delta.EdgeWeightL1(), 0.0);
-  EXPECT_EQ(delta.NumChangedEdges(), 0u);
 }
 
 TEST(GraphDeltaTest, AggregationOrderDoesNotMatter) {
@@ -43,7 +39,7 @@ TEST(GraphDeltaTest, AggregationOrderDoesNotMatter) {
   CommGraph a = MakeGraph(3, {{0, 1, 1.0}, {0, 2, 3.0}, {0, 1, 2.0}});
   CommGraph b = MakeGraph(3, {{0, 2, 3.0}, {0, 1, 2.0}, {0, 1, 1.0}});
   GraphDelta delta(a, b);
-  EXPECT_TRUE(delta.Empty());
+  EXPECT_TRUE(delta.changed_row_nodes().empty());
   EXPECT_EQ(a.OutRowDigest(0), b.OutRowDigest(0));
   EXPECT_EQ(a.InRowDigest(1), b.InRowDigest(1));
 }
@@ -54,14 +50,8 @@ TEST(GraphDeltaTest, WeightChangeFlagsOutAndInRows) {
   GraphDelta delta(a, b);
   EXPECT_TRUE(delta.OutChanged(0));
   EXPECT_TRUE(delta.InChanged(1));
-  // Same neighbour set, so no in-degree moved anywhere.
-  for (NodeId v = 0; v < 4; ++v) EXPECT_FALSE(delta.InDegreeChanged(v));
   EXPECT_FALSE(delta.OutChanged(2));
   EXPECT_FALSE(delta.LocalDirty(2));
-  ASSERT_EQ(delta.changed_out_nodes().size(), 1u);
-  EXPECT_EQ(delta.changed_out_nodes()[0], 0u);
-  EXPECT_DOUBLE_EQ(delta.EdgeWeightL1(), 5.0);
-  EXPECT_EQ(delta.NumChangedEdges(), 1u);
 }
 
 TEST(GraphDeltaTest, VanishedEdgeCountsFullWeight) {
@@ -70,9 +60,7 @@ TEST(GraphDeltaTest, VanishedEdgeCountsFullWeight) {
   GraphDelta delta(a, b);
   EXPECT_TRUE(delta.OutChanged(0));
   EXPECT_TRUE(delta.InChanged(1));
-  EXPECT_TRUE(delta.InDegreeChanged(1));
-  EXPECT_DOUBLE_EQ(delta.EdgeWeightL1(), 4.0);
-  EXPECT_EQ(delta.NumChangedEdges(), 1u);
+  EXPECT_FALSE(delta.InChanged(2));
 }
 
 TEST(GraphDeltaTest, LocalDirtyPropagatesFromEndpointInDegree) {
@@ -86,7 +74,6 @@ TEST(GraphDeltaTest, LocalDirtyPropagatesFromEndpointInDegree) {
   EXPECT_TRUE(delta.LocalDirty(0));
   EXPECT_TRUE(delta.OutChanged(3));
   EXPECT_TRUE(delta.LocalDirty(3));
-  EXPECT_TRUE(delta.InDegreeChanged(2));
   EXPECT_FALSE(delta.LocalDirty(1));
 }
 

@@ -5,6 +5,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "eval/masquerade_sim.h"
 #include "eval/perturb.h"
 #include "graph/graph_builder.h"
+#include "graph/graph_delta.h"
 #include "graph/windower.h"
 #include "sketch/streaming_signatures.h"
 
@@ -252,6 +255,78 @@ TEST_P(SeededPropertyTest, WindowerPartitionsEventWeight) {
   double window_total = 0.0;
   for (const auto& g : windows) window_total += g.TotalWeight();
   EXPECT_NEAR(window_total, total, 1e-9);
+}
+
+/// The window that sums `observations` in the given arrival order.
+CommGraph Aggregate(size_t n, const std::vector<TraceEvent>& observations) {
+  GraphBuilder b(n);
+  for (const TraceEvent& e : observations) b.AddEdge(e.src, e.dst, e.weight);
+  return std::move(b).Build();
+}
+
+TEST_P(SeededPropertyTest, GraphDeltaMatchesFullRowComparison) {
+  // GraphDelta compares rows by digest. Every flag and the changed-row list
+  // must equal a brute-force comparison of both windows' full rows and
+  // in-degrees: on one set of observations added in two arrival orders
+  // (bit-equal sums only for integer weights), on a perturbed copy, and on
+  // consecutive windows of a sliding split.
+  constexpr size_t kNodes = 20;
+  Rng rng(GetParam());
+  std::vector<std::pair<CommGraph, CommGraph>> pairs;
+  for (int trial = 0; trial < 4; ++trial) {
+    const bool integral = trial % 2 == 0;
+    auto observation = [&](uint64_t time) {
+      const double w = integral ? 1.0 + static_cast<double>(rng.UniformInt(9))
+                                : rng.UniformDouble() + 0.1;
+      return TraceEvent{static_cast<NodeId>(rng.UniformInt(kNodes)),
+                        static_cast<NodeId>(rng.UniformInt(kNodes)), time, w};
+    };
+    std::vector<TraceEvent> seen(60 + rng.UniformInt(60));
+    for (TraceEvent& e : seen) e = observation(rng.UniformInt(400));
+    std::vector<TraceEvent> reordered = seen;
+    std::shuffle(reordered.begin(), reordered.end(), rng);
+    pairs.emplace_back(Aggregate(kNodes, seen), Aggregate(kNodes, reordered));
+    if (integral) {
+      EXPECT_TRUE(GraphDelta(pairs.back().first, pairs.back().second)
+                      .changed_row_nodes()
+                      .empty());
+    }
+    // Drop a few observations, add a few and reweight one.
+    std::vector<TraceEvent> perturbed = reordered;
+    perturbed.resize(perturbed.size() - rng.UniformInt(4));
+    for (uint64_t i = rng.UniformInt(4); i > 0; --i) {
+      perturbed.push_back(observation(0));
+    }
+    perturbed[rng.UniformInt(perturbed.size())].weight += 1.0;
+    pairs.emplace_back(Aggregate(kNodes, seen), Aggregate(kNodes, perturbed));
+    std::vector<CommGraph> windows =
+        TraceWindower(kNodes, 100).SplitSliding(seen, 25);
+    for (size_t w = 1; w < windows.size(); ++w) {
+      pairs.emplace_back(std::move(windows[w - 1]), windows[w]);
+    }
+  }
+
+  for (const auto& [a, b] : pairs) {
+    GraphDelta delta(a, b);
+    std::vector<NodeId> changed_rows;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      const bool out = !std::ranges::equal(a.OutEdges(v), b.OutEdges(v));
+      const bool in = !std::ranges::equal(a.InEdges(v), b.InEdges(v));
+      bool local = out;
+      for (const CommGraph* g : {&a, &b}) {
+        for (const Edge& e : g->OutEdges(v)) {
+          local = local || a.InDegree(e.node) != b.InDegree(e.node);
+        }
+      }
+      EXPECT_EQ(delta.OutChanged(v), out) << v;
+      EXPECT_EQ(delta.InChanged(v), in) << v;
+      EXPECT_EQ(delta.LocalDirty(v), local) << v;
+      if (out || in) changed_rows.push_back(v);
+    }
+    EXPECT_EQ(std::vector<NodeId>(delta.changed_row_nodes().begin(),
+                                  delta.changed_row_nodes().end()),
+              changed_rows);
+  }
 }
 
 // ---------------------------------------------------------------------------

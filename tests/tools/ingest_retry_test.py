@@ -5,7 +5,8 @@ On the corrupt corpus trace, skip must log `records_rejected` with the
 number of rows it dropped and write each of them to --quarantine-out;
 `quarantine` is no policy of its own and exits 2.
 
-`commsig` retries a failed input read from byte 0 (--retry-* flags).  This
+`commsig` retries a failed input read from byte 0 under the library's
+default RetryPolicy (4 attempts, 5 ms backoff doubling to 200 ms).  This
 test arms the `ingest/frame` fail-point so one framer refill fails with a
 transient IO error after some batches were already merged, and checks the
 retried run against a fault-free one on a trace with known bad rows: same
@@ -61,7 +62,7 @@ class IngestRetryTest(unittest.TestCase):
              "--io-chunk-kb", "1", "--on-error", "skip",
              "--quarantine-out", quarantine,
              "--max-total-errors", str(ROWS // BAD_EVERY + 4),
-             "--retry-initial-ms", "1", "--log-file", log, *extra],
+             "--log-file", log, *extra],
             capture_output=True, text=True, timeout=120)
         events = []
         if os.path.exists(log):

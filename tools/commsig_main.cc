@@ -119,6 +119,8 @@ constexpr uint64_t kMaxMsAsUs = UINT64_MAX / 1000;
 /// creating too many throws out of main.
 constexpr uint64_t kMaxThreads = 256;
 constexpr double kMaxDouble = std::numeric_limits<double>::max();
+/// /healthz fails once no window advanced for this long (30 s).
+constexpr uint64_t kStallThresholdUs = 30'000'000;
 
 constexpr Flag Uint(const char* name, unsigned commands, const char* def,
                     uint64_t min, uint64_t max, const char* help) {
@@ -167,8 +169,6 @@ constexpr Flag kFlags[] = {
          "parse workers (0 = 1); output is the same at any N"),
     // Chunk buffers and queue slots are allocated up front; keep them small.
     Uint("io-chunk-kb", kAll, "256", 1, 1 << 20, "ingest chunk size in KiB"),
-    Uint("ingest-queue", kAll, "8", 1, 1 << 16,
-         "capacity of the queues between ingest stages, in chunks/batches"),
     Choice("on-error", kAll, "fail", "fail | skip",
            "what a reader does with a malformed record"),
     Uint("error-budget", kAll, "100000", 0, UINT64_MAX,
@@ -208,12 +208,6 @@ constexpr Flag kFlags[] = {
          "also extract all focal signatures every N events (0 = off)"),
     Real("replay-rate", kSupervised, "0", 0, kMaxDouble, Ends::kClosed,
          "replay trace time at X times wall-clock, 1 = real time (0 = off)"),
-    Uint("degrade-escalate-after", kSupervised, "3", 1, UINT32_MAX,
-         "consecutive bad epochs that step the degradation ladder up"),
-    Uint("degrade-recover-after", kSupervised, "8", 1, UINT32_MAX,
-         "consecutive healthy epochs that step it back down"),
-    Uint("degrade-checkpoint-stretch", kSupervised, "4", 1, UINT64_MAX,
-         "checkpoint-cadence multiplier at the widen_checkpoints tier"),
     Text("checkpoint-dir", kStream, nullptr, "dir",
          "durable checkpoint directory (enables restore)"),
     Uint("kill-after", kStream, "0", 0, UINT64_MAX,
@@ -234,19 +228,6 @@ constexpr Flag kFlags[] = {
     Uint("seed", kFaultcheck, "1", 0, UINT64_MAX, "fault injector seed"),
     Real("max-drift", kFaultcheck, "0.25", 0, 1, Ends::kClosed,
          "exit 1 if a scheme's mean Jaccard drift exceeds this"),
-    Uint("retry-max-attempts", kAll, "4", 1, UINT32_MAX,
-         "tries per retryable IO: checkpoint, telemetry, log and input opens"),
-    Uint("retry-initial-ms", kAll, "5", 0, UINT64_MAX, "first backoff, in ms"),
-    // The jittered backoff reaches twice this, rounded up as a double, and
-    // must still fit a millisecond sleep.
-    Uint("retry-max-ms", kAll, "200", 0, kMaxChrono / 4,
-         "ceiling on one backoff, in ms"),
-    Real("retry-multiplier", kAll, "2.0", 1, kMaxDouble, Ends::kClosed,
-         "backoff growth factor"),
-    Real("retry-jitter", kAll, "0.25", 0, 1, Ends::kClosed,
-         "uniform jitter as a fraction of each backoff"),
-    Uint("retry-deadline-ms", kAll, "0", 0, kMaxChrono,
-         "total backoff budget per operation, in ms (0 = off)"),
     Text("failpoints", kAll, nullptr, "site=kind[@after][xcount][;...]",
          "arm IO fail-points (needs a COMMSIG_FAILPOINTS build)",
          ArmFailpoints),
@@ -262,8 +243,6 @@ constexpr Flag kFlags[] = {
          "epoch over it also counts toward the degradation ladder (0 = off)"),
     Uint("stats-port", kAll, nullptr, 0, 65535,
          "serve /metrics etc. on 127.0.0.1:N (unset = off, 0 = any port)"),
-    Uint("stats-stall-ms", kAll, "30000", 0, kMaxMsAsUs,
-         "/healthz fails once no window advanced for N ms (0 = liveness only)"),
     Uint("stats-linger-ms", kAll, "0", 0, kMaxChrono,
          "keep the stats server up N ms after the command finishes"),
 };
@@ -433,22 +412,11 @@ ingest::PipelineOptions PipelineFromArgs(const Args& args,
   ingest::PipelineOptions opts;
   opts.parse_workers = static_cast<int>(args.Uint("parse-workers"));
   opts.chunk_bytes = static_cast<size_t>(args.Uint("io-chunk-kb")) * 1024;
-  opts.queue_capacity = args.Uint("ingest-queue");
   opts.ingest.policy =
       args.Str("on-error") == "skip" ? ErrorPolicy::kSkip : ErrorPolicy::kFail;
   opts.ingest.max_errors = args.Uint("error-budget");
   opts.ingest.error_log = log;
   return opts;
-}
-
-RetryPolicy RetryFromArgs(const Args& args) {
-  return {
-      .max_attempts = static_cast<uint32_t>(args.Uint("retry-max-attempts")),
-      .initial_backoff_ms = args.Uint("retry-initial-ms"),
-      .multiplier = args.Double("retry-multiplier"),
-      .max_backoff_ms = args.Uint("retry-max-ms"),
-      .jitter = args.Double("retry-jitter"),
-      .deadline_ms = args.Uint("retry-deadline-ms")};
 }
 
 /// `spec` at signature length `k`. It cannot fail: Args::Parse checked
@@ -519,7 +487,7 @@ bool LoadEvents(const Args& args, Interner& interner,
   }
   // Reading an input is retryable IO: a file served off flaky network
   // storage gets the same backoff treatment as a checkpoint write.
-  Retrier retrier(RetryFromArgs(args));
+  Retrier retrier(RetryPolicy{});
   const uint64_t parse_start_us = NowMicros();
   for (const std::string& path : paths) {
     std::vector<TraceEvent> file_events;
@@ -860,12 +828,6 @@ StreamSupervisor::Options SupervisorFromArgs(const Args& args) {
   opts.emit_every = args.Uint("emit-every");
   opts.replay_rate = args.Double("replay-rate");
   opts.epoch_budget_us = args.Uint("window-budget-ms") * 1000;
-  opts.retry = RetryFromArgs(args);
-  opts.degrade.escalate_after =
-      static_cast<uint32_t>(args.Uint("degrade-escalate-after"));
-  opts.degrade.recover_after =
-      static_cast<uint32_t>(args.Uint("degrade-recover-after"));
-  opts.degrade.checkpoint_stretch = args.Uint("degrade-checkpoint-stretch");
   // stream's --seed defaults to the builder's own seed; chaoscheck's seeds
   // the sketches only when given.
   if (args.Given("seed")) opts.builder.seed = args.Uint("seed");
@@ -1149,7 +1111,7 @@ bool ConfigureLogging(const Args& args) {
   if (!log_file.empty()) {
     // The log sink is itself retryable IO: a transient open failure (NFS
     // hiccup, slow mount) should not kill the whole run.
-    Retrier retrier(RetryFromArgs(args));
+    Retrier retrier(RetryPolicy{});
     Status s = retrier.Run("logsink_open", [&log_file]() {
       Status fp = failpoints::Inject("logsink/open");
       if (!fp.ok()) return fp;
@@ -1204,7 +1166,7 @@ int Main(int argc, char** argv) {
   if (args.Given("stats-port")) {
     obs::StatsServer::Options sopts;
     sopts.port = static_cast<uint16_t>(args.Uint("stats-port"));
-    sopts.stall_threshold_us = args.Uint("stats-stall-ms") * 1000;
+    sopts.stall_threshold_us = kStallThresholdUs;
     stats_server = std::make_unique<obs::StatsServer>(sopts);
     Status s = stats_server->Start();
     if (!s.ok()) {
