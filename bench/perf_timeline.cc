@@ -6,8 +6,11 @@
 // accountable for — with the nodes each timed pass recomputes as
 // `timeline/<scheme>/overlap<pct>_dirty_count` and, for RWR, the power
 // iterations it runs as `timeline/<scheme>/overlap<pct>_iterations_count`,
-// and prints the sweep as a table. The snapshot also records the host's
-// core count as `host/nproc`.
+// and prints the sweep as a table. Next to the median pass times
+// `_scratch_ns` and `_incremental_ns` it publishes `_delta_diff_ns`, the
+// median time to build the GraphDelta of every window pair one
+// incremental pass advances across (e2ebench's pipeline.delta_diff_us).
+// The snapshot also records the host's core count as `host/nproc`.
 //
 // Each repeat times one scratch pass and one incremental pass back to
 // back, alternating which goes first; a speedup is the median of the
@@ -55,6 +58,7 @@
 #include "core/incremental.h"
 #include "core/scheme.h"
 #include "eval/timeline.h"
+#include "graph/graph_delta.h"
 #include "graph/windower.h"
 #include "obs/metrics.h"
 
@@ -173,6 +177,17 @@ double ScratchPassNs(const SignatureScheme& scheme,
   return ElapsedNs(t0);
 }
 
+/// The diffs one incremental pass builds: GraphDelta over every window
+/// pair it advances across.
+double DeltaDiffPassNs(const std::vector<CommGraph>& windows) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (size_t w = 1; w < windows.size(); ++w) {
+    const GraphDelta delta(windows[w - 1], windows[w]);
+    g_sink += delta.changed_row_nodes().size();
+  }
+  return ElapsedNs(t0);
+}
+
 /// One incremental pass on a fresh engine, timed after its untimed priming
 /// sweep over the first window. Adds the RWR power iterations of the timed
 /// windows to `iterations`.
@@ -277,8 +292,14 @@ void RunSweep(const Workload& wl, const std::string& spec,
       incr_runs.push_back(incr);
       ratios.push_back(incr > 0.0 ? scratch / incr : 0.0);
     }
+    // Timed apart from the pairs above, so the ratios stay two-pass.
+    std::vector<double> diff_runs;
+    for (int rep = 0; rep < repeats; ++rep) {
+      diff_runs.push_back(DeltaDiffPassNs(windows));
+    }
     const double scratch_ns = Median(scratch_runs);
     const double incr_ns = Median(incr_runs);
+    const double diff_ns = Median(diff_runs);
     const double speedup = Median(ratios);
     // Each repeat's untimed priming sweep marks every focal node dirty;
     // exclude those so the printed fraction is the steady-state dirty rate
@@ -298,6 +319,7 @@ void RunSweep(const Workload& wl, const std::string& spec,
     reg.GetGauge(prefix + "_speedup").Set(speedup);
     reg.GetGauge(prefix + "_scratch_ns").Set(scratch_ns);
     reg.GetGauge(prefix + "_incremental_ns").Set(incr_ns);
+    reg.GetGauge(prefix + "_delta_diff_ns").Set(diff_ns);
     // Nodes recomputed per timed pass: deterministic at this seed, so
     // bench_guard holds it as an exact ceiling next to the noisy ratio.
     reg.GetGauge(prefix + "_dirty_count")
@@ -311,6 +333,7 @@ void RunSweep(const Workload& wl, const std::string& spec,
               Fmt(static_cast<double>(windows.size()), "%.0f"),
               Fmt(100.0 * dirty_frac, "%.1f") + "%",
               Fmt(scratch_ns / 1e6, "%.3f"), Fmt(incr_ns / 1e6, "%.3f"),
+              Fmt(diff_ns / 1e6, "%.3f"),
               Fmt(speedup, "%.2f") + "x", Fmt(dev, "%.2g")},
              12);
   }
@@ -328,7 +351,7 @@ int main() {
 
   PrintHeader("incremental timeline vs from-scratch (steady-state)");
   PrintRow({"workload", "scheme", "overlap", "windows", "dirty", "scratch_ms",
-            "incr_ms", "speedup", "max_dev"},
+            "incr_ms", "diff_ms", "speedup", "max_dev"},
            12);
 
   // TT/UT: one-hop dirty rules on the shared-service workload. Exact

@@ -60,6 +60,7 @@ bool SlowParseDouble(std::string_view text, double& out) {
 }
 
 bool SlowParseUint(std::string_view text, uint64_t& out) {
+  if (text.find('-') != std::string_view::npos) return false;
   char stack_buf[64];
   std::string heap_buf;
   const char* begin;

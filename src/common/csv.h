@@ -32,13 +32,13 @@ class CsvWriter {
   Status status_;
 };
 
-/// Allocation-free number parsers for the ingestion hot loops: a whole-field
-/// strtod/strtoull parse that rejects empty input, trailing garbage and
-/// range errors, with no Status construction on failure. The common
-/// all-digit forms take an exact integer fast path; anything else (signs,
-/// whitespace, exponents, hex floats, out-of-range values) goes through the
-/// exact strtod/strtoull slow path, so accept/reject decisions and parsed
-/// values are bit-identical to strtod/strtoull.
+/// Allocation-free whole-field strtod/strtoull parses for the ingest hot
+/// loops, scheme specs and CLI flags: empty input, trailing garbage and
+/// range errors fail, with no Status built. All-digit forms take an exact
+/// integer fast path; anything else (signs, whitespace, exponents, hex
+/// floats, out-of-range values) takes the exact strtod/strtoull slow path,
+/// so decisions and values are bit-identical to theirs, except that
+/// TryParseUint rejects a minus sign, which strtoull wraps ("-1" → 2^64-1).
 bool TryParseDouble(std::string_view text, double& out);
 bool TryParseUint(std::string_view text, uint64_t& out);
 

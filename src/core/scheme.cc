@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
+#include <cmath>
 
+#include "common/csv.h"
 #include "core/rwr_push.h"
 #include "graph/graph_delta.h"
 #include "obs/obs.h"
@@ -126,18 +127,6 @@ Status ParseParams(std::string_view spec, std::string_view name, Set&& set) {
   return Status::OK();
 }
 
-/// strtod / strtoul that must consume all of `value`.
-bool ParseWhole(const std::string& value, double& out) {
-  char* end = nullptr;
-  out = std::strtod(value.c_str(), &end);
-  return end == value.c_str() + value.size();
-}
-bool ParseWhole(const std::string& value, size_t& out) {
-  char* end = nullptr;
-  out = std::strtoul(value.c_str(), &end, 10);
-  return end == value.c_str() + value.size();
-}
-
 bool ParseMode(const std::string& value, TraversalMode& out) {
   if (value == "directed") {
     out = TraversalMode::kDirected;
@@ -165,11 +154,12 @@ Result<std::unique_ptr<SignatureScheme>> CreateScheme(std::string_view spec,
     const Status s = ParseParams(
         spec, "rwr-push", [&push](std::string_view key, const std::string& v) {
           if (key == "c") {
-            return ParseWhole(v, push.reset) &&
-                   !(push.reset <= 0.0 || push.reset > 1.0);
+            return TryParseDouble(v, push.reset) && push.reset > 0.0 &&
+                   push.reset <= 1.0;
           }
           if (key == "eps") {
-            return ParseWhole(v, push.epsilon) && !(push.epsilon <= 0.0);
+            return TryParseDouble(v, push.epsilon) && push.epsilon > 0.0 &&
+                   std::isfinite(push.epsilon);
           }
           return key == "mode" && ParseMode(v, push.traversal);
         });
@@ -181,10 +171,13 @@ Result<std::unique_ptr<SignatureScheme>> CreateScheme(std::string_view spec,
     const Status s = ParseParams(
         spec, "rwr", [&rwr](std::string_view key, const std::string& v) {
           if (key == "c") {
-            return ParseWhole(v, rwr.reset) &&
-                   !(rwr.reset < 0.0 || rwr.reset > 1.0);
+            return TryParseDouble(v, rwr.reset) && rwr.reset >= 0.0 &&
+                   rwr.reset <= 1.0;
           }
-          if (key == "h") return ParseWhole(v, rwr.max_hops);
+          if (key == "h") {  // capped at max_iterations; the paper runs 3-7
+            return TryParseUint(v, rwr.max_hops) &&
+                   rwr.max_hops <= rwr.max_iterations;
+          }
           return key == "mode" && ParseMode(v, rwr.traversal);
         });
     if (!s.ok()) return s;

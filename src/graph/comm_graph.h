@@ -2,7 +2,6 @@
 #define COMMSIG_GRAPH_COMM_GRAPH_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -83,13 +82,6 @@ class CommGraph {
   /// True iff edge (v,u) is present with non-zero weight.
   bool HasEdge(NodeId v, NodeId u) const { return EdgeWeight(v, u) > 0.0; }
 
-  /// 64-bit digest of `v`'s out-row (neighbour ids and exact weight bits),
-  /// computed once during Build. Two equal rows always have equal digests;
-  /// unequal rows collide with probability 2^-64 per pair, which is what
-  /// lets GraphDelta compare rows in O(1) instead of O(row).
-  uint64_t OutRowDigest(NodeId v) const { return out_row_digest_[v]; }
-  uint64_t InRowDigest(NodeId v) const { return in_row_digest_[v]; }
-
   const Bipartite& bipartite() const { return bipartite_; }
 
   /// For bipartite graphs: true iff `v` is in the left partition V1.
@@ -113,8 +105,6 @@ class CommGraph {
   std::vector<Edge> in_edges_;
   std::vector<double> out_weight_;
   std::vector<double> in_weight_;
-  std::vector<uint64_t> out_row_digest_;  // size NumNodes()
-  std::vector<uint64_t> in_row_digest_;
   double total_weight_ = 0.0;
   Bipartite bipartite_;
 };

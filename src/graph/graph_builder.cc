@@ -4,23 +4,9 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/random.h"
-
 namespace commsig {
 
 namespace {
-
-/// Chained SplitMix64 over a sorted edge row. Equal rows (same neighbours,
-/// bit-identical weights) always digest identically; the digest seeds are
-/// fixed so digests are comparable across graphs and processes.
-uint64_t DigestRow(std::span<const Edge> row) {
-  uint64_t h = 0x9017;
-  for (const Edge& e : row) {
-    h = SplitMix64(h ^ e.node);
-    h = SplitMix64(h ^ std::bit_cast<uint64_t>(e.weight));
-  }
-  return h;
-}
 
 NodeId SrcOf(uint64_t key) { return static_cast<NodeId>(key >> 32); }
 NodeId DstOf(uint64_t key) { return static_cast<NodeId>(key); }
@@ -126,13 +112,6 @@ CommGraph GraphBuilder::Build() && {
       g.total_weight_ += e.weight;
       g.in_edges_[cursor[e.node]++] = {v, e.weight};
     }
-  }
-
-  g.out_row_digest_.resize(n);
-  g.in_row_digest_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    g.out_row_digest_[v] = DigestRow(g.OutEdges(v));
-    g.in_row_digest_[v] = DigestRow(g.InEdges(v));
   }
 
   g.bipartite_.left_size = left_size_;

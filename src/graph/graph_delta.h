@@ -10,10 +10,10 @@
 
 namespace commsig {
 
-/// Structural diff between two consecutive window graphs over the same node
-/// universe (the paper's G_t -> G_{t+1} transition), built in one
-/// O(V + E_old + E_new) pass. The incremental signature engine uses it to
-/// decide which focal nodes' signatures can be carried over unchanged:
+/// Exact structural diff between two consecutive window graphs over one
+/// node universe (the paper's G_t -> G_{t+1}): O(V) plus one walk of each
+/// out-row that changed or ties on degree and weight sum. The incremental
+/// engine uses it to decide which focal signatures can be carried over:
 ///
 ///  - OutChanged(v): v's out-adjacency (neighbour set or any edge weight)
 ///    differs. The exact dirtiness condition for Top Talkers, whose

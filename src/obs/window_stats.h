@@ -19,7 +19,7 @@ namespace commsig::obs {
 enum class PipelineStage : int {
   kParse = 0,           // trace/NetFlow decode into TraceEvents
   kWindowBuild = 1,     // windower split / streaming ingest of the epoch
-  kDeltaDiff = 2,       // GraphDelta digest diff against the previous window
+  kDeltaDiff = 2,       // GraphDelta row diff against the previous window
   kDirtyRecompute = 3,  // dirty-node signature recompute (or full sweep)
   kExtract = 4,         // distance evaluation / signature extraction
 };

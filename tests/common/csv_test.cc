@@ -51,7 +51,8 @@ TEST(ParseUintTest, RejectsGarbage) {
 // The Try* fast paths must be decision- and bit-identical to strtod /
 // strtoull across every input class: plain decimals on the fast path, and
 // strtod's quirkier accepts (signs, leading whitespace, exponents, hex
-// floats) plus its range rejects on the slow path.
+// floats) plus its range rejects on the slow path. The one exception is a
+// minus sign, which TryParseUint rejects and strtoull wraps.
 TEST(TryParseDoubleTest, MatchesStrtodSemantics) {
   const char* cases[] = {
       "0",      "1",        "2.5",     "3.25",    "123456.789",
@@ -83,14 +84,16 @@ TEST(TryParseUintTest, MatchesStrtoullSemantics) {
       "0",  "7",   "42",     "123456789012",     "000000000000000000001",
       "18446744073709551615", "18446744073709551616", "99999999999999999999",
       "-1", "+1",  " 1",     "12.5",             "x1",
-      "1x", "0x10",
+      "1x", "0x10", "-0",    " -1",              "-18446744073709551615",
   };
   for (const char* text : cases) {
     std::string buf(text);
     errno = 0;
     char* end = nullptr;
     unsigned long long expected = std::strtoull(buf.c_str(), &end, 10);
-    const bool ok = errno == 0 && end == buf.c_str() + buf.size();
+    // TryParseUint rejects any minus sign, which strtoull wraps.
+    const bool ok = errno == 0 && end == buf.c_str() + buf.size() &&
+                    buf.find('-') == std::string::npos;
     uint64_t got = 0;
     EXPECT_EQ(TryParseUint(text, got), ok) << text;
     if (ok) {

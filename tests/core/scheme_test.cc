@@ -142,6 +142,17 @@ TEST(CreateSchemeTest, ParamListEdgeCases) {
            {"rwr-push(c=1.5)", ""},
            {"rwr-push(eps=0)", ""},
            {"rwr(h=2.5)", ""},
+           {"rwr(h=-1)", ""},
+           {"rwr(h=500)", "rwr(c=0.1,h=500)"},
+           {"rwr(h=501)", ""},
+           {"rwr(c=nan)", ""},
+           {"rwr(c=inf)", ""},
+           {"rwr(c=)", ""},
+           {"rwr(c=0.1,h=)", ""},
+           {"rwr-push(c=nan)", ""},
+           {"rwr-push(eps=nan)", ""},
+           {"rwr-push(eps=inf)", ""},
+           {"rwr-push(eps=)", ""},
            {"rwr(c=0.25,h=3,mode=directed)", "rwr(c=0.25,h=3)"},
            {"rwr-push(mode=symmetric,c=0.5)", "rwr-push(c=0.5,eps=1e-06)"},
            {"rwr(", ""},

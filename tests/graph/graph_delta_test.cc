@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -35,13 +37,11 @@ TEST(GraphDeltaTest, IdenticalGraphsAreEmpty) {
 
 TEST(GraphDeltaTest, AggregationOrderDoesNotMatter) {
   // Same multiset of observations added in different orders must aggregate
-  // to identical rows (and identical row digests), so the delta is empty.
+  // to identical rows, so the delta is empty.
   CommGraph a = MakeGraph(3, {{0, 1, 1.0}, {0, 2, 3.0}, {0, 1, 2.0}});
   CommGraph b = MakeGraph(3, {{0, 2, 3.0}, {0, 1, 2.0}, {0, 1, 1.0}});
   GraphDelta delta(a, b);
   EXPECT_TRUE(delta.changed_row_nodes().empty());
-  EXPECT_EQ(a.OutRowDigest(0), b.OutRowDigest(0));
-  EXPECT_EQ(a.InRowDigest(1), b.InRowDigest(1));
 }
 
 TEST(GraphDeltaTest, WeightChangeFlagsOutAndInRows) {
@@ -101,14 +101,50 @@ TEST(GraphDeltaTest, RowChangedHonoursTraversalMode) {
   EXPECT_EQ(rows, (std::vector<NodeId>{0, 1}));
 }
 
-TEST(GraphDeltaTest, RowDigestsDifferForDifferentRows) {
-  CommGraph a = MakeGraph(3, {{0, 1, 1.0}});
-  CommGraph b = MakeGraph(3, {{0, 1, 2.0}});
-  CommGraph c = MakeGraph(3, {{0, 2, 1.0}});
-  EXPECT_NE(a.OutRowDigest(0), b.OutRowDigest(0));  // weight differs
-  EXPECT_NE(a.OutRowDigest(0), c.OutRowDigest(0));  // neighbour differs
-  EXPECT_EQ(a.OutRowDigest(1), b.OutRowDigest(1));  // both empty... equal
-  EXPECT_NE(a.InRowDigest(1), c.InRowDigest(1));
+// The three cases below tie on node 0's out-degree and OutWeight, so
+// only the entry-by-entry comparison can tell its rows apart.
+
+/// Nodes flagged by `changed` (OutChanged or InChanged), ascending.
+template <typename Flag>
+std::vector<NodeId> Flagged(size_t num_nodes, Flag changed) {
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    if (changed(v)) nodes.push_back(v);
+  }
+  return nodes;
+}
+
+void ExpectOutRowChange(const CommGraph& a, const CommGraph& b,
+                        const std::vector<NodeId>& in_changed) {
+  ASSERT_EQ(a.OutDegree(0), b.OutDegree(0));
+  ASSERT_EQ(std::bit_cast<uint64_t>(a.OutWeight(0)),
+            std::bit_cast<uint64_t>(b.OutWeight(0)));
+  GraphDelta delta(a, b);
+  const size_t n = a.NumNodes();
+  EXPECT_EQ(Flagged(n, [&](NodeId v) { return delta.OutChanged(v); }),
+            (std::vector<NodeId>{0}));
+  EXPECT_EQ(Flagged(n, [&](NodeId v) { return delta.InChanged(v); }),
+            in_changed);
+}
+
+TEST(GraphDeltaTest, SameDegreeAndSumDifferentNeighbour) {
+  ExpectOutRowChange(MakeGraph(4, {{0, 1, 1.0}, {0, 2, 2.0}}),
+                     MakeGraph(4, {{0, 1, 1.0}, {0, 3, 2.0}}), {2, 3});
+}
+
+TEST(GraphDeltaTest, SwappedWeights) {
+  ExpectOutRowChange(MakeGraph(3, {{0, 1, 1.0}, {0, 2, 2.0}}),
+                     MakeGraph(3, {{0, 1, 2.0}, {0, 2, 1.0}}), {1, 2});
+}
+
+TEST(GraphDeltaTest, WeightDifferingInLastBit) {
+  // Two observations sum to 0.1 + 0.2 = 0.30000000000000004, one ulp above
+  // the single observation 0.3; added to 1e16, both round to one OutWeight.
+  CommGraph a = MakeGraph(3, {{0, 1, 0.1}, {0, 1, 0.2}, {0, 2, 1e16}});
+  CommGraph b = MakeGraph(3, {{0, 1, 0.3}, {0, 2, 1e16}});
+  ASSERT_EQ(std::bit_cast<uint64_t>(a.EdgeWeight(0, 1)),
+            std::bit_cast<uint64_t>(b.EdgeWeight(0, 1)) + 1);
+  ExpectOutRowChange(a, b, {1});
 }
 
 }  // namespace

@@ -263,6 +263,35 @@ TEST_F(PipelineTest, TraceFailPolicyReproducesSerialStatus) {
   }
 }
 
+TEST_F(PipelineTest, NegativeTimeIsABadField) {
+  // strtoull alone reads "-1" as 2^64 - 1, a time past every window.
+  WriteFile("h1,p1,10,1\nh1,p2,11,2\nh2,p3,-1,1.5\nh2,p1,12,1\nh3,p2,13,1\n");
+  for (int workers : {1, 4}) {
+    PipelineOptions options;
+    options.parse_workers = workers;
+    options.chunk_bytes = 16;
+    RecordErrorLog log;
+    options.ingest.policy = ErrorPolicy::kSkip;
+    options.ingest.error_log = &log;
+    Interner skip_interner;
+    auto kept = ReadTraceEventsPipelined(
+        PathStr(), PipelineFormat::kTraceCsv, skip_interner, options);
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    EXPECT_EQ(kept->size(), 4u) << "workers=" << workers;
+    EXPECT_EQ(log.count(RecordErrorReason::kBadField), 1u);
+    EXPECT_EQ(log.total(), 1u);
+
+    options.ingest.policy = ErrorPolicy::kFail;
+    options.ingest.error_log = nullptr;
+    Interner fail_interner;
+    auto failed = ReadTraceEventsPipelined(
+        PathStr(), PipelineFormat::kTraceCsv, fail_interner, options);
+    ASSERT_FALSE(failed.ok()) << "workers=" << workers;
+    EXPECT_TRUE(failed.status().IsInvalidArgument())
+        << failed.status().ToString();
+  }
+}
+
 TEST_F(PipelineTest, TraceErrorBudgetExhaustionMatchesSerial) {
   WriteFile(CorruptTraceCorpus());
 

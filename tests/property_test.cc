@@ -265,9 +265,9 @@ CommGraph Aggregate(size_t n, const std::vector<TraceEvent>& observations) {
 }
 
 TEST_P(SeededPropertyTest, GraphDeltaMatchesFullRowComparison) {
-  // GraphDelta compares rows by digest. Every flag and the changed-row list
-  // must equal a brute-force comparison of both windows' full rows and
-  // in-degrees: on one set of observations added in two arrival orders
+  // GraphDelta compares out-rows exactly and derives in-row changes from
+  // the changed out-rows. Every flag and the changed-row list must equal a
+  // brute-force comparison of both windows' full rows and in-degrees: on one set of observations added in two arrival orders
   // (bit-equal sums only for integer weights), on a perturbed copy, and on
   // consecutive windows of a sliding split.
   constexpr size_t kNodes = 20;

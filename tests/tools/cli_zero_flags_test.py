@@ -302,6 +302,14 @@ class ZeroFlagsTest(unittest.TestCase):
                     self.assertEqual(proc.returncode, 0, proc.stderr)
                     self.assertEqual(proc.stdout, runs["1"].stdout)
 
+    def test_scheme_with_negative_hops_rejected(self):
+        # strtoul would wrap h=-1 to 2^64 - 1 hops, a walk that never ends;
+        # run_cli's timeout turns such a hang into a failure.
+        proc = self.run_cli("signatures", "--scheme", "rwr(h=-1)")
+        self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+        self.assertIn("invalid value for --scheme", proc.stderr)
+        self.assertEqual(proc.stdout, "")
+
     def test_far_future_timestamp_exits_before_split(self):
         # One-day windows up to t = 10^18 are ~1.2e13 windows, and one-unit
         # windows up to t = 2^64 - 1 are 2^64: the split must be refused,

@@ -4,12 +4,10 @@
 // Args::Parse rejects any other flag or value before any IO.
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -29,6 +27,7 @@
 #include "apps/masquerade_detector.h"
 #include "apps/multiusage.h"
 #include "common/check.h"
+#include "common/csv.h"
 #include "common/random.h"
 #include "core/distance.h"
 #include "core/parallel.h"
@@ -290,20 +289,14 @@ int Usage() {
   return 2;
 }
 
-/// Whole-token parse of a base-10 unsigned integer (strtoull alone wraps
-/// "-1") or of a finite double.
+/// Whole-token parse of a base-10 unsigned integer or of a finite double.
 template <typename T>
 bool ParseNumber(const std::string& s, T& out) {
-  char* end = nullptr;
-  errno = 0;
   if constexpr (std::is_same_v<T, uint64_t>) {
-    out = std::strtoull(s.c_str(), &end, 10);
-    if (s.find('-') != std::string::npos) return false;
+    return TryParseUint(s, out);
   } else {
-    out = std::strtod(s.c_str(), &end);
+    return TryParseDouble(s, out) && std::isfinite(out);
   }
-  return !s.empty() && end == s.c_str() + s.size() && errno != ERANGE &&
-         std::isfinite(static_cast<double>(out));
 }
 
 /// Empty when `v` is a valid value of `f`, else what a valid value is.
@@ -570,12 +563,12 @@ std::vector<NodeId> FocalFromWindows(size_t num_nodes,
   return focal;
 }
 
-/// A window graph holds six arrays of n + 1 8-byte entries over the node
-/// universe (out/in CSR offsets, weight sums and row digests), about 48 B
-/// per node before any edge, and a split builds every window from the
-/// earliest event's through the last event's. 2^30 node-windows is 48 GiB
-/// of those arrays alone, past the memory of the hosts this tool runs on,
-/// so a larger split is refused up front instead of dying in bad_alloc.
+/// A window graph holds four arrays of n or n + 1 8-byte entries over the
+/// node universe (out/in CSR offsets and weight sums), about 32 B per node
+/// before any edge, and a split builds every window from the earliest
+/// event's through the last event's. 2^30 node-windows is 32 GiB of those
+/// arrays alone, past the memory of the hosts this tool runs on, so a
+/// larger split is refused up front instead of dying in bad_alloc.
 constexpr uint64_t kMaxWindowNodes = uint64_t{1} << 30;
 
 /// Where the split starts: the first window that holds the earliest event,
