@@ -19,6 +19,11 @@
 // tests/ref/, for the paper's four kinds; main() derives
 // `distance/join_<kind>_speedup`, and each index row sets
 // `distance/join_<kind>_candidates_count`, the pairs it scored.
+//
+// BM_DistanceRow scores every row of the same window's TT signatures, each
+// probe against the signatures after it (uniqueness' all-pairs sweep),
+// through SignatureIndex::DistanceRow against ref::DistanceRow, the kernel
+// on every pair; main() derives `distance/row_<kind>_speedup`.
 
 #include <benchmark/benchmark.h>
 
@@ -185,6 +190,41 @@ BENCHMARK(BM_ThresholdJoin)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
     ->ArgNames({"kind", "impl"});
 
+// --- distance rows ----------------------------------------------------------
+
+// args: kind (paper lineup, 0..3), impl (0 = ref::DistanceRow; 1 =
+// SignatureIndex::DistanceRow, the index built inside the timed loop as
+// UniquenessValues builds it per call). Row v holds u > v: 44 850 pairs.
+void BM_DistanceRow(benchmark::State& state) {
+  const DistanceKind kind = static_cast<DistanceKind>(state.range(0));
+  const bool indexed = state.range(1) == 1;
+  const std::vector<Signature>& sigs = FlowWindowTt();
+  const SignatureDistance dist(kind);
+  const size_t n = sigs.size();
+  std::vector<double> row(n);
+  for (auto _ : state) {
+    if (indexed) {
+      const SignatureIndex index(sigs);
+      for (size_t v = 0; v < n; ++v) {
+        index.DistanceRow(sigs[v], dist, v + 1,
+                          std::span(row).first(n - v - 1));
+        benchmark::DoNotOptimize(row.data());
+      }
+    } else {
+      for (size_t v = 0; v < n; ++v) {
+        benchmark::DoNotOptimize(ref::DistanceRow(sigs[v], sigs, dist, v + 1));
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * (n - 1) / 2);
+  state.SetLabel(std::string(DistanceName(kind)) +
+                 (indexed ? " index" : " brute force"));
+}
+BENCHMARK(BM_DistanceRow)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+    ->ArgNames({"kind", "impl"});
+
 }  // namespace
 }  // namespace commsig
 
@@ -222,18 +262,25 @@ int main(int argc, char** argv) {
           .Set(ratio_sum / ratios);
     }
   }
-  // Threshold join: brute-force sweep time over index time, per kind.
-  for (int kind = 0; kind < 4; ++kind) {
-    const std::string base =
-        "bench/BM_ThresholdJoin/kind:" + std::to_string(kind);
-    const double brute = reg.GetGauge(base + "/impl:0/real_time_ns").Value();
-    const double indexed =
-        reg.GetGauge(base + "/impl:1/real_time_ns").Value();
-    if (brute > 0.0 && indexed > 0.0) {
-      const auto name =
-          commsig::DistanceName(static_cast<commsig::DistanceKind>(kind));
-      reg.GetGauge("distance/join_" + std::string(name) + "_speedup")
-          .Set(brute / indexed);
+  // Threshold join and distance rows: brute-force sweep time over index
+  // time, per kind.
+  for (const auto& [bench, prefix] :
+       {std::pair{"BM_ThresholdJoin", "join_"},
+        std::pair{"BM_DistanceRow", "row_"}}) {
+    for (int kind = 0; kind < 4; ++kind) {
+      const std::string base = std::string("bench/") + bench +
+                               "/kind:" + std::to_string(kind);
+      const double brute =
+          reg.GetGauge(base + "/impl:0/real_time_ns").Value();
+      const double indexed =
+          reg.GetGauge(base + "/impl:1/real_time_ns").Value();
+      if (brute > 0.0 && indexed > 0.0) {
+        const auto name =
+            commsig::DistanceName(static_cast<commsig::DistanceKind>(kind));
+        reg.GetGauge("distance/" + std::string(prefix) + std::string(name) +
+                     "_speedup")
+            .Set(brute / indexed);
+      }
     }
   }
   commsig::bench::WriteBenchSnapshot("distance");

@@ -70,6 +70,10 @@ Result<DistanceKind> ParseDistanceName(std::string_view name) {
 //    whose fixed logical width makes the result identical across
 //    -DCOMMSIG_SIMD=off/avx2/neon builds.
 //
+//  * A kernel is the intersection plus its kind's finish (DistanceFinish),
+//    the reduction over the matched weights. SignatureIndex's row pass
+//    feeds the same finish the same matches in the same order.
+//
 // Duplicate ids: FromTopK does not coalesce duplicate candidate nodes, so a
 // signature may (rarely, and only from adversarial inputs) contain repeated
 // ids. Both tiers pair occurrences greedily, exactly like the single-merge
@@ -242,14 +246,20 @@ double AccumulateMatches(const double* x, const double* y, size_t m,
   return total;
 }
 
-// --- kernels ----------------------------------------------------------------
+// --- finishes ---------------------------------------------------------------
+// What a kernel does after its intersection: the per-kind reduction over
+// the m matched weight pairs (a's in x, b's in y, ascending id) plus the
+// cached per-signature sums, including the empty-signature contract. The
+// kernels below and SignatureIndex's row pass both end here, so they share
+// one copy of the arithmetic and return the same double for the same
+// matches.
 
 inline double ClampDistance(double similarity) {
   return std::clamp(1.0 - similarity, 0.0, 1.0);
 }
 
-/// Shared empty-signature contract of every kernel. Returns true when the
-/// pair is decided without an intersection.
+/// Shared empty-signature contract of every kind. Returns true when the
+/// pair is decided without its matches.
 inline bool EmptyCase(const Signature::PackedView& a,
                       const Signature::PackedView& b, double* out) {
   if (a.size == 0 && b.size == 0) {
@@ -263,71 +273,55 @@ inline bool EmptyCase(const Signature::PackedView& a,
   return false;
 }
 
-double JaccardImpl(const Signature& a, const Signature& b,
-                   IntersectTier tier) {
-  const auto pa = a.packed();
-  const auto pb = b.packed();
+double JaccardFinish(const Signature::PackedView& a,
+                     const Signature::PackedView& b, const double* /*x*/,
+                     const double* /*y*/, size_t m) {
   double decided;
-  if (EmptyCase(pa, pb, &decided)) return decided;
-  const size_t m = CountMatches(pa, pb, tier);
+  if (EmptyCase(a, b, &decided)) return decided;
   return ClampDistance(static_cast<double>(m) /
-                       static_cast<double>(pa.size + pb.size - m));
+                       static_cast<double>(a.size + b.size - m));
 }
 
-double OverlapImpl(const Signature& a, const Signature& b,
-                   IntersectTier tier) {
-  const auto pa = a.packed();
-  const auto pb = b.packed();
+double OverlapFinish(const Signature::PackedView& a,
+                     const Signature::PackedView& b, const double* /*x*/,
+                     const double* /*y*/, size_t m) {
   double decided;
-  if (EmptyCase(pa, pb, &decided)) return decided;
-  const size_t m = CountMatches(pa, pb, tier);
+  if (EmptyCase(a, b, &decided)) return decided;
   return ClampDistance(static_cast<double>(m) /
-                       static_cast<double>(std::min(pa.size, pb.size)));
+                       static_cast<double>(std::min(a.size, b.size)));
 }
 
-double DiceImpl(const Signature& a, const Signature& b, IntersectTier tier) {
-  const auto pa = a.packed();
-  const auto pb = b.packed();
+double DiceFinish(const Signature::PackedView& a,
+                  const Signature::PackedView& b, const double* x,
+                  const double* y, size_t m) {
   double decided;
-  if (EmptyCase(pa, pb, &decided)) return decided;
-  MatchScratch& scratch = LocalMatchScratch();
-  const size_t m = GatherMatches(pa, pb, tier, scratch);
+  if (EmptyCase(a, b, &decided)) return decided;
   const double num = AccumulateMatches(
-      scratch.wa.data(), scratch.wb.data(), m,
-      [](simd::VecD x, simd::VecD y) { return simd::Add(x, y); },
-      [](double x, double y) { return x + y; });
-  return ClampDistance(num / (pa.total_weight + pb.total_weight));
+      x, y, m, [](simd::VecD p, simd::VecD q) { return simd::Add(p, q); },
+      [](double p, double q) { return p + q; });
+  return ClampDistance(num / (a.total_weight + b.total_weight));
 }
 
-double ScaledDiceImpl(const Signature& a, const Signature& b,
-                      IntersectTier tier) {
-  const auto pa = a.packed();
-  const auto pb = b.packed();
+double ScaledDiceFinish(const Signature::PackedView& a,
+                        const Signature::PackedView& b, const double* x,
+                        const double* y, size_t m) {
   double decided;
-  if (EmptyCase(pa, pb, &decided)) return decided;
-  MatchScratch& scratch = LocalMatchScratch();
-  const size_t m = GatherMatches(pa, pb, tier, scratch);
+  if (EmptyCase(a, b, &decided)) return decided;
   const double sum_min = AccumulateMatches(
-      scratch.wa.data(), scratch.wb.data(), m,
-      [](simd::VecD x, simd::VecD y) { return simd::Min(x, y); },
-      [](double x, double y) { return x < y ? x : y; });
+      x, y, m, [](simd::VecD p, simd::VecD q) { return simd::Min(p, q); },
+      [](double p, double q) { return p < q ? p : q; });
   // Σ_{∪} max = Σ_A w + Σ_B w − Σ_{∩} min.
-  const double sum_max = pa.total_weight + pb.total_weight - sum_min;
+  const double sum_max = a.total_weight + b.total_weight - sum_min;
   return ClampDistance(sum_min / sum_max);
 }
 
-double ScaledHellingerImpl(const Signature& a, const Signature& b,
-                           IntersectTier tier) {
-  const auto pa = a.packed();
-  const auto pb = b.packed();
+double ScaledHellingerFinish(const Signature::PackedView& a,
+                             const Signature::PackedView& b, const double* x,
+                             const double* y, size_t m) {
   double decided;
-  if (EmptyCase(pa, pb, &decided)) return decided;
-  MatchScratch& scratch = LocalMatchScratch();
-  const size_t m = GatherMatches(pa, pb, tier, scratch);
+  if (EmptyCase(a, b, &decided)) return decided;
   // One fused pass, two accumulators: the geometric-mean numerator and the
   // Σ min the denominator rewrite needs.
-  const double* x = scratch.wa.data();
-  const double* y = scratch.wb.data();
   simd::VecD geo_acc = simd::Zero();
   simd::VecD min_acc = simd::Zero();
   size_t i = 0;
@@ -343,44 +337,48 @@ double ScaledHellingerImpl(const Signature& a, const Signature& b,
     sum_geo += std::sqrt(x[i] * y[i]);
     sum_min += x[i] < y[i] ? x[i] : y[i];
   }
-  const double sum_max = pa.total_weight + pb.total_weight - sum_min;
+  const double sum_max = a.total_weight + b.total_weight - sum_min;
   return ClampDistance(sum_geo / sum_max);
 }
 
-double CosineImpl(const Signature& a, const Signature& b,
-                  IntersectTier tier) {
-  const auto pa = a.packed();
-  const auto pb = b.packed();
+double CosineFinish(const Signature::PackedView& a,
+                    const Signature::PackedView& b, const double* x,
+                    const double* y, size_t m) {
   double decided;
-  if (EmptyCase(pa, pb, &decided)) return decided;
-  MatchScratch& scratch = LocalMatchScratch();
-  const size_t m = GatherMatches(pa, pb, tier, scratch);
+  if (EmptyCase(a, b, &decided)) return decided;
   const double dot = AccumulateMatches(
-      scratch.wa.data(), scratch.wb.data(), m,
-      [](simd::VecD x, simd::VecD y) { return simd::Mul(x, y); },
-      [](double x, double y) { return x * y; });
-  return ClampDistance(dot / std::sqrt(pa.sum_squares * pb.sum_squares));
+      x, y, m, [](simd::VecD p, simd::VecD q) { return simd::Mul(p, q); },
+      [](double p, double q) { return p * q; });
+  return ClampDistance(dot / std::sqrt(a.sum_squares * b.sum_squares));
 }
 
-// Kernel entry points with the auto tier baked in (function pointers can't
-// carry the tier argument).
-double JaccardKernel(const Signature& a, const Signature& b) {
-  return JaccardImpl(a, b, IntersectTier::kAuto);
+// --- kernels ----------------------------------------------------------------
+
+/// Jaccard and Overlap read only the match count, so their kernels count
+/// the matches without gathering weights.
+constexpr bool ReadsWeights(DistanceFinishFn finish) {
+  return finish != &JaccardFinish && finish != &OverlapFinish;
 }
-double DiceKernel(const Signature& a, const Signature& b) {
-  return DiceImpl(a, b, IntersectTier::kAuto);
+
+/// A kernel: the intersection, then the kind's finish.
+template <DistanceFinishFn Finish>
+double Measure(const Signature& a, const Signature& b, IntersectTier tier) {
+  const auto pa = a.packed();
+  const auto pb = b.packed();
+  if constexpr (ReadsWeights(Finish)) {
+    MatchScratch& scratch = LocalMatchScratch();
+    const size_t m = GatherMatches(pa, pb, tier, scratch);
+    return Finish(pa, pb, scratch.wa.data(), scratch.wb.data(), m);
+  } else {
+    return Finish(pa, pb, nullptr, nullptr, CountMatches(pa, pb, tier));
+  }
 }
-double ScaledDiceKernel(const Signature& a, const Signature& b) {
-  return ScaledDiceImpl(a, b, IntersectTier::kAuto);
-}
-double ScaledHellingerKernel(const Signature& a, const Signature& b) {
-  return ScaledHellingerImpl(a, b, IntersectTier::kAuto);
-}
-double CosineKernel(const Signature& a, const Signature& b) {
-  return CosineImpl(a, b, IntersectTier::kAuto);
-}
-double OverlapKernel(const Signature& a, const Signature& b) {
-  return OverlapImpl(a, b, IntersectTier::kAuto);
+
+/// Kernel entry point with the auto tier baked in (function pointers can't
+/// carry the tier argument).
+template <DistanceFinishFn Finish>
+double Kernel(const Signature& a, const Signature& b) {
+  return Measure<Finish>(a, b, IntersectTier::kAuto);
 }
 
 }  // namespace
@@ -388,19 +386,37 @@ double OverlapKernel(const Signature& a, const Signature& b) {
 DistanceKernelFn DistanceKernel(DistanceKind kind) {
   switch (kind) {
     case DistanceKind::kJaccard:
-      return &JaccardKernel;
+      return &Kernel<&JaccardFinish>;
     case DistanceKind::kDice:
-      return &DiceKernel;
+      return &Kernel<&DiceFinish>;
     case DistanceKind::kScaledDice:
-      return &ScaledDiceKernel;
+      return &Kernel<&ScaledDiceFinish>;
     case DistanceKind::kScaledHellinger:
-      return &ScaledHellingerKernel;
+      return &Kernel<&ScaledHellingerFinish>;
     case DistanceKind::kCosine:
-      return &CosineKernel;
+      return &Kernel<&CosineFinish>;
     case DistanceKind::kOverlap:
-      return &OverlapKernel;
+      return &Kernel<&OverlapFinish>;
   }
-  return &JaccardKernel;  // unreachable for valid kinds
+  return &Kernel<&JaccardFinish>;  // unreachable for valid kinds
+}
+
+DistanceFinishFn DistanceFinish(DistanceKind kind) {
+  switch (kind) {
+    case DistanceKind::kJaccard:
+      return &JaccardFinish;
+    case DistanceKind::kDice:
+      return &DiceFinish;
+    case DistanceKind::kScaledDice:
+      return &ScaledDiceFinish;
+    case DistanceKind::kScaledHellinger:
+      return &ScaledHellingerFinish;
+    case DistanceKind::kCosine:
+      return &CosineFinish;
+    case DistanceKind::kOverlap:
+      return &OverlapFinish;
+  }
+  return &JaccardFinish;  // unreachable for valid kinds
 }
 
 double Distance(DistanceKind kind, const Signature& a, const Signature& b) {
@@ -421,17 +437,17 @@ double DistanceWithTier(DistanceKind kind, const Signature& a,
                         const Signature& b, IntersectTier tier) {
   switch (kind) {
     case DistanceKind::kJaccard:
-      return JaccardImpl(a, b, tier);
+      return Measure<&JaccardFinish>(a, b, tier);
     case DistanceKind::kDice:
-      return DiceImpl(a, b, tier);
+      return Measure<&DiceFinish>(a, b, tier);
     case DistanceKind::kScaledDice:
-      return ScaledDiceImpl(a, b, tier);
+      return Measure<&ScaledDiceFinish>(a, b, tier);
     case DistanceKind::kScaledHellinger:
-      return ScaledHellingerImpl(a, b, tier);
+      return Measure<&ScaledHellingerFinish>(a, b, tier);
     case DistanceKind::kCosine:
-      return CosineImpl(a, b, tier);
+      return Measure<&CosineFinish>(a, b, tier);
     case DistanceKind::kOverlap:
-      return OverlapImpl(a, b, tier);
+      return Measure<&OverlapFinish>(a, b, tier);
   }
   return 0.0;  // unreachable for valid kinds
 }

@@ -1,6 +1,7 @@
 #ifndef COMMSIG_CORE_DISTANCE_H_
 #define COMMSIG_CORE_DISTANCE_H_
 
+#include <cstddef>
 #include <span>
 #include <string_view>
 
@@ -61,6 +62,21 @@ using DistanceKernelFn = double (*)(const Signature&, const Signature&);
 /// SignatureDistance, which does it for you) so the kind dispatch runs
 /// once per scan instead of once per pair.
 DistanceKernelFn DistanceKernel(DistanceKind kind);
+
+/// The per-kind arithmetic every kernel ends with (DESIGN.md §14):
+/// Dist_kind(a, b) from the m members a and b share, given as a's weights
+/// `x` and b's weights `y` in ascending member id, plus the cached sums of
+/// each view; an empty side decides the pair as `Distance` documents. A
+/// kernel is an intersection plus this finish, so a caller that finds the
+/// shared members another way, in the same order (SignatureIndex's row
+/// pass), gets the kernel's double. Jaccard and Overlap read only m.
+using DistanceFinishFn = double (*)(const Signature::PackedView& a,
+                                    const Signature::PackedView& b,
+                                    const double* x, const double* y,
+                                    size_t m);
+
+/// The finish for `kind`.
+DistanceFinishFn DistanceFinish(DistanceKind kind);
 
 /// Computes Dist_kind(a, b).
 ///

@@ -4,6 +4,9 @@
 #include <bit>
 #include <cassert>
 
+#include "common/check.h"
+#include "obs/obs.h"
+
 namespace commsig {
 
 namespace {
@@ -65,43 +68,77 @@ bool Plain(const Signature& s) {
   return s.SumSquares() >= kMinSumSquares && s.SumSquares() <= kMaxSumSquares;
 }
 
-/// Gathers signature indices once each, in first-seen order. A per-thread
-/// stamp per index marks the ones taken, so a gather costs the postings it
-/// reads rather than a sort of them, and a new gather starts by bumping the
-/// stamp instead of clearing it.
+/// Per-thread scratch of the gathers and the row pass. A stamp per
+/// signature index marks the ones the current pass has taken, so a pass
+/// costs the postings it reads rather than a clear or a sort of them, and a
+/// new pass starts by bumping `now` instead of clearing the stamps. A
+/// candidate u of the row pass keeps its match list in [begin[u], end[u])
+/// of `x` (the probe's weights) and `y` (u's), so the lists grow with the
+/// row's matches.
+struct RowScratch {
+  /// The entries [lo, hi) of one posting that lie at or past `first`, and
+  /// the probe's weight on that member.
+  struct Tail {
+    size_t lo;
+    size_t hi;
+    double weight;
+  };
+  std::vector<uint64_t> stamp;
+  uint64_t now = 0;
+  std::vector<uint32_t> begin, end;
+  std::vector<double> x, y;
+  std::vector<Tail> tails;
+  std::vector<uint32_t> near;   // DistanceRow's candidates
+  std::vector<double> scores;   // and their distances
+};
+
+RowScratch& LocalScratch(size_t n) {
+  thread_local RowScratch scratch;
+  if (scratch.stamp.size() < n) {
+    scratch.stamp.resize(n, 0);
+    scratch.begin.resize(n);
+    scratch.end.resize(n);
+  }
+  return scratch;
+}
+
+/// Lists signature indices once each, in first-seen order, and leaves them
+/// stamped with the scratch's current stamp, each at zero matches.
 class Gatherer {
  public:
-  Gatherer(size_t n, std::vector<uint32_t>& out) : marks_(Local()), out_(out) {
-    if (marks_.stamp.size() < n) marks_.stamp.resize(n, 0);
-    now_ = ++marks_.now;
+  Gatherer(size_t n, std::vector<uint32_t>& out)
+      : scratch_(LocalScratch(n)), out_(out) {
+    now_ = ++scratch_.now;
     out_.clear();
   }
 
-  /// Adds the entries of `ids` (ascending) that are >= `first`.
+  /// Lists `u` unless it is listed already.
+  void Take(uint32_t u) {
+    if (scratch_.stamp[u] == now_) return;
+    scratch_.stamp[u] = now_;
+    scratch_.end[u] = 0;
+    out_.push_back(u);
+  }
+
+  /// Takes the entries of `ids` (ascending) that are >= `first`.
   void Add(std::span<const uint32_t> ids, size_t first) {
     for (auto it = std::lower_bound(ids.begin(), ids.end(), first);
          it != ids.end(); ++it) {
-      uint64_t& stamp = marks_.stamp[*it];
-      if (stamp == now_) continue;
-      stamp = now_;
-      out_.push_back(*it);
+      Take(*it);
     }
   }
 
  private:
-  struct Marks {
-    std::vector<uint64_t> stamp;
-    uint64_t now = 0;
-  };
-  static Marks& Local() {
-    thread_local Marks marks;
-    return marks;
-  }
-
-  Marks& marks_;
+  RowScratch& scratch_;
   std::vector<uint32_t>& out_;
   uint64_t now_ = 0;
 };
+
+/// True when `s` holds some id twice (its packed ids are ascending).
+bool RepeatsId(const Signature& s) {
+  const Signature::PackedView p = s.packed();
+  return std::adjacent_find(p.ids, p.ids + p.size) != p.ids + p.size;
+}
 
 }  // namespace
 
@@ -118,7 +155,8 @@ SignatureIndex::SignatureIndex(std::span<const Signature> sigs)
 
   // Two passes in signature order: count each member's signatures, then
   // fill its posting, so every posting comes out ascending. `last` keeps a
-  // repeated id from listing its signature twice.
+  // repeated id from listing its signature twice, and flags the signature.
+  repeats_.assign(sigs.size(), 0);
   std::vector<uint32_t> count, last;
   for (size_t i = 0; i < sigs.size(); ++i) {
     const Signature& s = sigs[i];
@@ -135,7 +173,10 @@ SignatureIndex::SignatureIndex(std::span<const Signature> sigs)
         count.push_back(0);
         last.push_back(0);
       }
-      if (last[m] == i + 1) continue;
+      if (last[m] == i + 1) {
+        repeats_[i] = 1;
+        continue;
+      }
       last[m] = static_cast<uint32_t>(i + 1);
       ++count[m];
     }
@@ -145,6 +186,7 @@ SignatureIndex::SignatureIndex(std::span<const Signature> sigs)
     starts_[m + 1] = starts_[m] + count[m];
   }
   postings_.resize(starts_.back());
+  posting_weights_.resize(starts_.back());
   std::vector<uint32_t> next(starts_.begin(), starts_.end() - 1);
   std::fill(last.begin(), last.end(), 0);
   for (size_t i = 0; i < sigs.size(); ++i) {
@@ -153,6 +195,7 @@ SignatureIndex::SignatureIndex(std::span<const Signature> sigs)
       const uint32_t m = Find(p.ids[e]);
       if (last[m] == i + 1) continue;
       last[m] = static_cast<uint32_t>(i + 1);
+      posting_weights_[next[m]] = p.weights[e];
       postings_[next[m]++] = static_cast<uint32_t>(i);
     }
   }
@@ -190,25 +233,45 @@ std::span<const uint32_t> SignatureIndex::Posting(NodeId member) const {
       starts_[m], starts_[m + 1] - starts_[m]);
 }
 
+void SignatureIndex::FindTails(const Signature& probe, size_t first) const {
+  RowScratch& s = LocalScratch(sigs_.size());
+  s.tails.clear();
+  const Signature::PackedView p = probe.packed();
+  for (size_t e = 0; e < p.size; ++e) {
+    const uint32_t m = Find(p.ids[e]);
+    if (m == kAbsent) continue;
+    const auto begin = postings_.begin();
+    const auto lo =
+        std::lower_bound(begin + starts_[m], begin + starts_[m + 1], first);
+    s.tails.push_back({static_cast<size_t>(lo - begin), starts_[m + 1],
+                       p.weights[e]});
+  }
+}
+
 void SignatureIndex::Near(const Signature& probe, size_t first,
                           std::vector<uint32_t>& out) const {
-  out.clear();
-  if (first >= sigs_.size()) return;
-  if (!probe.empty() && !Plain(probe)) {
-    for (size_t u = first; u < sigs_.size(); ++u) {
-      out.push_back(static_cast<uint32_t>(u));
-    }
-    return;
-  }
-  if (probe.empty()) {
-    out.assign(std::lower_bound(empty_.begin(), empty_.end(), first),
-               empty_.end());
-    return;
-  }
   Gatherer gather(sigs_.size(), out);
-  const Signature::PackedView p = probe.packed();
-  for (size_t e = 0; e < p.size; ++e) gather.Add(Posting(p.ids[e]), first);
-  gather.Add(extreme_, first);
+  RowScratch& s = LocalScratch(sigs_.size());
+  s.tails.clear();
+  if (first >= sigs_.size()) return;
+  if (probe.empty()) {
+    gather.Add(empty_, first);
+    return;
+  }
+  if (Plain(probe)) {
+    gather.Add(extreme_, first);
+  } else {
+    for (size_t u = first; u < sigs_.size(); ++u) {
+      gather.Take(static_cast<uint32_t>(u));
+    }
+  }
+  FindTails(probe, first);
+  for (const RowScratch::Tail& t : s.tails) {
+    for (size_t k = t.lo; k < t.hi; ++k) {
+      gather.Take(postings_[k]);
+      ++s.end[postings_[k]];
+    }
+  }
 }
 
 void SignatureIndex::Candidates(const Signature& probe, size_t first,
@@ -217,14 +280,85 @@ void SignatureIndex::Candidates(const Signature& probe, size_t first,
   std::sort(out.begin(), out.end());
 }
 
-void SignatureIndex::DistanceRow(const Signature& probe,
-                                 SignatureDistance dist, size_t first,
-                                 std::span<double> out) const {
-  assert(first <= sigs_.size() && out.size() == sigs_.size() - first);
+size_t SignatureIndex::DistanceRow(const Signature& probe,
+                                   SignatureDistance dist, size_t first,
+                                   std::span<double> out) const {
+  COMMSIG_CHECK(first <= sigs_.size() && out.size() == sigs_.size() - first,
+                "DistanceRow needs first <= size() and a row of size() - "
+                "first values");
   std::fill(out.begin(), out.end(), 1.0);
-  std::vector<uint32_t> near;
-  Near(probe, first, near);
-  for (uint32_t u : near) out[u - first] = dist(probe, sigs_[u]);
+  RowScratch& scratch = LocalScratch(sigs_.size());
+  ScoreRow(probe, RepeatsId(probe), dist, first, /*marked=*/false,
+           scratch.near, scratch.scores);
+  for (size_t c = 0; c < scratch.near.size(); ++c) {
+    out[scratch.near[c] - first] = scratch.scores[c];
+  }
+  return scratch.near.size();
+}
+
+// The row pass (DESIGN.md §14a). Walking the probe's members in ascending
+// id and appending each shared member's two weights to its candidate's
+// list hands every candidate its matches in the order the kernel's merge
+// emits them, so the kernel's own finish returns the kernel's double. Two
+// walks over the posting tails: one counts each candidate's matches (the
+// one `Near` lists them in, unless a prefix listed them), so the lists
+// can lie back to back, and one fills them. The merge pairs a repeated id
+// greedily, occurrence by occurrence, which a posting that lists its
+// signature once cannot do, so such pairs run the kernel.
+void SignatureIndex::ScoreRow(const Signature& probe, bool probe_repeats,
+                              SignatureDistance dist, size_t first,
+                              bool marked, std::vector<uint32_t>& near,
+                              std::vector<double>& scores) const {
+  if (!marked) Near(probe, first, near);
+  COMMSIG_COUNTER_ADD("distance/evaluations", near.size());
+  scores.resize(near.size());
+  const DistanceKernelFn kernel = DistanceKernel(dist.kind());
+  if (probe_repeats) {
+    for (size_t c = 0; c < near.size(); ++c) {
+      scores[c] = kernel(probe, sigs_[near[c]]);
+    }
+    return;
+  }
+  RowScratch& s = LocalScratch(sigs_.size());
+  const uint64_t now = s.now;
+  if (marked) {
+    // The prefix listed the candidates at zero matches. An index it did
+    // not list counts too; its count is never read.
+    FindTails(probe, first);
+    for (const RowScratch::Tail& t : s.tails) {
+      for (size_t k = t.lo; k < t.hi; ++k) ++s.end[postings_[k]];
+    }
+  }
+  uint32_t total = 0;
+  for (uint32_t u : near) {
+    s.begin[u] = total;
+    total += s.end[u];
+    s.end[u] = s.begin[u];
+  }
+  if (s.x.size() < total) {
+    s.x.resize(total);
+    s.y.resize(total);
+  }
+
+  // Fill, member by member in ascending id.
+  for (const RowScratch::Tail& t : s.tails) {
+    for (size_t k = t.lo; k < t.hi; ++k) {
+      const uint32_t u = postings_[k];
+      if (s.stamp[u] != now) continue;
+      s.x[s.end[u]] = t.weight;
+      s.y[s.end[u]++] = posting_weights_[k];
+    }
+  }
+
+  const DistanceFinishFn finish = DistanceFinish(dist.kind());
+  for (size_t c = 0; c < near.size(); ++c) {
+    const uint32_t u = near[c];
+    scores[c] = repeats_[u] != 0
+                    ? kernel(probe, sigs_[u])
+                    : finish(probe.packed(), sigs_[u].packed(),
+                             s.x.data() + s.begin[u], s.y.data() + s.begin[u],
+                             s.end[u] - s.begin[u]);
+  }
 }
 
 // Prefix filtering (Bayardo, Ma & Srikant, WWW 2007). Take σ_i's members
@@ -272,20 +406,15 @@ std::vector<SignatureIndex::Pair> SignatureIndex::ThresholdJoin(
   std::vector<Pair> pairs;
   size_t calls = 0;
   const size_t n = sigs_.size();
-  std::vector<uint32_t> near;
   // A negative or NaN t takes neither branch: no distance is below 0, and
   // nothing compares <= NaN.
   if (t >= 1.0) {
+    std::vector<double> row;
     for (size_t i = 0; i < n; ++i) {
-      Candidates(sigs_[i], i + 1, near);
-      size_t c = 0;
+      row.resize(n - i - 1);
+      calls += DistanceRow(sigs_[i], dist, i + 1, row);
       for (size_t j = i + 1; j < n; ++j) {
-        double d = 1.0;
-        if (c < near.size() && near[c] == j) {
-          d = dist(sigs_[i], sigs_[j]);
-          ++calls;
-          ++c;
-        }
+        const double d = row[j - i - 1];
         if (d <= t) {
           pairs.push_back(
               {static_cast<uint32_t>(i), static_cast<uint32_t>(j), d});
@@ -297,17 +426,19 @@ std::vector<SignatureIndex::Pair> SignatureIndex::ThresholdJoin(
                              ? ShareFloor(dist.kind(), t) - kShareSlack
                              : 0.0;
     const bool by_count = dist.kind() == DistanceKind::kJaccard;
+    std::vector<uint32_t> near;
+    std::vector<double> scores;
     for (size_t i = 0; i < n; ++i) {
       const Signature& s = sigs_[i];
-      if (alpha > 0.0 && !s.empty() && Plain(s)) {
-        PrefixCandidates(i, alpha, by_count, near);
-      } else {
-        Near(s, i + 1, near);
-      }
-      for (uint32_t j : near) {
-        const double d = dist(s, sigs_[j]);
-        ++calls;
-        if (d <= t) pairs.push_back({static_cast<uint32_t>(i), j, d});
+      const bool prefix = alpha > 0.0 && !s.empty() && Plain(s);
+      if (prefix) PrefixCandidates(i, alpha, by_count, near);
+      ScoreRow(s, repeats_[i] != 0, dist, i + 1, /*marked=*/prefix, near,
+               scores);
+      calls += near.size();
+      for (size_t c = 0; c < near.size(); ++c) {
+        if (scores[c] <= t) {
+          pairs.push_back({static_cast<uint32_t>(i), near[c], scores[c]});
+        }
       }
     }
   }

@@ -16,9 +16,18 @@ namespace commsig {
 /// so an all-pairs sweep scores only the pairs that can matter (DESIGN.md
 /// §14a). It rests on one fact about every distance kind: two signatures
 /// that share no member are at distance exactly 1.0, unless both are empty
-/// (0.0). A pair outside `Candidates` therefore has a known value, and the
-/// kernel runs only on the rest, so every output stays bit-identical to a
+/// (0.0). A pair outside `Candidates` therefore has a known value, and only
+/// the rest are scored, so every output stays bit-identical to a
 /// brute-force sweep (tests/ref/all_pairs.h holds those sweeps).
+///
+/// Each posting entry also holds the member's weight in that signature, so
+/// a row pass scores a probe against all its candidates at once: it walks
+/// the probe's members in ascending id, appends the two weights of every
+/// shared member to that candidate's match list, and finishes each list
+/// with the kernel's own per-kind reduction (`DistanceFinish`). The
+/// matches arrive in the order the kernel's merge emits them, so each
+/// value is the kernel's double. A pair where either side holds a repeated
+/// id runs the kernel itself.
 ///
 /// Memory follows Σ|σ|, not the node universe. The index borrows the
 /// signatures: they must outlive it, unmodified.
@@ -47,18 +56,20 @@ class SignatureIndex {
                   std::vector<uint32_t>& out) const;
 
   /// out[u - first] = dist(probe, sigs[u]) for every u in [first, size()),
-  /// bit-identical to calling the kernel on each; the kernel runs only on
-  /// the `Candidates`. `out.size()` must be size() - first.
-  void DistanceRow(const Signature& probe, SignatureDistance dist,
-                   size_t first, std::span<double> out) const;
+  /// bit-identical to calling the kernel on each: one row pass scores the
+  /// `Candidates` and every other value is 1.0. Aborts unless
+  /// first <= size() and `out.size()` is size() - first. Returns the number
+  /// of candidates scored, which it adds to `distance/evaluations`.
+  size_t DistanceRow(const Signature& probe, SignatureDistance dist,
+                     size_t first, std::span<double> out) const;
 
   /// Every pair i < j with dist(sigs[i], sigs[j]) <= t, each once, in no
   /// particular order, at the kernel's distance. For t < 1 each signature
-  /// probes only a prefix of its members (prefix filtering, DESIGN.md
-  /// §14a); at t >= 1 every pair qualifies, and the pairs outside
-  /// `Candidates` are emitted at 1.0 without a kernel call. A NaN distance
-  /// never qualifies. `scored`, if given, receives the number of pairs
-  /// handed to the kernel.
+  /// marks the candidates found from a prefix of its members (prefix
+  /// filtering, DESIGN.md §14a) and a row pass scores only those; at
+  /// t >= 1 every pair qualifies, and each i runs a `DistanceRow` over
+  /// j > i. A NaN distance never qualifies. `scored`, if given, receives
+  /// the number of pairs scored.
   std::vector<Pair> ThresholdJoin(SignatureDistance dist, double t,
                                   size_t* scored = nullptr) const;
 
@@ -75,23 +86,42 @@ class SignatureIndex {
   /// The indices of the signatures that hold `member`, ascending.
   std::span<const uint32_t> Posting(NodeId member) const;
 
-  /// `Candidates` in no particular order.
+  /// Sets the thread's row scratch to the posting tails (the entries >=
+  /// `first`) of `probe`'s members, in ascending member id.
+  void FindTails(const Signature& probe, size_t first) const;
+
+  /// `Candidates` in no particular order. Leaves them stamped in the
+  /// thread's row scratch, each with the number of `probe`'s posting
+  /// tails that name it (its matches, unless `probe` repeats an id), and
+  /// the tails there (none for an empty probe).
   void Near(const Signature& probe, size_t first,
             std::vector<uint32_t>& out) const;
 
   /// Candidates of sigs_[i] among u > i, in no particular order, that can
   /// sit within a share floor `alpha` > 0: the postings of its rarest
-  /// members only (see the .cc).
+  /// members only (see the .cc). Leaves them stamped for `ScoreRow`.
   void PrefixCandidates(size_t i, double alpha, bool by_count,
                         std::vector<uint32_t>& out) const;
 
+  /// The row pass: scores[c] = dist(probe, sigs_[near[c]]), where
+  /// `probe_repeats` says that `probe` holds some id twice. With `marked`
+  /// false it first sets `near` to `Near(probe, first)`; with `marked`
+  /// true, `near` holds what the last `PrefixCandidates` listed, from
+  /// index `first` on. Adds near.size() to `distance/evaluations`.
+  void ScoreRow(const Signature& probe, bool probe_repeats,
+                SignatureDistance dist, size_t first, bool marked,
+                std::vector<uint32_t>& near,
+                std::vector<double>& scores) const;
+
   std::span<const Signature> sigs_;
+  std::vector<uint8_t> repeats_;  // 1 where sigs_[u] holds an id twice
   std::vector<NodeId> table_ids_;      // member held at each table position
   std::vector<uint32_t> table_slots_;  // its slot + 1; 0 = free position
   int table_shift_ = 0;                // 64 − log2(table size)
   uint32_t members_ = 0;               // distinct members (slots in use)
   std::vector<uint32_t> starts_;    // posting m is [starts_[m], starts_[m+1])
   std::vector<uint32_t> postings_;  // signature indices, ascending per member
+  std::vector<double> posting_weights_;  // the member's weight in each
   std::vector<uint32_t> empty_;     // empty signatures, ascending
   std::vector<uint32_t> extreme_;   // Σw² outside [2^-511, 2^511], ascending
   size_t longest_ = 0;              // most entries in one signature

@@ -28,8 +28,8 @@ std::vector<double> UniquenessValues(std::span<const Signature> sigs,
   const size_t total_pairs = n * (n - 1) / 2;
 
   if (max_pairs == 0 || total_pairs <= max_pairs) {
-    // Row v holds (v, u) for u > v; the index runs the kernel only on the
-    // pairs whose distance is not exactly 1.0.
+    // Row v holds (v, u) for u > v; the index scores only the pairs whose
+    // distance is not exactly 1.0, one row pass per v.
     values.resize(total_pairs);
     const SignatureIndex index(sigs);
     size_t row = 0;

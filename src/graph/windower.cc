@@ -31,11 +31,12 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
   COMMSIG_SPAN("windower/split_sliding");
   stride = std::max<uint64_t>(stride, 1);
   // Event at offset d from start lands in windows w with
-  // w*stride <= d < w*stride + length, i.e. w in [w_lo(d), d/stride].
-  auto first_window = [&](uint64_t d) -> size_t {
-    if (d < window_length_) return 0;
-    return static_cast<size_t>((d - window_length_) / stride + 1);
-  };
+  // w*stride <= d < w*stride + length, i.e. w in [lo, hi] with hi =
+  // d / stride and lo = 0 for d < length, else (d − length) / stride + 1.
+  // With length = a·stride + b and d = q·stride + r, that lo is
+  // q − a + 1, less one when r < b, so one division gives both ends.
+  const uint64_t length_q = window_length_ / stride;
+  const uint64_t length_r = window_length_ % stride;
 
   // An event in window SIZE_MAX (offset 2^64 - 1 at stride 1) would need
   // SIZE_MAX + 1 windows, which wraps to 0: it is dropped and counted like
@@ -68,11 +69,17 @@ std::vector<CommGraph> TraceWindower::SplitSliding(
   for (const TraceEvent& e : events) {
     if (e.time < start_time_) continue;
     const uint64_t d = e.time - start_time_;
-    const size_t hi = static_cast<size_t>(d / stride);
+    const uint64_t q = d / stride;
+    const uint64_t r = d % stride;
+    const size_t hi = static_cast<size_t>(q);
+    const size_t lo =
+        d < window_length_
+            ? 0
+            : static_cast<size_t>(q - length_q + 1 - (r < length_r ? 1 : 0));
     // Validate once per event, not once per covering window, so a corrupt
     // record counts as one drop regardless of overlap.
     bool ok = hi != kNoWindow;
-    for (size_t w = first_window(d); w <= hi && ok; ++w) {
+    for (size_t w = lo; w <= hi && ok; ++w) {
       ok = builders[w].TryAddEdge(e.src, e.dst, e.weight);
       if (ok) ++events_per_window[w];
     }

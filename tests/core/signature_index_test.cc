@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "core/scheme.h"
 #include "data/flow_generator.h"
 #include "eval/properties.h"
+#include "obs/metrics.h"
 #include "ref/all_pairs.h"
 
 namespace commsig {
@@ -250,24 +252,152 @@ TEST(SignatureIndexTest, EmptyAndExtremeProbes) {
 }
 
 TEST(SignatureIndexTest, DistanceRowMatchesBruteForce) {
+  // Every `first` from 0 to n: the row pass starts each posting at its own
+  // tail, so every cut through every posting is covered.
   for (const Corpus& c : Corpora()) {
     const SignatureIndex index(c.sigs);
+    const size_t n = c.sigs.size();
     for (const Corpus& probes : Corpora()) {
       for (DistanceKind kind : AllDistanceKindsExtended()) {
         const SignatureDistance dist(kind);
         for (const Signature& probe : probes.sigs) {
-          for (size_t first : {size_t{0}, c.sigs.size() / 2, c.sigs.size()}) {
-            std::vector<double> row(c.sigs.size() - first);
+          const std::vector<double> want = ref::DistanceRow(probe, c.sigs, dist);
+          for (size_t first = 0; first <= n; ++first) {
+            std::vector<double> row(n - first);
             index.DistanceRow(probe, dist, first, row);
-            EXPECT_TRUE(
-                SameBits(row, ref::DistanceRow(probe, c.sigs, dist, first)))
+            ASSERT_TRUE(SameBits(
+                row, std::vector<double>(want.begin() + first, want.end())))
                 << c.name << " probed by " << probes.name << " "
-                << dist.name();
+                << dist.name() << " first=" << first;
           }
         }
       }
     }
   }
+}
+
+TEST(SignatureIndexTest, RowOfOnlyExtremeCandidates) {
+  // A probe that shares no member still scores every extreme signature, at
+  // zero matches: cosine's norm product underflows to NaN or overflows,
+  // and SHel's Σ∪max can be infinite. The plain ones stay at 1.0.
+  std::vector<Signature> sigs = {
+      Signature::FromTopK({{1, 1.0}, {2, 2.0}}, 4),
+      Signature::FromTopK({{3, 1e-200}, {4, 1e-180}}, 4),
+      Signature(),
+      Signature::FromTopK({{5, 1e200}, {6, 1e300}}, 4),
+      Signature::FromTopK({{7, 1e-300}, {8, 1e300}}, 4)};
+  const SignatureIndex index(sigs);
+  const Signature probe = Signature::FromTopK({{9, 0.5}, {10, 1e-160}}, 4);
+  std::vector<uint32_t> near;
+  index.Candidates(probe, 0, near);
+  ASSERT_EQ(near, (std::vector<uint32_t>{1, 3, 4}));
+  for (DistanceKind kind : AllDistanceKindsExtended()) {
+    const SignatureDistance dist(kind);
+    std::vector<double> row(sigs.size());
+    EXPECT_EQ(index.DistanceRow(probe, dist, 0, row), near.size());
+    EXPECT_TRUE(SameBits(row, ref::DistanceRow(probe, sigs, dist)))
+        << dist.name();
+  }
+}
+
+TEST(SignatureIndexTest, RowsWhoseTailsNameEveryLaterSignatureTwice) {
+  // Every signature past the probe shares two members with it, so the
+  // row's posting tails hold more entries than it has candidates. Each
+  // case runs on a new thread, whose row scratch starts empty and sized to
+  // the row, which is where a write past the candidates would land outside
+  // the allocation (and show under ASan).
+  const std::vector<Signature> copies = {
+      Signature::FromTopK({{1, 1.0}, {2, 2.0}}, 4),
+      Signature::FromTopK({{1, 1.0}, {2, 2.0}}, 4)};
+  const std::vector<Signature> tail_pair = {
+      Signature::FromTopK({{3, 1.0}, {4, 0.5}}, 4),
+      Signature::FromTopK({{1, 3.0}, {2, 1.0}, {5, 2.0}}, 4),
+      Signature::FromTopK({{1, 1.0}, {2, 4.0}, {6, 1.0}}, 4)};
+  for (DistanceKind kind : AllDistanceKindsExtended()) {
+    const SignatureDistance dist(kind);
+    SCOPED_TRACE(std::string(dist.name()));
+    for (double t : {0.5, 1.0}) {
+      std::vector<SignatureIndex::Pair> got;
+      std::thread([&] {
+        got = SignatureIndex(copies).ThresholdJoin(dist, t);
+      }).join();
+      const auto want = ref::ThresholdJoin(copies, dist, t);
+      ASSERT_EQ(got.size(), want.size()) << "t=" << t;
+      for (size_t p = 0; p < got.size(); ++p) {
+        EXPECT_TRUE(SameBits(got[p].distance, want[p].distance));
+      }
+    }
+    const size_t n = tail_pair.size();
+    std::vector<double> row(1);
+    std::thread([&] {
+      SignatureIndex(tail_pair).DistanceRow(tail_pair[n - 2], dist, n - 1,
+                                            row);
+    }).join();
+    const std::vector<double> want =
+        ref::DistanceRow(tail_pair[n - 2], tail_pair, dist, n - 1);
+    EXPECT_TRUE(SameBits(row, want));
+  }
+}
+
+#ifndef COMMSIG_OBS_DISABLED
+TEST(SignatureIndexTest, RowsAndJoinsCountTheirCandidates) {
+  // distance/evaluations grows by the candidates each row or join scores,
+  // the count of pairs the per-pair loop handed to the kernel. The totals
+  // on the flow window's TT signatures are pinned.
+  const auto& sigs = Flow().tt;
+  const size_t n = sigs.size();
+  const SignatureIndex index(sigs);
+  obs::Counter& evaluations =
+      obs::MetricsRegistry::Global().GetCounter("distance/evaluations");
+  std::vector<uint32_t> near;
+  std::vector<double> row(n);
+  for (DistanceKind kind : AllDistanceKindsExtended()) {
+    const SignatureDistance dist(kind);
+    SCOPED_TRACE(std::string(dist.name()));
+    uint64_t upper = 0, full = 0;
+    for (size_t v = 0; v < n; ++v) {
+      for (size_t first : {v + 1, size_t{0}}) {
+        index.Candidates(sigs[v], first, near);
+        const uint64_t before = evaluations.Value();
+        const size_t scored = index.DistanceRow(
+            sigs[v], dist, first, std::span(row).first(n - first));
+        EXPECT_EQ(scored, near.size());
+        EXPECT_EQ(evaluations.Value() - before, scored);
+        (first == 0 ? full : upper) += scored;
+      }
+    }
+    EXPECT_EQ(upper, 1208u);
+    EXPECT_EQ(full, 2476u);
+    for (double t : {0.5, 1.0}) {
+      size_t scored = 0;
+      const uint64_t before = evaluations.Value();
+      index.ThresholdJoin(dist, t, &scored);
+      EXPECT_EQ(evaluations.Value() - before, scored);
+      size_t pinned = 1208;
+      if (t < 1.0 && kind == DistanceKind::kJaccard) pinned = 44;
+      if (t < 1.0 && kind == DistanceKind::kScaledDice) pinned = 60;
+      if (t < 1.0 && kind == DistanceKind::kScaledHellinger) pinned = 331;
+      EXPECT_EQ(scored, pinned) << "t=" << t;
+    }
+  }
+}
+#endif  // COMMSIG_OBS_DISABLED
+
+TEST(SignatureIndexDeathTest, DistanceRowRejectsAWrongSizedRow) {
+  // The row pass writes out[u − first] by index, so a short span must stop
+  // the process in every build mode, not only under assert().
+  const auto sigs = RandomCorpus(6, 12);
+  const SignatureIndex index(sigs);
+  const SignatureDistance dist(DistanceKind::kJaccard);
+  std::vector<double> row(sigs.size());
+  EXPECT_DEATH(index.DistanceRow(sigs[0], dist, 0,
+                                 std::span(row).first(sigs.size() - 1)),
+               "COMMSIG_CHECK failed");
+  EXPECT_DEATH(index.DistanceRow(sigs[0], dist, 2, row),
+               "COMMSIG_CHECK failed");
+  EXPECT_DEATH(index.DistanceRow(sigs[0], dist, sigs.size() + 1,
+                                 std::span(row).first(0)),
+               "COMMSIG_CHECK failed");
 }
 
 TEST(SignatureIndexTest, MultiusageMatchesBruteForce) {
