@@ -49,29 +49,6 @@ RwrScheme::RwrSolve RwrScheme::Solve(const CommGraph& g, NodeId v) const {
   return std::move(engine.SolveBatch(std::span<const NodeId>(&v, 1))[0]);
 }
 
-Signature RwrScheme::SignatureFromSupport(
-    const CommGraph& g, NodeId v,
-    std::span<const Signature::Entry> support) const {
-  // Streaming selection with the Definition-1 filter fused in (the
-  // partition test hoisted out of the loop): no candidate vector, no
-  // partitioning pass. Selects the same top-k set FromTopK would.
-  Signature::TopKSelector selector(options_.k);
-  const bool restrict_partition =
-      options_.restrict_to_opposite_partition && g.bipartite().IsBipartite();
-  if (restrict_partition) {
-    const bool focal_left = g.InLeftPartition(v);
-    for (const Signature::Entry& e : support) {
-      if (e.node == v || g.InLeftPartition(e.node) == focal_left) continue;
-      selector.Offer(e);
-    }
-  } else {
-    for (const Signature::Entry& e : support) {
-      if (e.node != v) selector.Offer(e);
-    }
-  }
-  return selector.Take();
-}
-
 Signature RwrScheme::Compute(const CommGraph& g, NodeId v) const {
   return ComputeAll(g, std::span<const NodeId>(&v, 1))[0];
 }
@@ -83,21 +60,17 @@ std::vector<Signature> RwrScheme::ComputeAll(
   // One normalizer/partition derivation for the whole sweep, shared by the
   // main engine and the fallback ladder.
   TransitionCache cache(g, rwr_.traversal);
-  return SolveManyBatched(g, cache, nodes, {}, nullptr, nullptr);
+  return SolveManyBatched(cache, nodes, {}, {}, nullptr);
 }
 
 std::vector<Signature> RwrScheme::SolveManyBatched(
-    const CommGraph& g, const TransitionCache& cache,
-    std::span<const NodeId> nodes,
+    const TransitionCache& cache, std::span<const NodeId> nodes,
     std::span<const std::span<const Signature::Entry>> seeds,
-    std::vector<std::vector<Signature::Entry>>* supports,
+    std::span<std::vector<Signature::Entry>* const> supports,
     size_t* reseeded_columns) const {
   std::vector<Signature> out(nodes.size());
-  if (supports != nullptr) {
-    supports->clear();
-    supports->resize(nodes.size());
-  }
   if (nodes.empty()) return out;
+  const CommGraph& g = cache.graph();
 
   RwrBatchEngine engine(rwr_, cache);
   RwrBatchWorkspace& ws = RwrBatchEngine::LocalWorkspace();
@@ -105,59 +78,69 @@ std::vector<Signature> RwrScheme::SolveManyBatched(
   RwrOptions truncated = rwr_;
   truncated.max_hops = rwr_.fallback_hops;
   RwrBatchEngine fallback_engine(truncated, cache);
-
-  // One rung of the ladder: the batch columns it solved and their
-  // support-sparse results, reused across batches so the sweep never
-  // materializes n-length vectors.
-  struct Rung {
-    std::vector<size_t> columns;
-    std::vector<NodeId> sources;
-    std::vector<Signature::Entry> entries;
-    std::vector<std::pair<size_t, size_t>> ranges;
-    std::vector<uint8_t> converged;
-  };
-  Rung first, reseeded, fallback;
-  // Per batch column: the rung holding its latest result, and its index
-  // there.
-  std::vector<std::pair<const Rung*, size_t>> latest;
-
   const bool use_fallback = rwr_.max_hops == 0 && rwr_.fallback_hops > 0;
+
+  // Definition 1's candidates for focal nodes[i]: every other node or, on
+  // a bipartite graph with the partition restriction, the other side.
+  // Readies a sink for that focal: an empty selection and an emptied warm
+  // support, which an RWR^h walk fills with its interior entries only.
+  const bool restrict_partition =
+      options_.restrict_to_opposite_partition && g.bipartite().IsBipartite();
+  const NodeId left = g.bipartite().left_size;
+  auto reset = [&](RwrColumnSink& sink, size_t i) {
+    const NodeId v = nodes[i];
+    sink.top.Reset();
+    sink.focal = v;
+    sink.lo = restrict_partition && v < left ? left : 0;
+    sink.hi = restrict_partition && v >= left ? left : kInvalidNode;
+    sink.support = supports.empty() ? nullptr : supports[i];
+    if (sink.support != nullptr) sink.support->clear();
+    sink.interior_only = rwr_.max_hops > 0;
+  };
+
   const size_t width = RwrBatchEngine::kDefaultBatchWidth;
+  std::vector<RwrColumnSink> sinks(width, RwrColumnSink(options_.k));
+  std::vector<RwrColumnSink> rung_sinks;
+  std::vector<uint8_t> converged, rung_converged;
+  std::vector<size_t> rung_columns;
+  std::vector<NodeId> rung_sources;
   for (size_t begin = 0; begin < nodes.size(); begin += width) {
     const size_t count = std::min(width, nodes.size() - begin);
     std::span<const NodeId> batch = nodes.subspan(begin, count);
     std::span<const std::span<const Signature::Entry>> batch_seeds =
         seeds.empty() ? seeds : seeds.subspan(begin, count);
-    engine.SolveBatchSupport(batch, ws, first.entries, first.ranges,
-                             first.converged, batch_seeds);
-    latest.clear();
-    for (size_t b = 0; b < count; ++b) latest.push_back({&first, b});
+    for (size_t b = 0; b < count; ++b) reset(sinks[b], begin + b);
+    engine.SolveBatchSelect(batch, ws, std::span(sinks).first(count),
+                            converged, batch_seeds);
 
     // Re-solves the still-unconverged columns (only the seeded ones when
-    // `seeded_only`) as one unseeded sub-batch on `eng`.
-    auto resolve_unconverged = [&](Rung& rung, const RwrBatchEngine& eng,
+    // `seeded_only`) as one unseeded sub-batch on `eng`; each column
+    // discards what its sink took so far and takes the sub-batch's result.
+    auto resolve_unconverged = [&](const RwrBatchEngine& eng,
                                    bool seeded_only) {
-      rung.columns.clear();
-      rung.sources.clear();
+      rung_columns.clear();
+      rung_sources.clear();
+      rung_sinks.clear();
       for (size_t b = 0; b < count; ++b) {
-        const auto [prev, j] = latest[b];
-        if (prev->converged[j]) continue;
+        if (converged[b]) continue;
         if (seeded_only && batch_seeds[b].empty()) continue;
-        rung.columns.push_back(b);
-        rung.sources.push_back(batch[b]);
+        rung_columns.push_back(b);
+        rung_sources.push_back(batch[b]);
+        reset(sinks[b], begin + b);
+        rung_sinks.push_back(std::move(sinks[b]));
       }
-      if (rung.sources.empty()) return size_t{0};
-      eng.SolveBatchSupport(rung.sources, ws, rung.entries, rung.ranges,
-                            rung.converged);
-      for (size_t j = 0; j < rung.columns.size(); ++j) {
-        latest[rung.columns[j]] = {&rung, j};
+      if (rung_sources.empty()) return size_t{0};
+      eng.SolveBatchSelect(rung_sources, ws, rung_sinks, rung_converged);
+      for (size_t j = 0; j < rung_columns.size(); ++j) {
+        sinks[rung_columns[j]] = std::move(rung_sinks[j]);
+        converged[rung_columns[j]] = rung_converged[j];
       }
-      return rung.sources.size();
+      return rung_sources.size();
     };
     if (!batch_seeds.empty()) {
       // A warm start that misses tolerance gets a cold attempt before the
       // ladder, exactly like a node that was never seeded.
-      const size_t retried = resolve_unconverged(reseeded, engine, true);
+      const size_t retried = resolve_unconverged(engine, true);
       if (reseeded_columns != nullptr) *reseeded_columns += retried;
     }
     if (use_fallback) {
@@ -165,23 +148,13 @@ std::vector<Signature> RwrScheme::SolveManyBatched(
       // accuracy guarantee at any rank, while the truncated walk is exact
       // for its restricted h-hop semantics — a defined approximation beats
       // an undefined one.
-      const size_t fell_back = resolve_unconverged(fallback, fallback_engine,
-                                                   false);
+      const size_t fell_back = resolve_unconverged(fallback_engine, false);
       if (fell_back > 0) {
         COMMSIG_COUNTER_ADD("robust/rwr_fallbacks", fell_back);
       }
     }
 
-    for (size_t b = 0; b < count; ++b) {
-      const auto [rung, j] = latest[b];
-      const auto [start, end] = rung->ranges[j];
-      std::span<const Signature::Entry> support(rung->entries.data() + start,
-                                                end - start);
-      out[begin + b] = SignatureFromSupport(g, batch[b], support);
-      if (supports != nullptr) {
-        (*supports)[begin + b].assign(support.begin(), support.end());
-      }
-    }
+    for (size_t b = 0; b < count; ++b) out[begin + b] = sinks[b].top.Take();
   }
   return out;
 }
@@ -190,13 +163,14 @@ namespace {
 
 /// RwrScheme's warm state: per focal node, the sparse support of the last
 /// solved stationary vector and the drift-bound mass accumulated against
-/// it since. Memory is O(sum of support sizes) — bounded by h-hop
-/// neighbourhood sizes for truncated walks, up to O(reachable set) for
-/// unbounded ones. `warm` is dense, index-aligned with `nodes` (the focal
-/// population the state was primed for — a changed population re-primes),
-/// so the steady-state per-focal probe is an array load, not a hash find.
-/// The TransitionCache is carried across windows and Rebased per delta,
-/// making the fixed per-window setup O(changed rows) instead of O(n).
+/// it since — for walks with c > 0; c = 0 walks keep none. An RWR^h
+/// support holds the final vector's entries on the (h−1)-hop ball the walk
+/// reads; an unbounded one holds them all, up to O(reachable set). `warm`
+/// is dense, index-aligned with `nodes` (the focal population the state was
+/// primed for — a changed population re-primes), so the steady-state
+/// per-focal probe is an array load, not a hash find. The TransitionCache
+/// is carried across windows and Rebased per delta, making the fixed
+/// per-window setup O(changed rows) instead of O(n).
 struct RwrIncrementalState final : IncrementalState {
   struct Warm {
     std::vector<Signature::Entry> support;
@@ -273,113 +247,137 @@ std::vector<Signature> RwrScheme::IncrementalComputeAll(
       st->nodes.size() == nodes.size() && st->cache.has_value() &&
       st->cache->num_nodes() == g.NumNodes() &&
       std::equal(nodes.begin(), nodes.end(), st->nodes.begin());
+  const double c = rwr_.reset;
   if (!can_advance) {
     // Prime: full batched sweep, capturing every stationary support as the
     // warm state for the transitions that follow.
     auto fresh = std::make_unique<RwrIncrementalState>();
     COMMSIG_COUNTER_ADD("timeline/nodes_dirty", nodes.size());
-    std::vector<Signature> out;
     fresh->cache.emplace(g, rwr_.traversal);
     fresh->nodes.assign(nodes.begin(), nodes.end());
-    fresh->warm.resize(nodes.size());
-    fresh->row_drift.assign(g.NumNodes(), 0.0);
-    if (!nodes.empty()) {
-      std::vector<std::vector<Signature::Entry>> supports;
-      out = SolveManyBatched(g, *fresh->cache, nodes, {}, &supports, nullptr);
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        fresh->warm[i].support = std::move(supports[i]);
+    std::vector<std::vector<Signature::Entry>*> supports;
+    if (c > 0.0) {
+      fresh->warm.resize(nodes.size());
+      fresh->row_drift.assign(g.NumNodes(), 0.0);
+      for (RwrIncrementalState::Warm& w : fresh->warm) {
+        supports.push_back(&w.support);
       }
     }
+    std::vector<Signature> out =
+        SolveManyBatched(*fresh->cache, nodes, {}, supports, nullptr);
     state = std::move(fresh);
     return out;
   }
 
   COMMSIG_SPAN("rwr/incremental_compute_all");
   const bool symmetric = rwr_.traversal == TraversalMode::kSymmetric;
-  const double c = rwr_.reset;
   // Carry the previous window's cache forward: only changed rows can hold
   // new normalizers, so the per-window setup is O(changed), not O(n).
   st->cache->Rebase(g, delta->changed_row_nodes());
   const TransitionCache& cache = *st->cache;
 
-  // Normalized transition drift of every changed row, dense-indexed so the
-  // per-focal pass is a sparse dot against its stored support. The scratch
-  // lives in the state (all-zero between calls) to skip the O(n) refill.
-  const CommGraph& old_g = delta->old_graph();
-  std::vector<double>& row_drift = st->row_drift;
-  bool any_drift = false;
-  for (NodeId x : delta->changed_row_nodes()) {
-    if (!delta->RowChanged(x, symmetric)) continue;
-    const double d = TransitionRowDrift(old_g, g, cache, x, symmetric);
-    if (d > 0.0) {
-      row_drift[x] = d;
-      any_drift = true;
-    }
-  }
-
-  // Geometric amplification of one-step row drift over the whole walk:
-  // sum_{t=1..h} (1-c)^t, with h -> inf for the unbounded walk. c = 0 has
-  // no contraction, so only exact-zero drift may reuse there.
-  double factor;
-  if (c <= 0.0) {
-    factor = 1e30;
-  } else if (rwr_.max_hops > 0) {
-    factor = (1.0 - c) *
-             (1.0 - std::pow(1.0 - c, static_cast<double>(rwr_.max_hops))) / c;
-  } else {
-    factor = (1.0 - c) / c;
-  }
-
   std::vector<Signature> out(nodes.size());
   std::vector<NodeId> resolve_nodes;
   std::vector<size_t> resolve_slots;
-  std::vector<std::span<const Signature::Entry>> seeds;
+  std::vector<std::vector<Signature::Entry>*> supports;
+  std::vector<std::vector<Signature::Entry>> seeds;
   size_t reused = 0;
   size_t warm_fallbacks = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    RwrIncrementalState::Warm& warm = st->warm[i];
-    double weighted = 0.0;
-    if (any_drift) {
-      for (const Signature::Entry& e : warm.support) {
-        weighted += e.weight * row_drift[e.node];
+  if (c <= 0.0) {
+    // A c = 0 walk never returns to its source, so the drift sum, which
+    // weighs each changed row by the final vector's mass there, can miss
+    // the rows the walk read (the source's own among them). Such walks keep
+    // no warm state: a window that changes no transition row reuses every
+    // node, and any changed row re-solves every node cold.
+    const bool any_changed = std::any_of(
+        delta->changed_row_nodes().begin(), delta->changed_row_nodes().end(),
+        [&](NodeId x) { return delta->RowChanged(x, symmetric); });
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (!any_changed) {
+        out[i] = std::move(previous[i]);
+        ++reused;
+        continue;
+      }
+      if (rwr_.max_hops == 0) ++warm_fallbacks;
+      resolve_nodes.push_back(nodes[i]);
+      resolve_slots.push_back(i);
+    }
+  } else {
+    // Normalized transition drift of every changed row, dense-indexed so
+    // the per-focal pass is a sparse dot against its stored support. The
+    // scratch lives in the state (all-zero between calls) to skip the O(n)
+    // refill.
+    const CommGraph& old_g = delta->old_graph();
+    std::vector<double>& row_drift = st->row_drift;
+    bool any_drift = false;
+    for (NodeId x : delta->changed_row_nodes()) {
+      if (!delta->RowChanged(x, symmetric)) continue;
+      const double d = TransitionRowDrift(old_g, g, cache, x, symmetric);
+      if (d > 0.0) {
+        row_drift[x] = d;
+        any_drift = true;
       }
     }
-    if (weighted > 0.0) warm.acc_drift += factor * weighted;
-    if (warm.acc_drift <= rwr_.incremental_max_drift) {
-      out[i] = std::move(previous[i]);  // reuse is O(1), previous is owned
-      ++reused;
-      continue;
+
+    // Geometric amplification of one-step row drift over the whole walk:
+    // sum_{t=1..h} (1-c)^t, with h -> inf for the unbounded walk.
+    double factor = (1.0 - c) / c;
+    if (rwr_.max_hops > 0) {
+      factor = (1.0 - c) *
+               (1.0 - std::pow(1.0 - c, static_cast<double>(rwr_.max_hops))) /
+               c;
     }
-    // Warm start (unbounded walks only): the node's column starts from its
-    // stored support, and the engine's convergence criterion makes the
-    // fixed point — and therefore the signature — match a cold solve
-    // within tolerance. Truncated walks re-solve exactly (their normal
-    // path); unbounded walks past the warm bound re-solve cold.
-    const bool warm_start = rwr_.max_hops == 0 &&
-                            warm.acc_drift <= rwr_.incremental_warm_drift;
-    if (rwr_.max_hops == 0 && !warm_start) ++warm_fallbacks;
-    resolve_nodes.push_back(nodes[i]);
-    resolve_slots.push_back(i);
-    seeds.push_back(warm_start ? std::span<const Signature::Entry>(
-                                     warm.support)
-                               : std::span<const Signature::Entry>());
+
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      RwrIncrementalState::Warm& warm = st->warm[i];
+      double weighted = 0.0;
+      if (any_drift) {
+        for (const Signature::Entry& e : warm.support) {
+          weighted += e.weight * row_drift[e.node];
+        }
+      }
+      if (weighted > 0.0) warm.acc_drift += factor * weighted;
+      if (warm.acc_drift <= rwr_.incremental_max_drift) {
+        out[i] = std::move(previous[i]);  // reuse is O(1), previous is owned
+        ++reused;
+        continue;
+      }
+      // Warm start (unbounded walks only): the node's column starts from
+      // its stored support, and the engine's convergence criterion makes
+      // the fixed point — and therefore the signature — match a cold solve
+      // within tolerance. Truncated walks re-solve exactly (their normal
+      // path); unbounded walks past the warm bound re-solve cold.
+      if (rwr_.max_hops == 0) {
+        // The sweep refills warm.support, so a warm seed moves aside.
+        if (warm.acc_drift <= rwr_.incremental_warm_drift) {
+          seeds.push_back(std::move(warm.support));
+        } else {
+          ++warm_fallbacks;
+          seeds.emplace_back();
+        }
+      }
+      warm.acc_drift = 0.0;
+      resolve_nodes.push_back(nodes[i]);
+      resolve_slots.push_back(i);
+      supports.push_back(&warm.support);
+    }
+
+    // Restore the row_drift all-zero invariant by clearing only what this
+    // window touched.
+    for (NodeId x : delta->changed_row_nodes()) row_drift[x] = 0.0;
   }
 
   if (!resolve_nodes.empty()) {
-    std::vector<std::vector<Signature::Entry>> supports;
     size_t reseeded = 0;
+    const std::vector<std::span<const Signature::Entry>> seed_spans(
+        seeds.begin(), seeds.end());
     std::vector<Signature> solved = SolveManyBatched(
-        g, cache, resolve_nodes, seeds, &supports, &reseeded);
+        cache, resolve_nodes, seed_spans, supports, &reseeded);
     warm_fallbacks += reseeded;
     for (size_t j = 0; j < resolve_nodes.size(); ++j) {
       out[resolve_slots[j]] = std::move(solved[j]);
-      st->warm[resolve_slots[j]] = {std::move(supports[j]), 0.0};
     }
   }
-
-  // Restore the row_drift all-zero invariant by clearing only what this
-  // window touched.
-  for (NodeId x : delta->changed_row_nodes()) row_drift[x] = 0.0;
 
   COMMSIG_COUNTER_ADD("timeline/nodes_reused", reused);
   COMMSIG_COUNTER_ADD("timeline/nodes_dirty", nodes.size() - reused);

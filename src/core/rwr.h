@@ -57,11 +57,13 @@ class RwrScheme final : public SignatureScheme {
   std::vector<Signature> ComputeAll(
       const CommGraph& g, std::span<const NodeId> nodes) const override;
 
-  /// Drift-gated incremental sweep. Each focal node's warm state is the
+  /// Incremental sweep. For c > 0 each focal node's warm state is the
   /// sparse support of its last solved stationary vector plus the drift
-  /// accumulated since. Per transition the changed transition rows'
-  /// normalized L1 drift is folded against each stored support (see
-  /// DESIGN.md §11 for the bound); a node is then
+  /// accumulated since. An RWR^h support keeps only the entries on the
+  /// (h−1)-hop ball, the rows an h-step walk reads (rows h hops away cannot
+  /// move it); an unbounded support keeps every entry. Per transition the
+  /// changed transition rows' normalized L1 drift is folded against each
+  /// stored support (see DESIGN.md §11 for the bound); a node is then
   ///   - reused (signature copied) while accumulated drift stays <=
   ///     rwr_options().incremental_max_drift — exact 0 for any node whose
   ///     support touches no changed row, the common case at high overlap;
@@ -76,6 +78,8 @@ class RwrScheme final : public SignatureScheme {
   /// Truncated RWR^h signatures are bit-identical to ComputeAll whenever
   /// drift is exactly 0 and exact re-solves otherwise; unbounded results
   /// stay within incremental_max_drift + solver tolerance in L1.
+  /// A c = 0 walk keeps no warm state: every node is reused when no
+  /// transition row changed, and every node re-solves cold otherwise.
   std::vector<Signature> IncrementalComputeAll(
       const CommGraph& g, std::span<const NodeId> nodes,
       const GraphDelta* delta, std::vector<Signature> previous,
@@ -95,29 +99,22 @@ class RwrScheme final : public SignatureScheme {
 
  private:
   /// Sweep core shared by ComputeAll and the incremental re-solve: solves
-  /// `nodes` through RwrBatchEngine against a prebuilt cache. `seeds` is
-  /// empty or index-aligned with `nodes`; a non-empty seed warm-starts
-  /// its column (RwrBatchEngine::SolveBatchSupport). A seeded column that
-  /// fails to converge is re-solved unseeded and counted in
-  /// `*reseeded_columns` (when non-null); columns still unconverged take
-  /// the truncated fallback ladder. When `supports` is non-null it is
-  /// resized alongside the result and receives each node's sparse
-  /// stationary support (the incremental warm state).
+  /// `nodes` through RwrBatchEngine::SolveBatchSelect against a prebuilt
+  /// cache, each column's entries feeding its node's top-k selection
+  /// through the Definition-1 filter as the engine hands them over.
+  /// `seeds` is empty or index-aligned with `nodes`; a non-empty seed
+  /// warm-starts its column. A seeded column that fails to converge is
+  /// re-solved unseeded and counted in `*reseeded_columns` (when
+  /// non-null); columns still unconverged take the truncated fallback
+  /// ladder, each rung discarding the column's earlier selection.
+  /// `supports` is empty or index-aligned with `nodes`: each vector is
+  /// cleared and receives its node's warm support (interior entries only
+  /// for RWR^h walks). Supports must not alias seeds.
   std::vector<Signature> SolveManyBatched(
-      const CommGraph& g, const TransitionCache& cache,
-      std::span<const NodeId> nodes,
+      const TransitionCache& cache, std::span<const NodeId> nodes,
       std::span<const std::span<const Signature::Entry>> seeds,
-      std::vector<std::vector<Signature::Entry>>* supports,
+      std::span<std::vector<Signature::Entry>* const> supports,
       size_t* reseeded_columns) const;
-
-  /// Top-k extraction from a sparse support list (nonzero entries
-  /// ascending by node id), as produced by
-  /// RwrBatchEngine::SolveBatchSupport: the Definition-1 candidate filter
-  /// fused into a streaming top-k selection, with no O(n) rescan per focal
-  /// node.
-  Signature SignatureFromSupport(
-      const CommGraph& g, NodeId v,
-      std::span<const Signature::Entry> support) const;
 
   RwrOptions rwr_;
 };

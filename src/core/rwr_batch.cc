@@ -114,13 +114,16 @@ void TransitionCache::Rebase(const CommGraph& new_g,
 
 void RwrBatchWorkspace::Prepare(size_t n, size_t width, bool extrapolate) {
   const size_t cells = n * width;
-  // The dense state is restored to all-zero at the end of every solve, so
-  // reuse at an unchanged shape skips the O(n·width) refill that used to
-  // dominate small-h batches.
-  if (r.size() != cells) r.assign(cells, 0.0);
-  if (next.size() != cells) next.assign(cells, 0.0);
-  if (extrapolate && prev.size() != cells) prev.assign(cells, 0.0);
-  if (in_next.size() != n) in_next.assign(n, 0);
+  // Every solve leaves the whole of each buffer zero and uses only its
+  // first n·width cells, so a change of width or node count grows the
+  // buffers (new cells value-initialize to zero) but never refills them.
+  auto grow = [](auto& buffer, size_t size) {
+    if (buffer.size() < size) buffer.resize(size);
+  };
+  grow(r, cells);
+  grow(next, cells);
+  if (extrapolate) grow(prev, cells);
+  grow(in_next, n);
   scale.assign(width, 0.0);
   walked.assign(width, 0.0);
   dangling.assign(width, 0.0);
@@ -172,6 +175,7 @@ void RwrBatchEngine::Run(
   const CommGraph& g = cache_->graph();
   const size_t n = g.NumNodes();
   const size_t B = sources.size();
+  const size_t cells = n * B;
   if (B == 0 || n == 0) return;
 
   COMMSIG_SPAN("rwr/batch_solve");
@@ -302,6 +306,9 @@ void RwrBatchEngine::Run(
   size_t sparse_iters = 0, dense_iters = 0, column_iters = 0;
   for (size_t iter = 0; iter < max_iters && active_count > 0; ++iter) {
     if (!ws.dense && ws.frontier.size() > dense_threshold) ws.dense = true;
+    // A truncated walk's last step leaves its previous iterate r_{h-1} in
+    // `next` for the caller's extraction pass, which marks interior rows.
+    const bool keep_prior = truncated && iter + 1 == max_iters;
     column_iters += active_count;
     // ω_1 = 1, ω_2 = 2/(2 − ρ²), ω_{t+1} = 1/(1 − ρ²·ω_t/4).
     if (chebyshev && iter == 1) {
@@ -315,7 +322,7 @@ void RwrBatchEngine::Run(
 
     if (ws.dense) {
       ++dense_iters;
-      std::fill(ws.next.begin(), ws.next.end(), 0.0);
+      std::fill_n(ws.next.begin(), cells, 0.0);
       for (NodeId x = 0; x < n; ++x) scatter_row(x, /*track=*/false);
     } else {
       ++sparse_iters;
@@ -426,7 +433,7 @@ void RwrBatchEngine::Run(
       // that runs out of iterations also leaves as y.
       if (iter > 0 && iter + 1 < max_iters && active_count > 0) {
         if (ws.dense) {
-          simd::Extrapolate(ws.r.data(), ws.prev.data(), omega, n * B);
+          simd::Extrapolate(ws.r.data(), ws.prev.data(), omega, cells);
         } else {
           for (NodeId x : ws.frontier) {
             const size_t row = static_cast<size_t>(x) * B;
@@ -440,11 +447,11 @@ void RwrBatchEngine::Run(
         ws.prev_rows.swap(ws.touched);
       }
       ws.prev.swap(ws.next);
-    } else if (!ws.dense) {
+    } else if (!ws.dense && !keep_prior) {
       // `next` holds x_t: zero its rows to restore the all-zero invariant.
       zero_rows(ws.next, ws.touched);
     }
-    if (!ws.dense) ws.touched.clear();
+    if (!ws.dense && !keep_prior) ws.touched.clear();
   }
 
   // Columns still live after the cap: truncated walks converge by fiat,
@@ -463,16 +470,19 @@ void RwrBatchEngine::Run(
   }
   on_done(std::span<const size_t>(live));
 
-  // Restore the workspace's all-zero invariant so the next Prepare at this
-  // shape can skip the O(n·B) refill. In sparse mode only the frontier rows
-  // of r and the prev_rows of prev are live (next and in_next were
-  // re-zeroed every iteration).
+  // Restore the workspace's all-zero invariant so the next Prepare, at any
+  // shape, can skip the O(n·B) refill. In sparse mode only the frontier
+  // rows of r, the prev_rows of prev and, after a truncated walk, the
+  // `touched` rows of next (r_{h-1}) are live; in_next and the rest of
+  // next were re-zeroed every iteration.
   if (ws.dense) {
-    std::fill(ws.r.begin(), ws.r.end(), 0.0);
-    std::fill(ws.next.begin(), ws.next.end(), 0.0);
-    if (chebyshev) std::fill(ws.prev.begin(), ws.prev.end(), 0.0);
+    std::fill_n(ws.r.begin(), cells, 0.0);
+    std::fill_n(ws.next.begin(), cells, 0.0);
+    if (chebyshev) std::fill_n(ws.prev.begin(), cells, 0.0);
   } else {
     zero_rows(ws.r, ws.frontier);
+    zero_rows(ws.next, ws.touched);
+    ws.touched.clear();
     if (chebyshev) zero_rows(ws.prev, ws.prev_rows);
   }
 
@@ -516,64 +526,45 @@ std::vector<RwrScheme::RwrSolve> RwrBatchEngine::SolveBatch(
   return solves;
 }
 
-void RwrBatchEngine::SolveBatchSupport(
+void RwrBatchEngine::SolveBatchSelect(
     std::span<const NodeId> sources, RwrBatchWorkspace& ws,
-    std::vector<Signature::Entry>& entries,
-    std::vector<std::pair<size_t, size_t>>& ranges,
-    std::vector<uint8_t>& converged,
+    std::span<RwrColumnSink> sinks, std::vector<uint8_t>& converged,
     std::span<const std::span<const Signature::Entry>> seeds) const {
   COMMSIG_CHECK(seeds.empty() || seeds.size() == sources.size(),
                 "RWR seeds must be empty or one per source");
+  COMMSIG_CHECK(sinks.size() == sources.size(),
+                "RWR sinks must be one per source");
   const size_t n = cache_->num_nodes();
   const size_t B = sources.size();
   const bool truncated = opts_.max_hops > 0;
-  entries.clear();
-  ranges.assign(B, {0, 0});
   converged.assign(B, 0);
   Run(sources, seeds, ws,
       [&](size_t b, double /*residual*/, size_t /*iters*/) {
-        const size_t start = entries.size();
         VisitColumn(ws, n, B, b, [&](NodeId x, double val) {
-          entries.push_back({x, val});
+          sinks[b].Offer(x, val, /*interior=*/true);
         });
-        ranges[b] = {start, entries.size()};
         converged[b] = 1;
       },
       [&](std::span<const size_t> live) {
-        // Bulk extraction of every still-live column in two row-major
-        // passes (count, then fill): the state slab is traversed in memory
-        // order once per pass instead of once per column with a B-double
-        // stride, which is what makes sweep extraction cheap.
-        auto for_each_row = [&](auto&& fn) {
-          if (ws.dense) {
-            for (size_t x = 0; x < n; ++x) fn(x);
-          } else {
-            for (NodeId x : ws.frontier) fn(static_cast<size_t>(x));
-          }
-        };
-        std::vector<size_t> cursor(B, 0);
-        for_each_row([&](size_t x) {
+        // Every still-live column in one row-major pass: the state slab is
+        // traversed in memory order once instead of once per column with a
+        // B-double stride.
+        auto offer_row = [&](size_t x) {
           const double* row = &ws.r[x * B];
-          for (size_t b : live) cursor[b] += row[b] != 0.0 ? 1 : 0;
-        });
-        size_t base = entries.size();
-        for (size_t b : live) {
-          const size_t count = cursor[b];
-          ranges[b] = {base, base + count};
-          cursor[b] = base;
-          base += count;
-          converged[b] = truncated ? 1 : 0;
-        }
-        entries.resize(base);
-        for_each_row([&](size_t x) {
-          const double* row = &ws.r[x * B];
+          const double* prior = &ws.next[x * B];
           for (size_t b : live) {
-            const double val = row[b];
-            if (val != 0.0) {
-              entries[cursor[b]++] = {static_cast<NodeId>(x), val};
+            if (row[b] != 0.0) {
+              sinks[b].Offer(static_cast<NodeId>(x), row[b],
+                             !truncated || prior[b] != 0.0);
             }
           }
-        });
+        };
+        if (ws.dense) {
+          for (size_t x = 0; x < n; ++x) offer_row(x);
+        } else {
+          for (NodeId x : ws.frontier) offer_row(x);
+        }
+        for (size_t b : live) converged[b] = truncated ? 1 : 0;
       });
 }
 

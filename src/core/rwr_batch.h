@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/rwr.h"
+#include "core/signature.h"
 #include "graph/comm_graph.h"
 
 namespace commsig {
@@ -63,11 +64,12 @@ class TransitionCache {
   size_t num_walkable_ = 0;
 };
 
-/// Reusable scratch for RwrBatchEngine::SolveBatch. All buffers grow to the
+/// Reusable scratch for RwrBatchEngine's solves. All buffers grow to the
 /// high-water mark and are recycled across batches: every solve restores
-/// the "r/next/prev/in_next all-zero" invariant on exit, so a steady-state
-/// all-hosts sweep performs neither per-batch allocation nor per-batch
-/// O(n·B) zero-fills. Obtain one per thread via
+/// the "r/next/prev/in_next all-zero" invariant on exit over the whole
+/// buffer, and reads and writes only its first n·B cells, so neither a
+/// steady-state sweep nor a change of batch width or node count performs
+/// per-batch allocation or O(n·B) zero-fills. Obtain one per thread via
 /// RwrBatchEngine::LocalWorkspace().
 struct RwrBatchWorkspace {
   std::vector<double> r;     // n × B iterate x_t, node-major (row x is B-wide)
@@ -85,9 +87,39 @@ struct RwrBatchWorkspace {
   std::vector<size_t> iterations;  // B: iterations run per column
   bool dense = false;  // frontier tracking abandoned for this solve
 
-  /// Sizes the buffers (`prev` only when `extrapolate`), zero-filling only
-  /// on shape changes (the all-zero invariant covers reuse).
+  /// Grows the slabs to at least n·width cells (`prev` only when
+  /// `extrapolate`) and `in_next` to n, never refilling them: the all-zero
+  /// invariant covers every cell.
   void Prepare(size_t n, size_t width, bool extrapolate);
+};
+
+/// One column of an RwrBatchEngine::SolveBatchSelect batch. The engine's
+/// extraction pass offers it each nonzero entry of the column's final
+/// vector once, ascending by node id. Offer applies Definition 1's
+/// candidate filter on the way into the top-k selection and, when
+/// `support` is set, appends the entry to the caller's warm support.
+struct RwrColumnSink {
+  explicit RwrColumnSink(size_t k) : top(k) {}
+
+  /// `interior` is true for every entry of an unbounded walk and, for a
+  /// truncated RWR^h walk, exactly where its previous iterate r_{h−1} is
+  /// nonzero — with c > 0 the (h−1)-hop ball, the rows its h steps read.
+  void Offer(NodeId x, double p, bool interior) {
+    if (support != nullptr && (interior || !interior_only)) {
+      support->push_back({x, p});
+    }
+    if (x != focal && x >= lo && x < hi) top.Offer({x, p});
+  }
+
+  Signature::TopKSelector top;
+  /// The candidates: nodes in [lo, hi) other than `focal`.
+  NodeId focal = kInvalidNode;
+  NodeId lo = 0;
+  NodeId hi = kInvalidNode;
+  /// When non-null, receives the column's entries (interior ones only when
+  /// `interior_only`), ascending by node id.
+  std::vector<Signature::Entry>* support = nullptr;
+  bool interior_only = false;
 };
 
 /// Batched multi-source RWR solver: iterates B source columns simultaneously
@@ -145,26 +177,25 @@ class RwrBatchEngine {
   std::vector<RwrScheme::RwrSolve> SolveBatch(
       std::span<const NodeId> sources) const;
 
-  /// Sweep-oriented variant: solves the batch and stores each column's
-  /// nonzero (node, probability) entries — ascending by node id — into
-  /// `entries`, recording column b's slice as
-  /// [ranges[b].first, ranges[b].second). Skips SolveBatch's O(n)
-  /// densification per column, which dominates sweeps on windows whose
-  /// live support is far below n. `converged[b]` reports per-column
-  /// convergence (always true for truncated walks) for the caller's
-  /// fallback ladder. The output vectors are cleared and refilled, so
-  /// callers can reuse them across batches without reallocation.
+  /// Sweep entry point: solves the batch and hands column b's final vector
+  /// to sinks[b] (index-aligned with `sources`) in one extraction pass:
+  /// each nonzero entry once, ascending by node id, never densified into
+  /// an O(n) vector. A truncated walk marks the entries where its previous
+  /// iterate r_{h−1} is nonzero as interior; it reads r_{h−1} there before
+  /// zeroing it. `converged[b]` reports per-column convergence (always
+  /// true for truncated walks) for the caller's fallback ladder; an
+  /// unconverged column is still handed its last plain step. `converged`
+  /// is cleared and refilled, so callers can reuse it across batches.
   ///
   /// `seeds` is empty or index-aligned with `sources`. A non-empty
   /// seeds[b] — a sparse (node, mass) support ascending by node id, such
   /// as a previous solve's output — is normalized to sum 1 and replaces
   /// column b's unit start at its source (the incremental warm start); an
-  /// empty one keeps the unit start.
-  void SolveBatchSupport(
+  /// empty one keeps the unit start. Seeds are read before any sink is
+  /// offered an entry.
+  void SolveBatchSelect(
       std::span<const NodeId> sources, RwrBatchWorkspace& ws,
-      std::vector<Signature::Entry>& entries,
-      std::vector<std::pair<size_t, size_t>>& ranges,
-      std::vector<uint8_t>& converged,
+      std::span<RwrColumnSink> sinks, std::vector<uint8_t>& converged,
       std::span<const std::span<const Signature::Entry>> seeds = {}) const;
 
   /// The calling thread's lazily constructed scratch workspace
@@ -176,13 +207,13 @@ class RwrBatchEngine {
 
  private:
   /// Shared block power iteration from the start distributions `seeds`
-  /// describes (see SolveBatchSupport). on_converged(b, residual, iterations)
+  /// describes (see SolveBatchSelect). on_converged(b, residual, iterations)
   /// fires when a column meets tolerance and is masked out (column b of
   /// ws.r is readable through VisitColumn at that point); on_done(live)
   /// fires once after the iteration cap with the still-live column indices
   /// (their state readable in bulk — residuals/iterations via the
-  /// workspace arrays). Restores the workspace's all-zero invariant before
-  /// returning.
+  /// workspace arrays; for truncated walks ws.next still holds r_{h−1}).
+  /// Restores the workspace's all-zero invariant before returning.
   template <typename FinalizeCol, typename FinalizeRest>
   void Run(std::span<const NodeId> sources,
            std::span<const std::span<const Signature::Entry>> seeds,

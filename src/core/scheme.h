@@ -218,14 +218,17 @@ struct RwrOptions {
 
   TraversalMode traversal = TraversalMode::kSymmetric;
 
-  /// Incremental sweeps (IncrementalComputeAll): a focal node's previous
-  /// signature is reused while its accumulated drift-bound estimate —
-  /// sum over its stored stationary support of occupancy mass times the
-  /// changed rows' normalized-transition L1 drift, scaled by the walk's
-  /// geometric amplification factor — stays at or below this L1 bound.
-  /// 0 disables reuse entirely (every node re-solves each window); nodes
-  /// whose support touches no changed row estimate exactly 0 and are
-  /// reused at any setting. See DESIGN.md §11 for the bound.
+  /// Incremental sweeps (IncrementalComputeAll) with reset > 0: a focal
+  /// node's previous signature is reused while its accumulated drift-bound
+  /// estimate — sum over its stored stationary support of occupancy mass
+  /// times the changed rows' normalized-transition L1 drift, scaled by the
+  /// walk's geometric amplification factor — stays at or below this L1
+  /// bound. An RWR^h support holds only the (h−1)-hop ball the walk reads;
+  /// an unbounded one, every entry. 0 disables reuse for nodes whose
+  /// support touches a changed row; nodes whose support touches none
+  /// estimate exactly 0 and are reused at any setting. reset = 0 walks
+  /// ignore the bound: they reuse only across windows that change no
+  /// transition row. See DESIGN.md §11 for the bound.
   double incremental_max_drift = 1e-6;
 
   /// Unbounded walks whose drift estimate exceeds incremental_max_drift

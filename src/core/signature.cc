@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/simd.h"
 #include "obs/obs.h"
@@ -41,7 +42,7 @@ Signature Signature::FromTopK(std::vector<Entry> candidates, size_t k) {
   return sig;
 }
 
-Signature::TopKSelector::TopKSelector(size_t k) : k_(k) { best_.reserve(k); }
+Signature::TopKSelector::TopKSelector(size_t k) : k_(k) { Reset(); }
 
 namespace {
 
@@ -60,23 +61,15 @@ size_t WeakestIndex(const std::vector<Signature::Entry>& best) {
 
 }  // namespace
 
-void Signature::TopKSelector::Offer(Entry e) {
-  if (!(e.weight > 0.0) || !std::isfinite(e.weight)) return;
-  ++seen_;
+void Signature::TopKSelector::Admit(Entry e) {
   if (best_.size() < k_) {
     best_.push_back(e);
-    if (best_.size() == k_) weakest_ = WeakestIndex(best_);
-    return;
+    if (best_.size() < k_) return;
+  } else {
+    best_[weakest_] = e;
   }
-  if (k_ == 0) return;
-  const Entry& w = best_[weakest_];
-  // Keep only candidates that outrank the current weakest entry under the
-  // (weight desc, node asc) total order.
-  if (e.weight < w.weight || (e.weight == w.weight && e.node >= w.node)) {
-    return;
-  }
-  best_[weakest_] = e;
   weakest_ = WeakestIndex(best_);
+  floor_ = best_[weakest_];
 }
 
 Signature Signature::TopKSelector::Take() {
@@ -92,9 +85,13 @@ Signature Signature::TopKSelector::Take() {
 }
 
 void Signature::TopKSelector::Reset() {
+  // Take moves best_ out, so each selection reserves its k slots once.
   best_.clear();
+  best_.reserve(k_);
   seen_ = 0;
   weakest_ = 0;
+  floor_ = {kInvalidNode,
+            k_ == 0 ? std::numeric_limits<double>::infinity() : 0.0};
 }
 
 double Signature::WeightOf(NodeId node) const {

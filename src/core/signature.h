@@ -1,6 +1,7 @@
 #ifndef COMMSIG_CORE_SIGNATURE_H_
 #define COMMSIG_CORE_SIGNATURE_H_
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -41,28 +42,48 @@ class Signature {
   /// fuse candidate filtering with selection instead of materializing and
   /// partitioning a candidate vector per focal node, which dominates
   /// all-hosts sweeps with large walk supports. Offer cost is O(1) unless
-  /// the candidate enters the running top-k (O(k) then).
+  /// the candidate enters the running top-k (O(k) then): a full selection
+  /// rejects a candidate against its weakest kept entry inline, before any
+  /// call.
   class TopKSelector {
    public:
     explicit TopKSelector(size_t k);
 
     /// Considers one candidate; non-positive and non-finite weights are
     /// ignored, exactly like FromTopK's pre-filter.
-    void Offer(Entry e);
+    void Offer(Entry e) {
+      if (!(e.weight > 0.0) || !std::isfinite(e.weight)) return;
+      ++seen_;
+      // Keep only candidates that outrank floor_ under the (weight desc,
+      // node asc) total order.
+      if (e.weight < floor_.weight ||
+          (e.weight == floor_.weight && e.node >= floor_.node)) {
+        return;
+      }
+      Admit(e);
+    }
 
     /// Finishes the selection: sorts by node id and observes the same
     /// signature/* metrics FromTopK does. The selector is left empty and
     /// can be reused via Reset.
     Signature Take();
 
-    /// Clears state for the next focal node, keeping capacity.
+    /// Clears state for the next focal node, with room for k entries.
     void Reset();
 
    private:
+    /// Adds `e`, which outranks floor_, evicting the weakest entry once
+    /// the selection is full.
+    void Admit(Entry e);
+
     size_t k_;
     size_t seen_ = 0;     // candidates surviving the weight pre-filter
     size_t weakest_ = 0;  // index into best_ of the lowest-ranked entry
     std::vector<Entry> best_;
+    // The entry a candidate must outrank: best_[weakest_] once k entries
+    // are kept, weight 0 (every positive weight passes) while filling, and
+    // weight +inf (nothing passes) at k = 0.
+    Entry floor_;
   };
 
   /// Entries sorted ascending by node id.

@@ -10,6 +10,7 @@
 
 #include "core/rwr_push.h"
 #include "core/scheme.h"
+#include "graph/graph_builder.h"
 #include "graph/windower.h"
 #include "obs/metrics.h"
 #include "robust/fault_injector.h"
@@ -128,6 +129,76 @@ TEST(IncrementalEngineTest, RwrStaysWithinDocumentedEpsilon) {
     }
 #endif
   }
+}
+
+CommGraph BuildGraph(size_t n, const std::vector<TraceEvent>& edges) {
+  GraphBuilder b(n);
+  for (const TraceEvent& e : edges) b.AddEdge(e.src, e.dst, e.weight);
+  return std::move(b).Build();
+}
+
+// A c = 0 walk never returns to its source, so the drift sum weighed v's
+// own changed row by r_h(v) = 0; the only other changed row, a's, is a
+// single reweighted in-edge whose normalized transition row stays put. v
+// was served its first-window signature {a: 0.5, b: 0.5}. At c = 0 a
+// window that changes a transition row re-solves every node, and one that
+// changes none reuses every node.
+TEST(IncrementalEngineTest, RwrZeroResetFollowsChangedRow) {
+  constexpr NodeId v = 0, a = 1, b = 2, x = 3;
+  const std::vector<CommGraph> windows = {
+      BuildGraph(4, {{v, a, 0, 1.0}, {v, b, 0, 1.0}, {x, b, 0, 1.0}}),
+      BuildGraph(4, {{v, a, 0, 2.0}, {v, b, 0, 1.0}, {x, b, 0, 1.0}}),
+      BuildGraph(4, {{v, a, 0, 2.0}, {v, b, 0, 1.0}, {x, b, 0, 1.0}}),
+  };
+  const std::vector<NodeId> focal = {v, a, b, x};
+  for (size_t max_hops : {size_t{1}, size_t{2}, size_t{3}, size_t{0}}) {
+    auto scheme = MakeRwr({.k = 5}, {.reset = 0.0, .max_hops = max_hops});
+    IncrementalSignatureEngine engine(*scheme, focal);
+    engine.AdvanceBorrowed(windows[0]);
+    for (size_t w = 1; w < windows.size(); ++w) {
+      [[maybe_unused]] const uint64_t dirty_before =
+          CounterValue("timeline/nodes_dirty");
+      EXPECT_EQ(engine.AdvanceBorrowed(windows[w]),
+                scheme->ComputeAll(windows[w], focal))
+          << "h=" << max_hops << " window " << w;
+#ifndef COMMSIG_OBS_DISABLED
+      EXPECT_EQ(CounterValue("timeline/nodes_dirty") - dirty_before,
+                w == 1 ? focal.size() : 0u)
+          << "h=" << max_hops << " window " << w;
+#endif
+    }
+    if (max_hops == 1) {
+      const Signature& sig = engine.signatures()[0];
+      EXPECT_DOUBLE_EQ(sig.WeightOf(a), 2.0 / 3.0);
+      EXPECT_DOUBLE_EQ(sig.WeightOf(b), 1.0 / 3.0);
+    }
+  }
+}
+
+// An h-step walk reads only the rows within h − 1 hops of its source. Here
+// the only changed rows, b's and d's, lie exactly h = 2 hops from v, so v
+// is reused — and its signature is still ComputeAll's, bit for bit. A
+// drift sum over v's whole support counted them and re-solved v.
+TEST(IncrementalEngineTest, RwrHReusesNodeWhoseChangedRowsLieHHopsAway) {
+  constexpr NodeId v = 0, a = 1, b = 2, d = 3;
+  auto window = [&](double weight) {
+    return BuildGraph(4, {{v, a, 0, 1.0},
+                          {a, b, 0, 1.0},
+                          {a, d, 0, 1.0},
+                          {b, d, 0, weight}});
+  };
+  const std::vector<CommGraph> windows = {window(1.0), window(5.0)};
+  const std::vector<NodeId> focal = {v};
+  auto scheme = MakeRwr({.k = 5}, {.reset = 0.1, .max_hops = 2});
+  IncrementalSignatureEngine engine(*scheme, focal);
+  engine.AdvanceBorrowed(windows[0]);
+  [[maybe_unused]] const uint64_t dirty_before =
+      CounterValue("timeline/nodes_dirty");
+  EXPECT_EQ(engine.AdvanceBorrowed(windows[1]),
+            scheme->ComputeAll(windows[1], focal));
+#ifndef COMMSIG_OBS_DISABLED
+  EXPECT_EQ(CounterValue("timeline/nodes_dirty") - dirty_before, 0u);
+#endif
 }
 
 TEST(IncrementalEngineTest, RwrUnconvergedWarmStartsEndOnTruncatedFallback) {

@@ -45,10 +45,10 @@ std::vector<NodeId> AllNodes(const CommGraph& g) {
   return nodes;
 }
 
-// Per-column warm-start seeds, as SolveBatchSupport takes them.
+// Per-column warm-start seeds, as SolveBatchSelect takes them.
 using Seeds = std::span<const std::span<const Signature::Entry>>;
 
-// Warm-start seeds for SolveBatchSupport, index-aligned with `donors`:
+// Warm-start seeds for SolveBatchSelect, index-aligned with `donors`:
 // every third column unseeded, the rest the unnormalized support of another
 // column's solve, so most seeds put no mass on their own source.
 std::vector<std::span<const Signature::Entry>> DonorSeeds(
@@ -84,33 +84,39 @@ std::vector<std::span<const Signature::Entry>> SupportSeeds(
   return seeds;
 }
 
-// SolveBatchSupport over `sources` in production-width batches: each
-// column's support as a dense n-vector, whether it converged, and the
-// smallest support entry of any column.
+// SolveBatchSelect over `sources` in batches of `width`, each sink taking
+// its column's whole support: each column as a dense n-vector, whether it
+// converged, and the smallest support entry of any column.
 struct ColumnSolves {
   std::vector<std::vector<double>> columns;
   std::vector<uint8_t> converged;
   double min_entry = std::numeric_limits<double>::infinity();
 };
 
-ColumnSolves SolveColumns(const RwrBatchEngine& engine, size_t num_nodes,
-                          std::span<const NodeId> sources, Seeds seeds = {}) {
+ColumnSolves SolveColumns(
+    const RwrBatchEngine& engine, size_t num_nodes,
+    std::span<const NodeId> sources, Seeds seeds = {},
+    size_t width = RwrBatchEngine::kDefaultBatchWidth) {
   ColumnSolves out;
-  std::vector<Signature::Entry> entries;
-  std::vector<std::pair<size_t, size_t>> ranges;
+  std::vector<std::vector<Signature::Entry>> supports(width);
+  std::vector<RwrColumnSink> sinks;
   std::vector<uint8_t> converged;
-  const size_t width = RwrBatchEngine::kDefaultBatchWidth;
   for (size_t begin = 0; begin < sources.size(); begin += width) {
     const size_t count = std::min(width, sources.size() - begin);
-    engine.SolveBatchSupport(
+    sinks.assign(count, RwrColumnSink(0));
+    for (size_t b = 0; b < count; ++b) {
+      supports[b].clear();
+      sinks[b].support = &supports[b];
+    }
+    engine.SolveBatchSelect(
         sources.subspan(begin, count), RwrBatchEngine::LocalWorkspace(),
-        entries, ranges, converged,
+        sinks, converged,
         seeds.empty() ? seeds : seeds.subspan(begin, count));
     for (size_t b = 0; b < count; ++b) {
       std::vector<double>& col = out.columns.emplace_back(num_nodes, 0.0);
-      for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
-        col[entries[j].node] = entries[j].weight;
-        out.min_entry = std::min(out.min_entry, entries[j].weight);
+      for (const Signature::Entry& e : supports[b]) {
+        col[e.node] = e.weight;
+        out.min_entry = std::min(out.min_entry, e.weight);
       }
       out.converged.push_back(converged[b]);
     }
@@ -295,12 +301,9 @@ TEST(RwrBatchTest, SeededColumnsBitIdenticalToSerialFromSameSeed) {
       std::vector<std::vector<Signature::Entry>> seed_storage;
       const auto seeds = DonorSeeds(engine.SolveBatch(sources), seed_storage);
 
-      std::vector<Signature::Entry> entries;
-      std::vector<std::pair<size_t, size_t>> ranges;
-      std::vector<uint8_t> converged;
-      engine.SolveBatchSupport(sources, RwrBatchEngine::LocalWorkspace(),
-                               entries, ranges, converged, seeds);
-      ASSERT_EQ(ranges.size(), sources.size());
+      const ColumnSolves got = SolveColumns(engine, g.NumNodes(), sources,
+                                            seeds, sources.size());
+      ASSERT_EQ(got.columns.size(), sources.size());
       for (size_t b = 0; b < sources.size(); ++b) {
         SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
                                         << " c=" << c << " b=" << b);
@@ -315,13 +318,9 @@ TEST(RwrBatchTest, SeededColumnsBitIdenticalToSerialFromSameSeed) {
           }
         }
         auto serial = ref::RwrSolve(opts, g, sources[b], cache, start);
-        std::vector<double> got(g.NumNodes(), 0.0);
-        for (size_t j = ranges[b].first; j < ranges[b].second; ++j) {
-          got[entries[j].node] = entries[j].weight;
-        }
         EXPECT_TRUE(serial.converged);
-        EXPECT_EQ(converged[b] != 0, serial.converged);
-        EXPECT_EQ(got, serial.probabilities);
+        EXPECT_EQ(got.converged[b] != 0, serial.converged);
+        EXPECT_EQ(got.columns[b], serial.probabilities);
       }
     }
   }
@@ -344,6 +343,101 @@ TEST(RwrBatchTest, FrontierSparsePathMatchesSerial) {
       EXPECT_EQ(solves[i].probabilities[u], serial.probabilities[u])
           << "v=" << sources[i] << " u=" << u;
     }
+  }
+}
+
+// One workspace keeps its all-zero invariant across changes of batch width
+// and node count: on one thread it solves widths 16, 1, 7, 16 and 3,
+// alternating between a sparse 600-node graph and a 40-node one whose
+// frontier passes n/4 (the dense path), and every column still equals its
+// single-source oracle. Truncated walks are compared bit for bit: even
+// columns take the whole vector, odd ones the interior entries, those
+// where the walk's previous iterate r_{h−1} is nonzero.
+TEST(RwrBatchTest, WorkspaceSurvivesWidthAndSizeChanges) {
+  const CommGraph sparse = RandomGraph(600, 0.005, 23);
+  const CommGraph dense = RandomGraph(40, 0.1, 37);
+  RwrBatchWorkspace ws;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  struct Step {
+    size_t width;
+    const CommGraph& g;
+  };
+  for (size_t hops : {size_t{2}, size_t{0}}) {
+    const RwrOptions opts{.reset = 0.1, .max_hops = hops,
+                          .traversal = TraversalMode::kSymmetric};
+    const double bound = 2.0 * (1.0 - opts.reset) / opts.reset *
+                         opts.tolerance;
+    [[maybe_unused]] uint64_t all_sparse_solves = 0, dense_solves = 0;
+    size_t next_source = 0;
+    for (const Step& step : {Step{16, sparse}, Step{1, dense},
+                             Step{7, sparse}, Step{16, dense},
+                             Step{3, sparse}}) {
+      const size_t width = step.width;
+      const CommGraph& g = step.g;
+      SCOPED_TRACE(testing::Message() << "h=" << hops << " width=" << width
+                                      << " n=" << g.NumNodes());
+      TransitionCache cache(g, opts.traversal);
+      RwrBatchEngine engine(opts, cache);
+      std::vector<NodeId> sources;
+      for (size_t b = 0; b < width; ++b) {
+        sources.push_back(
+            static_cast<NodeId>((next_source++ * 37) % g.NumNodes()));
+      }
+      std::vector<std::vector<Signature::Entry>> supports(width);
+      std::vector<RwrColumnSink> sinks(width, RwrColumnSink(0));
+      for (size_t b = 0; b < width; ++b) {
+        sinks[b].support = &supports[b];
+        sinks[b].interior_only = hops > 0 && b % 2 == 1;
+      }
+      std::vector<uint8_t> converged;
+      const uint64_t sparse_before =
+          reg.GetCounter("rwr/batch_sparse_iterations").Value();
+      const uint64_t dense_before =
+          reg.GetCounter("rwr/batch_dense_iterations").Value();
+      engine.SolveBatchSelect(sources, ws, sinks, converged);
+      if (reg.GetCounter("rwr/batch_dense_iterations").Value() > dense_before) {
+        ++dense_solves;
+      } else if (reg.GetCounter("rwr/batch_sparse_iterations").Value() >
+                 sparse_before) {
+        ++all_sparse_solves;
+      }
+      for (size_t b = 0; b < width; ++b) {
+        SCOPED_TRACE(testing::Message() << "v=" << sources[b]);
+        const auto serial = ref::RwrSolve(opts, g, sources[b]);
+        std::vector<Signature::Entry> expected;
+        if (sinks[b].interior_only) {
+          std::vector<double> prior(g.NumNodes(), 0.0);
+          prior[sources[b]] = 1.0;
+          if (hops > 1) {
+            RwrOptions prior_opts = opts;
+            prior_opts.max_hops = hops - 1;
+            prior = ref::RwrSolve(prior_opts, g, sources[b]).probabilities;
+          }
+          for (NodeId x = 0; x < g.NumNodes(); ++x) {
+            if (prior[x] != 0.0) {
+              expected.push_back({x, serial.probabilities[x]});
+            }
+          }
+          EXPECT_EQ(supports[b], expected);
+          continue;
+        }
+        std::vector<double> got(g.NumNodes(), 0.0);
+        for (const Signature::Entry& e : supports[b]) got[e.node] = e.weight;
+        EXPECT_EQ(converged[b] != 0, serial.converged);
+        if (hops > 0) {
+          EXPECT_EQ(got, serial.probabilities);
+        } else {
+          EXPECT_LE(L1Distance(got, serial.probabilities), bound);
+        }
+      }
+    }
+#ifndef COMMSIG_OBS_DISABLED
+    // The premise: both the sparse and the dense path ran.
+    EXPECT_GT(dense_solves, 0u);
+    if (hops > 0) {
+      EXPECT_GT(all_sparse_solves, 0u);
+    }
+#endif
   }
 }
 

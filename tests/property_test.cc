@@ -2,6 +2,7 @@
 // checked over seeded random graphs and traces (TEST_P over seeds).
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
@@ -12,6 +13,7 @@
 
 #include "common/random.h"
 #include "core/distance.h"
+#include "core/incremental.h"
 #include "core/rwr.h"
 #include "core/scheme.h"
 #include "core/top_talkers.h"
@@ -21,6 +23,8 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_delta.h"
 #include "graph/windower.h"
+#include "obs/metrics.h"
+#include "ref/rwr.h"
 #include "sketch/streaming_signatures.h"
 
 namespace commsig {
@@ -326,6 +330,185 @@ TEST_P(SeededPropertyTest, GraphDeltaMatchesFullRowComparison) {
     EXPECT_EQ(std::vector<NodeId>(delta.changed_row_nodes().begin(),
                                   delta.changed_row_nodes().end()),
               changed_rows);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental RWR^h drift rule.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kDriftNodes = 60;
+
+/// An always-on core (senders 0-9 to receivers 10-16) plus random bursts
+/// to any node: most rows shared, a few changing per slot.
+std::vector<TraceEvent> BurstyTrace(Rng& rng) {
+  std::vector<TraceEvent> events;
+  for (uint64_t t = 0; t < 40; ++t) {
+    for (NodeId v = 0; v < 10; ++v) {
+      events.push_back({v, static_cast<NodeId>(10 + v % 7), t, 1.0});
+      if (rng.Bernoulli(0.15)) {
+        const auto d = static_cast<NodeId>(rng.UniformInt(kDriftNodes));
+        if (d != v) events.push_back({v, d, t, 1.0 + rng.UniformDouble()});
+      }
+    }
+  }
+  return events;
+}
+
+/// Twelve hosts, each with a private four-node cluster it talks to only
+/// while bursting, with slot-dependent weights.
+std::vector<TraceEvent> ClusteredTrace(Rng& rng) {
+  std::vector<TraceEvent> events;
+  for (NodeId host = 0; host < 12; ++host) {
+    bool bursting = false;
+    for (uint64_t t = 0; t < 40; ++t) {
+      bursting = bursting ? !rng.Bernoulli(1.0 / 3.0) : rng.Bernoulli(0.1);
+      if (!bursting) continue;
+      for (NodeId j = 0; j < 4; ++j) {
+        events.push_back({host, static_cast<NodeId>(12 + 4 * host + j), t,
+                          1.0 + 0.1 * static_cast<double>((t * 31 + j) % 7)});
+      }
+    }
+  }
+  return events;
+}
+
+/// L1 distance between x's normalized transition rows in two windows by a
+/// dense scan of every column: the out-half and (symmetric traversal) the
+/// in-half summed apart, capped at 2; 2 for a walkable <-> dangling flip.
+double DenseRowDrift(const CommGraph& old_g, const CommGraph& new_g, NodeId x,
+                     bool symmetric) {
+  const double old_norm =
+      old_g.OutWeight(x) + (symmetric ? old_g.InWeight(x) : 0.0);
+  const double new_norm =
+      new_g.OutWeight(x) + (symmetric ? new_g.InWeight(x) : 0.0);
+  if ((old_norm > 0.0) != (new_norm > 0.0)) return 2.0;
+  if (old_norm == 0.0) return 0.0;
+  const double inv_old = 1.0 / old_norm;
+  const double inv_new = 1.0 / new_norm;
+  double out = 0.0, in = 0.0;
+  for (NodeId y = 0; y < new_g.NumNodes(); ++y) {
+    out += std::fabs(new_g.EdgeWeight(x, y) * inv_new -
+                     old_g.EdgeWeight(x, y) * inv_old);
+    in += std::fabs(new_g.EdgeWeight(y, x) * inv_new -
+                    old_g.EdgeWeight(y, x) * inv_old);
+  }
+  return std::min(symmetric ? out + in : out, 2.0);
+}
+
+/// A focal node's h-step walk as the reference tracks it: the final vector
+/// r_h, the previous iterate r_{h−1}, and the drift accumulated since.
+struct RefWalk {
+  std::vector<double> last;
+  std::vector<double> prior;
+  double acc = 0.0;
+};
+
+RefWalk SolveRefWalk(const RwrOptions& opts, const CommGraph& g, NodeId v) {
+  RefWalk walk;
+  walk.last = ref::RwrSolve(opts, g, v).probabilities;
+  walk.prior.assign(g.NumNodes(), 0.0);
+  walk.prior[v] = 1.0;
+  if (opts.max_hops > 1) {
+    RwrOptions prior_opts = opts;
+    prior_opts.max_hops = opts.max_hops - 1;
+    walk.prior = ref::RwrSolve(prior_opts, g, v).probabilities;
+  }
+  return walk;
+}
+
+/// Σ r_h(x)·d(x) in ascending x over the final vector's support, or over
+/// its interior — where r_{h−1} is nonzero too.
+double WeightedDrift(const RefWalk& walk, const std::vector<double>& drift,
+                     bool interior) {
+  double sum = 0.0;
+  for (size_t x = 0; x < drift.size(); ++x) {
+    if (walk.last[x] == 0.0 || (interior && walk.prior[x] == 0.0)) continue;
+    sum += walk.last[x] * drift[x];
+  }
+  return sum;
+}
+
+TEST_P(SeededPropertyTest, RwrHInteriorDriftRuleMatchesDenseReference) {
+  // The incremental RWR^h sweep against a dense model of its reuse rule
+  // built from ref::RwrSolve vectors: per window it re-solves exactly the
+  // nodes whose accumulated interior drift passes incremental_max_drift,
+  // reuses the rest unchanged and matches ComputeAll on the re-solved ones
+  // bit for bit. From the same state, every node the interior rule
+  // re-solves is one the full-support rule would re-solve.
+  Rng rng(GetParam());
+  std::vector<NodeId> focal(kDriftNodes);
+  std::iota(focal.begin(), focal.end(), 0);
+  obs::Counter& dirty_counter =
+      obs::MetricsRegistry::Global().GetCounter("timeline/nodes_dirty");
+  for (const std::vector<TraceEvent>& trace :
+       {BurstyTrace(rng), ClusteredTrace(rng)}) {
+    const std::vector<CommGraph> windows =
+        TraceWindower(kDriftNodes, 8).SplitSliding(trace, 2);
+    ASSERT_GT(windows.size(), 3u);
+    for (TraversalMode mode :
+         {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
+      for (double c : {0.1, 0.5}) {
+        for (size_t h : {1u, 2u, 3u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "mode=" << static_cast<int>(mode) << " c=" << c
+                       << " h=" << h);
+          const RwrOptions opts{.reset = c, .max_hops = h, .traversal = mode};
+          const bool symmetric = mode == TraversalMode::kSymmetric;
+          const double factor =
+              (1.0 - c) * (1.0 - std::pow(1.0 - c, static_cast<double>(h))) /
+              c;
+          auto scheme = MakeRwr({.k = 5}, opts);
+          IncrementalSignatureEngine engine(*scheme, focal);
+          std::vector<RefWalk> walks(focal.size());
+          std::vector<Signature> previous;
+          for (size_t w = 0; w < windows.size(); ++w) {
+            const CommGraph& g = windows[w];
+            std::vector<uint8_t> resolve(focal.size(), 1);
+            if (w > 0) {
+              std::vector<double> drift(g.NumNodes());
+              for (NodeId x = 0; x < g.NumNodes(); ++x) {
+                drift[x] = DenseRowDrift(windows[w - 1], g, x, symmetric);
+              }
+              for (size_t i = 0; i < focal.size(); ++i) {
+                RefWalk& walk = walks[i];
+                const double interior = WeightedDrift(walk, drift, true);
+                const double full = WeightedDrift(walk, drift, false);
+                const double acc_interior =
+                    interior > 0.0 ? walk.acc + factor * interior : walk.acc;
+                const double acc_full =
+                    full > 0.0 ? walk.acc + factor * full : walk.acc;
+                resolve[i] = acc_interior > opts.incremental_max_drift;
+                if (resolve[i]) {
+                  EXPECT_GT(acc_full, opts.incremental_max_drift)
+                      << "window " << w << " node " << i;
+                }
+                walk.acc = acc_interior;
+              }
+            }
+            [[maybe_unused]] const uint64_t dirty_before =
+                dirty_counter.Value();
+            const std::vector<Signature> got = engine.AdvanceBorrowed(g);
+#ifndef COMMSIG_OBS_DISABLED
+            EXPECT_EQ(dirty_counter.Value() - dirty_before,
+                      static_cast<uint64_t>(
+                          std::count(resolve.begin(), resolve.end(), 1)))
+                << "window " << w;
+#endif
+            const std::vector<Signature> scratch = scheme->ComputeAll(g, focal);
+            for (size_t i = 0; i < focal.size(); ++i) {
+              if (resolve[i]) {
+                EXPECT_EQ(got[i], scratch[i]) << "window " << w << " node " << i;
+                walks[i] = SolveRefWalk(opts, g, focal[i]);
+              } else {
+                EXPECT_EQ(got[i], previous[i]) << "window " << w << " node " << i;
+              }
+            }
+            previous = got;
+          }
+        }
+      }
+    }
   }
 }
 

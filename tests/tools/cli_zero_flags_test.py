@@ -19,7 +19,8 @@ not-read-by-this-subcommand flags are rejected instead of ignored.
 `--failpoints` accepts every site docs/obs_schema.json lists and rejects
 any other site name.  `--threads` gives the same output at every worker
 count, and a trace whose windows would not fit in memory exits 1 before
-the split instead of aborting.
+the split instead of aborting.  An incremental `timeline` of a c = 0
+random walk follows a changed row instead of reusing a stale signature.
 
 Usage: cli_zero_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
@@ -341,6 +342,25 @@ class ZeroFlagsTest(unittest.TestCase):
         labels = sorted(line.split("\t")[0]
                         for line in proc.stdout.splitlines())
         self.assertEqual(labels, ["alice", "bob"])
+
+    def test_zero_reset_timeline_follows_changed_row(self):
+        # v has no in-edges, so the one-step c = 0 walk from v is its
+        # normalized out-row, Top Talkers' signature. The walk never returns
+        # to v, so a drift sum weighed by its final vector missed v's own
+        # reweighted row and reused the first window's signature (1.0000).
+        trace = self.write_trace("zero_reset.csv", [
+            "v,a,1,1.0", "v,b,1,1.0", "x,b,1,1.0",
+            "v,a,11,2.0", "v,b,11,1.0", "x,b,11,1.0",
+        ])
+        persistence = {}
+        for scheme in ("tt", "rwr(c=0,h=1)"):
+            proc = self.run_cli("timeline", "--window-length", "10",
+                                "--scheme", scheme, trace=trace)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            persistence[scheme] = [line for line in proc.stdout.splitlines()
+                                   if "persistence" in line]
+        self.assertIn("persistence 0.9224", persistence["tt"][0])
+        self.assertEqual(persistence["rwr(c=0,h=1)"], persistence["tt"])
 
 
 def main() -> int:
