@@ -2,6 +2,7 @@
 // signature-set reader, under every ErrorPolicy. Each read runs the production
 // pipeline at 2 parse workers with 64-byte chunks (the framer's floor), so
 // even small inputs span several chunks and exercise the in-order merge.
+// Every trace event a read accepts must weigh in (0, kMaxRecordWeight].
 // Inputs are staged through a per-process temp file because the readers are
 // file-based.
 
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/interner.h"
+#include "graph/graph_builder.h"
 #include "ingest/pipeline.h"
 #include "robust/record_errors.h"
 
@@ -26,6 +29,18 @@ std::string StageInput(const uint8_t* data, size_t size) {
   if (size > 0) std::fwrite(data, 1, size, f);
   std::fclose(f);
   return path;
+}
+
+// Every accepted record weighs in (0, kMaxRecordWeight], so no window built
+// from a read can sum an edge weight or node tally to infinity.
+void CheckWeights(
+    const commsig::Result<std::vector<commsig::TraceEvent>>& events) {
+  if (!events.ok()) return;
+  for (const commsig::TraceEvent& e : *events) {
+    if (!(e.weight > 0.0 && e.weight <= commsig::kMaxRecordWeight)) {
+      __builtin_trap();
+    }
+  }
 }
 
 }  // namespace
@@ -44,8 +59,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     options.ingest.error_log = &log;
     {
       commsig::Interner interner;
-      (void)commsig::ingest::ReadTraceEventsPipelined(
-          path, commsig::ingest::PipelineFormat::kTraceCsv, interner, options);
+      CheckWeights(commsig::ingest::ReadTraceEventsPipelined(
+          path, commsig::ingest::PipelineFormat::kTraceCsv, interner, options));
     }
     {
       commsig::Interner interner;

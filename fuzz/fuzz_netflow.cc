@@ -2,8 +2,8 @@
 // parse workers with 64-byte chunks (the framer's floor), so even small
 // inputs span several chunks. The reader is file-based, so each input is
 // staged through a per-process temp file; the property under test is "no
-// crash / no sanitizer report under any ErrorPolicy", not any particular
-// parse result.
+// crash / no sanitizer report under any ErrorPolicy" and every accepted
+// weight inside the record bound, not any particular parse result.
 
 #include <unistd.h>
 
@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/interner.h"
+#include "graph/graph_builder.h"
 #include "ingest/pipeline.h"
 #include "robust/record_errors.h"
 
@@ -26,6 +28,18 @@ std::string StageInput(const uint8_t* data, size_t size) {
   if (size > 0) std::fwrite(data, 1, size, f);
   std::fclose(f);
   return path;
+}
+
+// Every accepted record weighs in (0, kMaxRecordWeight], so no window built
+// from a read can sum an edge weight or node tally to infinity.
+void CheckWeights(
+    const commsig::Result<std::vector<commsig::TraceEvent>>& events) {
+  if (!events.ok()) return;
+  for (const commsig::TraceEvent& e : *events) {
+    if (!(e.weight > 0.0 && e.weight <= commsig::kMaxRecordWeight)) {
+      __builtin_trap();
+    }
+  }
 }
 
 }  // namespace
@@ -43,8 +57,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     options.ingest.policy = policy;
     options.ingest.error_log = &log;
     commsig::Interner interner;
-    (void)commsig::ingest::ReadTraceEventsPipelined(
-        path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options);
+    CheckWeights(commsig::ingest::ReadTraceEventsPipelined(
+        path, commsig::ingest::PipelineFormat::kNetflowV5, interner, options));
   }
   return 0;
 }

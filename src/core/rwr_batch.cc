@@ -18,24 +18,28 @@
 namespace commsig {
 namespace {
 
-/// acc[j] += Σ_r |a[r·width + j] − b[r·width + j]| over a row-major
-/// rows × width slab, rows ascending in every column — the serial
-/// iteration's summation order. Whole vector blocks accumulate row by row;
-/// the remaining columns run one at a time, so each sum stays in a
-/// register instead of taking a load-add-store round trip per row, which
-/// dominated the dense iterations of batches narrower than a vector.
+/// acc[j] += Σ_x |a[x·width + j] − b[x·width + j]| over the listed rows x
+/// of a row-major slab, rows ascending in every column — the serial
+/// iteration's summation order (the rows left out are zero in both slabs,
+/// and a zero term leaves each sum's bits alone). Whole vector blocks
+/// accumulate row by row; the remaining columns run one at a time, so each
+/// sum stays in a register instead of taking a load-add-store round trip
+/// per row, which dominated the dense iterations of batches narrower than
+/// a vector.
 void AccumAbsDiffRows(double* acc, const double* a, const double* b,
-                      size_t rows, size_t width) {
+                      std::span<const NodeId> rows, size_t width) {
   const size_t body = width - width % simd::kLanes;
   if (body > 0) {
-    for (size_t r = 0; r < rows; ++r) {
-      simd::AccumAbsDiff(acc, a + r * width, b + r * width, body);
+    for (NodeId x : rows) {
+      const size_t row = static_cast<size_t>(x) * width;
+      simd::AccumAbsDiff(acc, a + row, b + row, body);
     }
   }
   for (size_t j = body; j < width; ++j) {
     double sum = acc[j];
-    for (size_t r = 0; r < rows; ++r) {
-      sum += std::fabs(a[r * width + j] - b[r * width + j]);
+    for (NodeId x : rows) {
+      const size_t cell = static_cast<size_t>(x) * width + j;
+      sum += std::fabs(a[cell] - b[cell]);
     }
     acc[j] = sum;
   }
@@ -76,6 +80,31 @@ void AccumAbsDiffRows(double* acc, const double* a, const double* b,
   }
   std::sort(ws.frontier.begin(), ws.frontier.end());
   for (NodeId x : ws.frontier) ws.in_next[x] = 0;
+}
+
+/// Replaces ws.frontier, at the switch to dense scans, with every row that
+/// can hold mass for the rest of the solve, ascending: the rows holding it
+/// now (ws.frontier ∪ ws.prev_rows), the sources the reset step writes, and
+/// every row with an edge in the window, out or in, so a directed walk
+/// keeps its in-only sinks. Each iterate after the switch lives on rows the
+/// scatter reaches, the sources and the previous iterate's rows, so every
+/// other row stays zero in r, next and prev until the solve ends. Builds
+/// the list in ws.touched, which is empty between iterations.
+void ListDenseRows(const CommGraph& g, std::span<const NodeId> sources,
+                   RwrBatchWorkspace& ws) {
+  for (NodeId x : ws.frontier) ws.in_next[x] = 1;
+  for (NodeId x : ws.prev_rows) ws.in_next[x] = 1;
+  for (NodeId v : sources) ws.in_next[v] = 1;
+  const size_t n = g.NumNodes();
+  for (NodeId x = 0; x < n; ++x) {
+    if (ws.in_next[x] || g.OutDegree(x) > 0 || g.InDegree(x) > 0) {
+      ws.touched.push_back(x);
+    }
+    ws.in_next[x] = 0;
+  }
+  ws.frontier.swap(ws.touched);
+  ws.touched.clear();
+  ws.prev_rows.clear();
 }
 
 }  // namespace
@@ -151,18 +180,11 @@ RwrBatchWorkspace& RwrBatchEngine::LocalWorkspace() {
 }
 
 template <typename Fn>
-void RwrBatchEngine::VisitColumn(const RwrBatchWorkspace& ws, size_t num_nodes,
-                                 size_t width, size_t b, Fn&& fn) {
-  if (ws.dense) {
-    for (size_t x = 0; x < num_nodes; ++x) {
-      const double val = ws.r[x * width + b];
-      if (val != 0.0) fn(static_cast<NodeId>(x), val);
-    }
-  } else {
-    for (NodeId x : ws.frontier) {
-      const double val = ws.r[static_cast<size_t>(x) * width + b];
-      if (val != 0.0) fn(x, val);
-    }
+void RwrBatchEngine::VisitColumn(const RwrBatchWorkspace& ws, size_t width,
+                                 size_t b, Fn&& fn) {
+  for (NodeId x : ws.frontier) {
+    const double val = ws.r[static_cast<size_t>(x) * width + b];
+    if (val != 0.0) fn(x, val);
   }
 }
 
@@ -175,7 +197,6 @@ void RwrBatchEngine::Run(
   const CommGraph& g = cache_->graph();
   const size_t n = g.NumNodes();
   const size_t B = sources.size();
-  const size_t cells = n * B;
   if (B == 0 || n == 0) return;
 
   COMMSIG_SPAN("rwr/batch_solve");
@@ -213,9 +234,9 @@ void RwrBatchEngine::Run(
     const double* mass = &ws.r[static_cast<size_t>(x) * B];
     if (!cache_->walkable(x)) {
       if (B < simd::kLanes) {
-        // Narrow batch: per-lane adds that skip empty lanes — every
-        // isolated node of a dense scan — instead of a load-add-store
-        // round trip per row.
+        // Narrow batch: per-lane adds that skip empty lanes — a dense
+        // scan's listed dangling rows are often empty in every column —
+        // instead of a load-add-store round trip per row.
         for (size_t b = 0; b < B; ++b) {
           if (mass[b] != 0.0) ws.dangling[b] += mass[b];
         }
@@ -286,14 +307,15 @@ void RwrBatchEngine::Run(
     if (symmetric) scatter_edges(g.InEdges(x));
   };
 
-  // Zeroes column b of `slab` on `rows` (every row once dense).
+  // The rows of a slab that may be nonzero: those a sparse iteration
+  // tracked, or once dense, the rows ListDenseRows listed.
+  auto rows_of = [&](const std::vector<NodeId>& sparse_rows)
+      -> const std::vector<NodeId>& {
+    return ws.dense ? ws.frontier : sparse_rows;
+  };
   auto zero_column = [&](std::vector<double>& slab,
                          const std::vector<NodeId>& rows, size_t b) {
-    if (ws.dense) {
-      for (size_t x = 0; x < n; ++x) slab[x * B + b] = 0.0;
-    } else {
-      for (NodeId x : rows) slab[static_cast<size_t>(x) * B + b] = 0.0;
-    }
+    for (NodeId x : rows) slab[static_cast<size_t>(x) * B + b] = 0.0;
   };
   auto zero_rows = [&](std::vector<double>& slab,
                        const std::vector<NodeId>& rows) {
@@ -305,7 +327,10 @@ void RwrBatchEngine::Run(
 
   size_t sparse_iters = 0, dense_iters = 0, column_iters = 0;
   for (size_t iter = 0; iter < max_iters && active_count > 0; ++iter) {
-    if (!ws.dense && ws.frontier.size() > dense_threshold) ws.dense = true;
+    if (!ws.dense && ws.frontier.size() > dense_threshold) {
+      ListDenseRows(g, sources, ws);
+      ws.dense = true;
+    }
     // A truncated walk's last step leaves its previous iterate r_{h-1} in
     // `next` for the caller's extraction pass, which marks interior rows.
     const bool keep_prior = truncated && iter + 1 == max_iters;
@@ -322,8 +347,8 @@ void RwrBatchEngine::Run(
 
     if (ws.dense) {
       ++dense_iters;
-      std::fill_n(ws.next.begin(), cells, 0.0);
-      for (NodeId x = 0; x < n; ++x) scatter_row(x, /*track=*/false);
+      zero_rows(ws.next, ws.frontier);
+      for (NodeId x : ws.frontier) scatter_row(x, /*track=*/false);
     } else {
       ++sparse_iters;
       // `next` is all-zero here (maintained below), so the scatter only
@@ -370,12 +395,14 @@ void RwrBatchEngine::Run(
     }
 
     if (!truncated) {
-      // Per-column L1 step change. Outside frontier ∪ touched both vectors
-      // are zero; walking their sorted union in ascending row order makes
-      // the summation order match the serial full scan.
+      // Per-column L1 step change. Outside frontier ∪ touched (once dense,
+      // the listed rows) both vectors are zero; walking those rows in
+      // ascending order makes the summation order match the serial full
+      // scan.
       std::fill(ws.delta.begin(), ws.delta.end(), 0.0);
       if (ws.dense) {
-        AccumAbsDiffRows(ws.delta.data(), ws.next.data(), ws.r.data(), n, B);
+        AccumAbsDiffRows(ws.delta.data(), ws.next.data(), ws.r.data(),
+                         ws.frontier, B);
       } else {
         size_t fi = 0, ti = 0;
         while (fi < ws.frontier.size() || ti < ws.touched.size()) {
@@ -416,8 +443,8 @@ void RwrBatchEngine::Run(
           --active_count;
           zero_column(ws.r, ws.frontier, b);
           if (chebyshev) {
-            zero_column(ws.next, ws.touched, b);
-            zero_column(ws.prev, ws.prev_rows, b);
+            zero_column(ws.next, rows_of(ws.touched), b);
+            zero_column(ws.prev, rows_of(ws.prev_rows), b);
           }
           COMMSIG_HISTOGRAM_OBSERVE("rwr/residual_at_convergence",
                                     ws.delta[b]);
@@ -432,13 +459,9 @@ void RwrBatchEngine::Run(
       // stay zero). The last permitted step is left plain, so a column
       // that runs out of iterations also leaves as y.
       if (iter > 0 && iter + 1 < max_iters && active_count > 0) {
-        if (ws.dense) {
-          simd::Extrapolate(ws.r.data(), ws.prev.data(), omega, cells);
-        } else {
-          for (NodeId x : ws.frontier) {
-            const size_t row = static_cast<size_t>(x) * B;
-            simd::Extrapolate(&ws.r[row], &ws.prev[row], omega, B);
-          }
+        for (NodeId x : ws.frontier) {
+          const size_t row = static_cast<size_t>(x) * B;
+          simd::Extrapolate(&ws.r[row], &ws.prev[row], omega, B);
         }
       }
       // prev takes x_t; `next` takes the old prev, zeroed.
@@ -471,20 +494,14 @@ void RwrBatchEngine::Run(
   on_done(std::span<const size_t>(live));
 
   // Restore the workspace's all-zero invariant so the next Prepare, at any
-  // shape, can skip the O(n·B) refill. In sparse mode only the frontier
-  // rows of r, the prev_rows of prev and, after a truncated walk, the
-  // `touched` rows of next (r_{h-1}) are live; in_next and the rest of
-  // next were re-zeroed every iteration.
-  if (ws.dense) {
-    std::fill_n(ws.r.begin(), cells, 0.0);
-    std::fill_n(ws.next.begin(), cells, 0.0);
-    if (chebyshev) std::fill_n(ws.prev.begin(), cells, 0.0);
-  } else {
-    zero_rows(ws.r, ws.frontier);
-    zero_rows(ws.next, ws.touched);
-    ws.touched.clear();
-    if (chebyshev) zero_rows(ws.prev, ws.prev_rows);
-  }
+  // shape, can skip the O(n·B) refill. Only the frontier rows of r, the
+  // prev_rows of prev and, after a truncated walk, the `touched` rows of
+  // next (r_{h-1}) are live — every listed row of each once dense; in_next
+  // and the rest of next were re-zeroed every iteration.
+  zero_rows(ws.r, ws.frontier);
+  zero_rows(ws.next, rows_of(ws.touched));
+  if (chebyshev) zero_rows(ws.prev, rows_of(ws.prev_rows));
+  ws.touched.clear();
 
   COMMSIG_COUNTER_ADD("rwr/calls", B);
   COMMSIG_COUNTER_ADD("rwr/iterations", column_iters);
@@ -507,7 +524,7 @@ std::vector<RwrScheme::RwrSolve> RwrBatchEngine::SolveBatch(
   auto extract = [&](size_t b, bool converged, double residual, size_t iters) {
     RwrScheme::RwrSolve& s = solves[b];
     s.probabilities.assign(n, 0.0);
-    VisitColumn(ws, n, B, b,
+    VisitColumn(ws, B, b,
                 [&](NodeId x, double val) { s.probabilities[x] = val; });
     s.converged = converged;
     s.residual = residual;
@@ -534,13 +551,12 @@ void RwrBatchEngine::SolveBatchSelect(
                 "RWR seeds must be empty or one per source");
   COMMSIG_CHECK(sinks.size() == sources.size(),
                 "RWR sinks must be one per source");
-  const size_t n = cache_->num_nodes();
   const size_t B = sources.size();
   const bool truncated = opts_.max_hops > 0;
   converged.assign(B, 0);
   Run(sources, seeds, ws,
       [&](size_t b, double /*residual*/, size_t /*iters*/) {
-        VisitColumn(ws, n, B, b, [&](NodeId x, double val) {
+        VisitColumn(ws, B, b, [&](NodeId x, double val) {
           sinks[b].Offer(x, val, /*interior=*/true);
         });
         converged[b] = 1;
@@ -549,20 +565,14 @@ void RwrBatchEngine::SolveBatchSelect(
         // Every still-live column in one row-major pass: the state slab is
         // traversed in memory order once instead of once per column with a
         // B-double stride.
-        auto offer_row = [&](size_t x) {
-          const double* row = &ws.r[x * B];
-          const double* prior = &ws.next[x * B];
+        for (NodeId x : ws.frontier) {
+          const double* row = &ws.r[static_cast<size_t>(x) * B];
+          const double* prior = &ws.next[static_cast<size_t>(x) * B];
           for (size_t b : live) {
             if (row[b] != 0.0) {
-              sinks[b].Offer(static_cast<NodeId>(x), row[b],
-                             !truncated || prior[b] != 0.0);
+              sinks[b].Offer(x, row[b], !truncated || prior[b] != 0.0);
             }
           }
-        };
-        if (ws.dense) {
-          for (size_t x = 0; x < n; ++x) offer_row(x);
-        } else {
-          for (NodeId x : ws.frontier) offer_row(x);
         }
         for (size_t b : live) converged[b] = truncated ? 1 : 0;
       });

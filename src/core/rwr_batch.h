@@ -80,12 +80,16 @@ struct RwrBatchWorkspace {
   std::vector<double> scale, walked, dangling, delta, last_residual;  // B
   std::vector<uint8_t> active;   // B: column still iterating
   std::vector<uint8_t> in_next;  // n: row already touched this iteration
-  std::vector<NodeId> frontier;  // sorted rows where r is nonzero
-  std::vector<NodeId> prev_rows;  // sorted rows where prev is nonzero
-  std::vector<NodeId> touched;   // rows written this iteration
+  // Ascending rows outside which r is zero: while sparse, the rows where
+  // it is nonzero; once dense, every row that can hold mass for the rest
+  // of the solve (the window's rows with an edge, the sources and the rows
+  // holding mass at the switch), outside which next and prev are zero too.
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> prev_rows;  // sparse: sorted rows where prev is nonzero
+  std::vector<NodeId> touched;   // sparse: rows written this iteration
   std::vector<uint32_t> lanes;   // scratch: live column indices of one row
   std::vector<size_t> iterations;  // B: iterations run per column
-  bool dense = false;  // frontier tracking abandoned for this solve
+  bool dense = false;  // frontier fixed to the listed rows for this solve
 
   /// Grows the slabs to at least n·width cells (`prev` only when
   /// `extrapolate`) and `in_next` to n, never refilling them: the all-zero
@@ -130,9 +134,13 @@ struct RwrColumnSink {
 /// Two sparsity levers on top of the blocking:
 ///  - frontier-sparse iteration: only rows holding nonzero mass (for any
 ///    column) are visited, which collapses the cost of RWR^h hops 1–2 and
-///    of the early unbounded iterations on large windows. The engine
-///    switches to dense scans once the frontier covers more than a quarter
-///    of the nodes (and stays dense — RWR mass never re-sparsifies).
+///    of the early unbounded iterations on large windows. Once the
+///    frontier covers more than a quarter of the nodes the engine stops
+///    tracking it (and stays dense — RWR mass never re-sparsifies): it
+///    lists, once, every row that can still hold mass — each row with an
+///    edge in the window, each source and each row holding mass at the
+///    switch — and sweeps only those, so a dense iteration costs the
+///    window's rows × B, not the node universe's.
 ///  - per-column convergence masking: a converged column's result is
 ///    extracted and the column zeroed, so finished sources drop out of the
 ///    remaining iterations instead of being recomputed to the slowest
@@ -223,8 +231,8 @@ class RwrBatchEngine {
   /// Invokes fn(node, probability) for each nonzero entry of column b,
   /// ascending by node id.
   template <typename Fn>
-  static void VisitColumn(const RwrBatchWorkspace& ws, size_t num_nodes,
-                          size_t width, size_t b, Fn&& fn);
+  static void VisitColumn(const RwrBatchWorkspace& ws, size_t width, size_t b,
+                          Fn&& fn);
 
   RwrOptions opts_;
   const TransitionCache* cache_;

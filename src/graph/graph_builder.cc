@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cmath>
 
 namespace commsig {
 
@@ -39,7 +38,7 @@ void GraphBuilder::AddEdge(NodeId src, NodeId dst, double weight) {
 
 bool GraphBuilder::TryAddEdge(NodeId src, NodeId dst, double weight) {
   if (src >= num_nodes_ || dst >= num_nodes_) return false;
-  if (!std::isfinite(weight) || weight <= 0.0) return false;
+  if (!(weight > 0.0 && weight <= kMaxRecordWeight)) return false;
   AddEdge(src, dst, weight);
   return true;
 }

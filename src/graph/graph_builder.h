@@ -9,6 +9,12 @@
 
 namespace commsig {
 
+/// Largest weight one observation — a trace record, a TryAddEdge call — may
+/// carry: 2^64, above every 32-bit NetFlow count. A window sums far fewer
+/// than 2^960 observations, so no edge weight or node tally built from
+/// accepted ones can overflow to infinity (DBL_MAX is about 2^1024).
+inline constexpr double kMaxRecordWeight = 0x1p64;
+
 /// Accumulates directed weighted edge observations and finalizes them into
 /// an immutable CommGraph.
 ///
@@ -34,7 +40,8 @@ class GraphBuilder {
   void AddEdge(NodeId src, NodeId dst, double weight = 1.0);
 
   /// Validating variant for the ingest path: returns false (and adds
-  /// nothing) if an id is >= num_nodes or the weight is NaN/Inf/<= 0.
+  /// nothing) if an id is >= num_nodes or the weight is NaN, <= 0 or above
+  /// kMaxRecordWeight.
   /// Use this when the edge comes from untrusted input that may have been
   /// corrupted downstream of the readers (e.g. fault injection, stale
   /// checkpoints).

@@ -40,9 +40,9 @@ class TraceWindower {
   /// Buckets `events` (any order) and builds one graph per window, from
   /// window 0 through the last window containing an event. Windows with no
   /// events yield empty graphs over the same universe. Events with invalid
-  /// node ids (>= num_nodes) or NaN/Inf/non-positive weights are dropped
-  /// and counted under `robust/windower_dropped_events` — corrupt upstream
-  /// records must not index out of bounds or poison edge weights. So is an
+  /// node ids (>= num_nodes) or weights outside (0, kMaxRecordWeight] are
+  /// dropped and counted under `robust/windower_dropped_events` — corrupt
+  /// upstream records must not index out of bounds or poison edge weights. So is an
   /// event at offset 2^64 − 1 from the start at length 1, whose window
   /// count would not fit a size_t.
   std::vector<CommGraph> Split(const std::vector<TraceEvent>& events) const;

@@ -17,6 +17,7 @@
 
 #include "common/csv.h"
 #include "data/netflow.h"
+#include "graph/graph_builder.h"
 #include "robust/record_errors.h"
 
 namespace commsig::ingest {
@@ -39,8 +40,8 @@ struct TraceRow {
 /// Validates one trace CSV row already split into `count` total fields, the
 /// first min(count, 4) of which are stored in `fields`. Returns false and
 /// fills `reject` on a malformed row. Checks run in a fixed order (field
-/// count, empty labels, time, weight, finiteness, positivity); the first
-/// failing one names the rejection.
+/// count, empty labels, time, weight, finiteness, positivity, the
+/// kMaxRecordWeight bound); the first failing one names the rejection.
 inline bool DecodeTraceRow(const std::string_view* fields, size_t count,
                            TraceRow& row, RowReject& reject) {
   if (count != 4) {
@@ -85,6 +86,12 @@ inline bool DecodeTraceRow(const std::string_view* fields, size_t count,
   if (row.weight <= 0.0) {
     reject.reason = RecordErrorReason::kNonPositiveWeight;
     reject.detail = "non-positive weight ";
+    reject.detail += fields[3];
+    return false;
+  }
+  if (row.weight > kMaxRecordWeight) {
+    reject.reason = RecordErrorReason::kBadField;
+    reject.detail = "weight above 2^64: ";
     reject.detail += fields[3];
     return false;
   }

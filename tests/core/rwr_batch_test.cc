@@ -284,43 +284,64 @@ TEST(RwrBatchTest, UnboundedWalksMatchSerialWithinTolerance) {
 // Warm starts: a seeded column starts from its seed normalized to sum 1
 // (an empty seed keeps the unit start at the source) and must then follow
 // the oracle's iteration from that same start bit for bit, with seeded
-// and unseeded columns mixed in one batch.
+// and unseeded columns mixed in one batch. One more batch holds a single
+// column: the isolated node n−1, seeded with another column's seed, which
+// holds no mass on n−1 and covers more than n/4 rows. That batch is dense
+// from its first iteration, and no seed entry, edge or pre-switch frontier
+// row puts n−1 on the dense row list: only the batch's sources keep the
+// reset mass it returns to n−1.
 TEST(RwrBatchTest, SeededColumnsBitIdenticalToSerialFromSameSeed) {
   CommGraph g = RandomGraph(40, 0.1, 37);
+  const NodeId isolated[] = {static_cast<NodeId>(g.NumNodes() - 1)};
   for (TraversalMode mode :
        {TraversalMode::kDirected, TraversalMode::kSymmetric}) {
     // Symmetric c = 0.1 runs the Chebyshev recurrence; directed walks and
     // c = 0 keep the plain power iteration, where it converges (ρ = 1
     // would not).
     for (double c : {0.1, 0.0}) {
-      RwrOptions opts{.reset = c, .max_hops = 0, .traversal = mode};
-      TransitionCache cache(g, mode);
-      RwrBatchEngine engine(opts, cache);
+      for (size_t hops : {size_t{0}, size_t{3}}) {
+        RwrOptions opts{.reset = c, .max_hops = hops, .traversal = mode};
+        TransitionCache cache(g, mode);
+        RwrBatchEngine engine(opts, cache);
 
-      std::vector<NodeId> sources = AllNodes(g);
-      std::vector<std::vector<Signature::Entry>> seed_storage;
-      const auto seeds = DonorSeeds(engine.SolveBatch(sources), seed_storage);
-
-      const ColumnSolves got = SolveColumns(engine, g.NumNodes(), sources,
-                                            seeds, sources.size());
-      ASSERT_EQ(got.columns.size(), sources.size());
-      for (size_t b = 0; b < sources.size(); ++b) {
-        SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode)
-                                        << " c=" << c << " b=" << b);
-        std::vector<double> start(g.NumNodes(), 0.0);
-        if (seeds[b].empty()) {
-          start[sources[b]] = 1.0;
-        } else {
-          double total = 0.0;
-          for (const Signature::Entry& e : seeds[b]) total += e.weight;
-          for (const Signature::Entry& e : seeds[b]) {
-            start[e.node] = e.weight * (1.0 / total);
-          }
+        std::vector<NodeId> sources = AllNodes(g);
+        std::vector<std::vector<Signature::Entry>> seed_storage;
+        const auto seeds =
+            DonorSeeds(engine.SolveBatch(sources), seed_storage);
+        const Seeds isolated_seed = Seeds(seeds).subspan(1, 1);
+        ASSERT_GT(isolated_seed[0].size(), g.NumNodes() / 4);
+        for (const Signature::Entry& e : isolated_seed[0]) {
+          ASSERT_NE(e.node, isolated[0]);
         }
-        auto serial = ref::RwrSolve(opts, g, sources[b], cache, start);
-        EXPECT_TRUE(serial.converged);
-        EXPECT_EQ(got.converged[b] != 0, serial.converged);
-        EXPECT_EQ(got.columns[b], serial.probabilities);
+
+        auto check = [&](std::span<const NodeId> batch, Seeds batch_seeds) {
+          const ColumnSolves got = SolveColumns(engine, g.NumNodes(), batch,
+                                                batch_seeds, batch.size());
+          ASSERT_EQ(got.columns.size(), batch.size());
+          for (size_t b = 0; b < batch.size(); ++b) {
+            SCOPED_TRACE(testing::Message()
+                         << "mode=" << static_cast<int>(mode) << " c=" << c
+                         << " h=" << hops << " v=" << batch[b] << " b=" << b);
+            std::vector<double> start(g.NumNodes(), 0.0);
+            if (batch_seeds[b].empty()) {
+              start[batch[b]] = 1.0;
+            } else {
+              double total = 0.0;
+              for (const Signature::Entry& e : batch_seeds[b]) {
+                total += e.weight;
+              }
+              for (const Signature::Entry& e : batch_seeds[b]) {
+                start[e.node] = e.weight * (1.0 / total);
+              }
+            }
+            auto serial = ref::RwrSolve(opts, g, batch[b], cache, start);
+            EXPECT_TRUE(serial.converged);
+            EXPECT_EQ(got.converged[b] != 0, serial.converged);
+            EXPECT_EQ(got.columns[b], serial.probabilities);
+          }
+        };
+        check(sources, seeds);
+        check(isolated, isolated_seed);
       }
     }
   }

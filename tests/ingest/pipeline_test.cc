@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "data/netflow.h"
+#include "graph/graph_builder.h"
 #include "ref/readers.h"
 
 namespace commsig::ingest {
@@ -289,6 +290,43 @@ TEST_F(PipelineTest, NegativeTimeIsABadField) {
     ASSERT_FALSE(failed.ok()) << "workers=" << workers;
     EXPECT_TRUE(failed.status().IsInvalidArgument())
         << failed.status().ToString();
+  }
+}
+
+TEST_F(PipelineTest, WeightAboveRecordBoundIsABadField) {
+  // Two finite 1e308 records of one edge summed to infinity in its window.
+  // A weight above 2^64 is rejected, so no window can; 2^64 itself is kept
+  // and the next double above it is not.
+  WriteFile("a,b,100,1e308\na,b,150,1e308\na,c,160,18446744073709551616\n"
+            "b,c,200,18446744073709555712\nc,a,250,2\n");
+  IngestOptions ingest;
+  ingest.policy = ErrorPolicy::kSkip;
+  RecordErrorLog serial_log;
+  ingest.error_log = &serial_log;
+  Interner serial_interner;
+  auto serial = ref::ReadTrace(PathStr(), serial_interner, ingest);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->size(), 2u);
+  EXPECT_EQ((*serial)[0].weight, kMaxRecordWeight);
+  EXPECT_EQ(serial_log.count(RecordErrorReason::kBadField), 3u);
+  EXPECT_EQ(serial_log.total(), 3u);
+  const uint64_t golden_events = FingerprintEvents(*serial, serial_interner);
+  const uint64_t golden_log = FingerprintErrorLog(serial_log);
+
+  for (int workers : {1, 4}) {
+    Interner interner;
+    RecordErrorLog log;
+    PipelineOptions options;
+    options.parse_workers = workers;
+    options.chunk_bytes = 16;
+    options.ingest.policy = ErrorPolicy::kSkip;
+    options.ingest.error_log = &log;
+    auto got = ReadTraceEventsPipelined(PathStr(), PipelineFormat::kTraceCsv,
+                                        interner, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(FingerprintEvents(*got, interner), golden_events)
+        << "workers=" << workers;
+    EXPECT_EQ(FingerprintErrorLog(log), golden_log) << "workers=" << workers;
   }
 }
 

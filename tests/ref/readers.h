@@ -54,6 +54,7 @@ class CsvReader {
 };
 
 /// Trace CSV rows `src,dst,time,weight` (ingest::PipelineFormat::kTraceCsv).
+/// A weight above kMaxRecordWeight is a bad field, as in the pipeline.
 Result<std::vector<TraceEvent>> ReadTrace(const std::string& path,
                                           Interner& interner,
                                           const IngestOptions& options = {});

@@ -1,17 +1,18 @@
 #include "ref/windows.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
+
+#include "graph/graph_builder.h"
 
 namespace commsig::ref {
 
 namespace {
 
 bool Valid(const TraceEvent& e, size_t num_nodes) {
-  return e.src < num_nodes && e.dst < num_nodes && std::isfinite(e.weight) &&
-         e.weight > 0.0;
+  return e.src < num_nodes && e.dst < num_nodes && e.weight > 0.0 &&
+         e.weight <= kMaxRecordWeight;
 }
 
 WindowArrays Arrays(const std::map<std::pair<NodeId, NodeId>, double>& sums,

@@ -95,6 +95,10 @@ TEST(TryAddEdgeTest, RejectsWithoutMutating) {
       builder.TryAddEdge(0, 1, std::numeric_limits<double>::quiet_NaN()));
   EXPECT_FALSE(
       builder.TryAddEdge(0, 1, std::numeric_limits<double>::infinity()));
+  // Finite, but two such observations of one edge sum to infinity.
+  EXPECT_FALSE(builder.TryAddEdge(0, 1, 1e308));
+  EXPECT_FALSE(builder.TryAddEdge(
+      0, 1, std::nextafter(kMaxRecordWeight, HUGE_VAL)));
   CommGraph g = std::move(builder).Build();
   EXPECT_DOUBLE_EQ(g.TotalWeight(), 2.0);  // only the one good edge
 }
@@ -107,6 +111,8 @@ TEST(WindowerRobustnessTest, DropsCorruptEventsInsteadOfCrashing) {
       {0, 7, 30, 1.0},  // dst out of universe
       {1, 2, 40, std::numeric_limits<double>::quiet_NaN()},
       {1, 2, 50, -2.0},
+      {1, 2, 52, 1e308},  // each finite, but their sum is not
+      {1, 2, 54, 1e308},
       {2, 3, 60, 4.0},
   };
   auto graphs = windower.Split(events);

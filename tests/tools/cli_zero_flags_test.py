@@ -21,12 +21,15 @@ any other site name.  `--threads` gives the same output at every worker
 count, and a trace whose windows would not fit in memory exits 1 before
 the split instead of aborting.  An incremental `timeline` of a c = 0
 random walk follows a changed row instead of reusing a stale signature.
+A record weighing more than 2^64 is a bad field, so no window sums to
+infinity: skipping it prints what the trace without it prints.
 
 Usage: cli_zero_flags_test.py <path-to-commsig-binary>
 (ctest passes $<TARGET_FILE:commsig_cli>.)
 """
 
 import json
+import math
 import os
 import random
 import re
@@ -361,6 +364,45 @@ class ZeroFlagsTest(unittest.TestCase):
                                    if "persistence" in line]
         self.assertIn("persistence 0.9224", persistence["tt"][0])
         self.assertEqual(persistence["rwr(c=0,h=1)"], persistence["tt"])
+
+    def test_weight_above_record_bound_is_a_bad_field(self):
+        # Each weight is finite, but the first trace sums one edge to
+        # infinity and the second a's out-tally: RWR printed no line at all,
+        # tt dropped a and ut lost a's edge to b.
+        traces = (
+            ["a,b,100,1e308", "a,b,150,1e308", "a,c,160,1.0",
+             "b,c,200,1.0", "c,a,250,2.0"],
+            ["a,b,100,1e308", "a,c,160,1e308", "b,c,200,1.0",
+             "c,a,250,2.0"],
+        )
+        for i, rows in enumerate(traces):
+            trace = self.write_trace(f"overflow{i}.csv", rows)
+            kept = [row for row in rows if not row.endswith(",1e308")]
+            without = self.write_trace(f"overflow{i}_kept.csv", kept)
+            senders = sorted({row.split(",")[0] for row in kept})
+            for scheme in ("rwr(c=0.1)", "rwr(c=0.1,h=3)", "tt", "ut"):
+                with self.subTest(trace=i, scheme=scheme):
+                    flags = ("--window-length", "1000", "--scheme", scheme)
+                    proc = self.run_cli("signatures", *flags,
+                                        "--on-error", "skip", trace=trace)
+                    self.assertEqual(proc.returncode, 0, proc.stderr)
+                    lines = proc.stdout.splitlines()
+                    self.assertEqual(
+                        sorted(line.split("\t")[0] for line in lines),
+                        senders, proc.stdout)
+                    for line in lines:
+                        for weight in re.findall(r":([^,}]+)", line):
+                            self.assertTrue(math.isfinite(float(weight)),
+                                            line)
+                    self.assertEqual(
+                        proc.stdout,
+                        self.run_cli("signatures", *flags,
+                                     trace=without).stdout)
+            proc = self.run_cli("signatures", "--window-length", "1000",
+                                trace=trace)
+            self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+            self.assertIn("bad_field at 1: weight above 2^64", proc.stderr)
+            self.assertEqual(proc.stdout, "")
 
 
 def main() -> int:
